@@ -34,7 +34,6 @@ from .marginal import (
 from .merging import credible_discrepancy, l1_distance, predicted_l1_posterior
 from .mmle import (
     GibbsConfig,
-    MmleResult,
     RestrictedDomain,
     lasso_mmle_em,
     m1_closed_form_mmle,
@@ -422,8 +421,26 @@ EXPERIMENTS = {
 }
 
 
+def _check_type(key, value, default):
+    """Reject ``value`` unless it has the JSON type of ``default``.
+
+    An int stays an int (not a bool), a float also takes an int, and a list
+    stays a nonempty list whose elements match the default's first element.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{key} must be a nonempty list")
+        for v in value:
+            _check_type(key, v, default[0])
+        return
+    want = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise ValueError(f"{key} must be {type(default).__name__}, got {value!r}")
+
+
 def validate_config(doc) -> dict:
-    """Apply defaults and reject unknown keys; returns the effective config."""
+    """Apply defaults, reject unknown keys and values whose type differs from
+    the default's; returns the effective config."""
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     name = doc.get("experiment")
@@ -435,13 +452,15 @@ def validate_config(doc) -> dict:
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, default in defaults.items():
+        if key in doc:
+            _check_type(key, doc[key], default)
+    if not isinstance(doc.get("output_dir", ""), str):
+        raise ValueError("output_dir must be a string")
     cfg = dict(defaults)
     cfg.update({k: v for k, v in doc.items() if k not in ("experiment",)})
-    if "seeds" in cfg and int(cfg["seeds"]) < 1:
+    if "seeds" in cfg and cfg["seeds"] < 1:
         raise ValueError("seeds must be a positive count")
-    for key in ("n_grid", "lambdas", "coords", "lam_pair"):
-        if key in cfg and len(cfg[key]) == 0:
-            raise ValueError(f"{key} must be nonempty")
     cfg["experiment"] = name
     return cfg
 

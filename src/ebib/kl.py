@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .marginal import MarginalStrategy, log_marginal
-from .models import RegressionParams
 from .samplers import simulate
 
 
@@ -37,46 +36,12 @@ class KlProfile:
                    comments="")
 
 
-def kl_exact_gaussian(family, theta0, lam, n: int) -> float:
-    """Closed-form KL between p_theta0 and the lam-marginal (Gaussian cases)."""
-    if family.id == "M1":
-        lam = family.validate_hyperparam(lam, allow_boundary=True)
-        s2 = family.sigma2
-        t = float(theta0)
-        r = n * lam / (s2 + n * lam)
-        return 0.5 * (-r + n * t * t / (s2 + n * lam) + math.log1p(n * lam / s2))
-    if family.id == "M2":
-        return _kl_m2(family, theta0, lam)
-    raise CapabilityError(f"{family.id}: exact Gaussian KL not available")
+def kl_exact_gaussian(family, theta0, lam, n: int, data=None) -> float:
+    """Closed-form KL between p_theta0 and the lam-marginal (Gaussian cases).
 
-
-def _kl_m2(family, theta0, lam):
-    """KL(N(X beta0, s2 I) || N(0, s2 I + X D X^t)) via d-dimensional identities.
-
-    Requires the design: theta0 must be a RegressionParams carrying ``X`` set on
-    the family call path, so this variant takes (theta0, data) packed as a pair.
+    Regression families take their fixed design from ``data``.
     """
-    theta0, data = theta0
-    beta0 = theta0.beta if isinstance(theta0, RegressionParams) else np.asarray(theta0, float)
-    tau2 = family.validate_hyperparam(lam, allow_boundary=True)
-    X = data.X
-    s2 = family.sigma2
-    mu = X @ beta0
-    active = np.flatnonzero(tau2 > 0)
-    if active.size == 0:
-        return 0.5 * float(mu @ mu) / s2
-    Xa = X[:, active]
-    Da = tau2[active]
-    G = Xa.T @ Xa
-    M = s2 * np.diag(1.0 / Da) + G
-    Minv_G = np.linalg.solve(M, G)
-    tr_term = -float(np.trace(Minv_G))
-    b = Xa.T @ mu
-    quad = (float(mu @ mu) - float(b @ np.linalg.solve(M, b))) / s2
-    sign, logdet = np.linalg.slogdet(np.eye(active.size) + (G * Da[None, :]) / s2)
-    if sign <= 0:
-        raise DomainError("marginal covariance not positive definite")
-    return 0.5 * (tr_term + quad + logdet)
+    return family.kl_exact(theta0, lam, n, data)
 
 
 def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed,
@@ -93,10 +58,7 @@ def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed,
     for r in range(reps):
         data = simulate(family, theta0, n, seed=(seed, "kl-rep", r))
         ll = family.log_likelihood(theta0, data)
-        lm = log_marginal(family, lam, data, strategy)
-        if isinstance(lm, tuple):
-            lm = lm[0]
-        vals[r] = ll - lm
+        vals[r] = ll - log_marginal(family, lam, data, strategy)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan
     return est, se

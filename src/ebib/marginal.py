@@ -1,9 +1,11 @@
 """Marginal likelihood m_lam(y) evaluation.
 
-Four strategies: closed form (M1, M2, M3, M4, M5 with known sigma),
-quadrature (M1 cross-check), exact allocation enumeration (mixtures at tiny n)
-and posterior importance reweighting across a concentration grid (mixtures at
-realistic n).
+``log_marginal`` has three kinds: closed form (the family's own
+``log_marginal``; M1, M2, M3, M4 and M5 with known sigma), quadrature (M1
+cross-check) and exact allocation enumeration (mixtures at tiny n).  Mixtures
+at realistic n use posterior importance reweighting across a concentration
+grid, which returns estimates with standard errors and lives in
+``mixture_marginal_profile``.
 """
 
 from __future__ import annotations
@@ -18,18 +20,11 @@ from .errors import (
     CapacityError,
     DomainError,
     EstimationError,
-    ReliabilityError,
 )
-from .models import BayesLasso, Dataset, GPriorRegression
-from .numerics import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    integrate,
-    log_gamma,
-    low_rank_gaussian_logpdf,
-)
+from .models import Dataset
+from .numerics import QuadratureSpec, integrate, log_gamma
 
-_KINDS = ("closed-form", "quadrature", "enumeration", "reweighting")
+_KINDS = ("closed-form", "quadrature", "enumeration")
 
 ENUMERATION_CAP = 1 << 20
 MIN_RELIABLE_ESS = 50.0
@@ -38,60 +33,24 @@ MIN_RELIABLE_ESS = 50.0
 @dataclass(frozen=True)
 class MarginalStrategy:
     kind: str = "closed-form"
-    reference_lam: float | None = None
-    draws: int = 4000
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown marginal strategy {self.kind!r}")
-        if self.draws < 1:
-            raise DomainError("draws must be positive")
 
 
-def log_marginal(family, lam, data: Dataset, strategy: MarginalStrategy):
-    """log m_lam(y); stochastic strategies return (estimate, std_error)."""
-    fid = family.id
+def log_marginal(family, lam, data: Dataset, strategy: MarginalStrategy) -> float:
+    """log m_lam(y) under the chosen strategy."""
     if strategy.kind == "closed-form":
-        if fid == "M1":
-            return _m1_closed(family, lam, data)
-        if fid == "M2":
-            return _m2_closed(family, lam, data)
-        if fid == "M3":
-            return _m3_closed(family, lam, data)
-        if fid == "M4":
-            return markov_log_marginal(data.counts, family.validate_hyperparam(lam))
-        if fid == "M5":
-            return _m5_closed(family, lam, data)
-        raise CapabilityError(f"{fid}: no closed-form marginal")
+        return family.log_marginal(lam, data)
     if strategy.kind == "quadrature":
-        if fid == "M1":
-            return _m1_quadrature(family, lam, data)
-        raise CapabilityError(f"{fid}: quadrature marginal not supported")
-    if strategy.kind == "enumeration":
-        if fid != "M7":
-            raise CapabilityError("enumeration is for the overfitted mixture family")
-        return mixture_marginal_exact(data, family.validate_hyperparam(lam),
-                                      family.K, family)
-    # reweighting
-    if fid != "M7":
-        raise CapabilityError("reweighting is for the overfitted mixture family")
-    ref = strategy.reference_lam
-    if ref is None:
-        raise DomainError("reweighting needs reference_lam")
-    rows = mixture_marginal_profile(
-        data, [family.validate_hyperparam(lam)], ref,
-        draws=strategy.draws, seed=strategy.seed, base=family, K=family.K,
-    )
-    r = rows[0]
-    if not r["reliable"]:
-        raise ReliabilityError("reweighting ESS too low", ess=r["ess"])
-    return r["delta_logm"], r["stderr"]
-
-
-def _m1_closed(family, lam, data) -> float:
-    lam = family.validate_hyperparam(lam, allow_boundary=True)
-    return low_rank_gaussian_logpdf(data.y, 0.0, family.sigma2, lam)
+        if family.id != "M1":
+            raise CapabilityError(f"{family.id}: quadrature marginal not supported")
+        return _m1_quadrature(family, lam, data)
+    if family.id != "M7":
+        raise CapabilityError("enumeration is for the overfitted mixture family")
+    return mixture_marginal_exact(data, family.validate_hyperparam(lam),
+                                  family.K, family)
 
 
 def _m1_quadrature(family, lam, data) -> float:
@@ -122,64 +81,6 @@ def _m1_quadrature(family, lam, data) -> float:
     if not val > 0:
         raise EstimationError("quadrature marginal underflowed; use closed form")
     return math.log(val) + math.log(scale) + log_g0
-
-
-def _m2_closed(family, lam, data) -> float:
-    tau2 = family.validate_hyperparam(lam, allow_boundary=True)
-    X, y, n = data.X, data.y, data.n
-    s2 = family.sigma2
-    active = np.flatnonzero(tau2 > 0)
-    yy = float(y @ y)
-    if active.size == 0:
-        return -0.5 * (n * math.log(2.0 * math.pi * s2) + yy / s2)
-    Xa = X[:, active]
-    Da = tau2[active]
-    G = Xa.T @ Xa
-    M = G + s2 * np.diag(1.0 / Da)
-    b = Xa.T @ y
-    quad = (yy - float(b @ np.linalg.solve(M, b))) / s2
-    sign, logdet_small = np.linalg.slogdet(
-        np.eye(active.size) + (G * Da[None, :]) / s2
-    )
-    if sign <= 0:
-        raise DomainError("marginal covariance not positive definite")
-    logdet = n * math.log(s2) + logdet_small
-    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
-
-
-def _m3_closed(family, lam, data) -> float:
-    # flat prior on the intercept and 1/sigma2 on the variance: the additive
-    # constant follows the convention pi(alpha, sigma2) = 1/sigma2
-    lam = family.validate_hyperparam(lam, allow_boundary=True)
-    n, p = data.n, data.X.shape[1]
-    if n <= p + 1:
-        raise DomainError("need n > d - 1")
-    ssr, sse, _ = GPriorRegression.suff_stats(data)
-    q = sse + ssr / (1.0 + n * lam)
-    return (
-        -0.5 * math.log(n)
-        - 0.5 * (n - 1.0) * math.log(2.0 * math.pi)
-        + log_gamma((n - 1.0) / 2.0)
-        - 0.5 * p * math.log(1.0 + n * lam)
-        - 0.5 * (n - 1.0) * math.log(q / 2.0)
-    )
-
-
-def _m5_closed(family: BayesLasso, lam, data) -> float:
-    lam = family.validate_hyperparam(lam)
-    if not family.sigma_known:
-        raise CapabilityError("closed-form M5 marginal requires known sigma2")
-    norms = BayesLasso._check_orthogonal(data.X)
-    s = math.sqrt(family.sigma2)
-    X, y, n = data.X, data.y, data.n
-    bhat = (X.T @ y) / norms**2
-    sse = float(np.sum((y - X @ bhat) ** 2))
-    out = -0.5 * n * math.log(2.0 * math.pi * s * s) - sse / (2.0 * s * s)
-    for j, (sj, bj) in enumerate(zip(norms, bhat)):
-        out += 0.5 * math.log(2.0 * math.pi) + math.log(s / sj)
-        out += math.log(lam / (2.0 * s))
-        out += BayesLasso.laplace_gauss_log_normalizer(float(bj), float(sj), s, lam)
-    return float(out)
 
 
 # ---------------------------------------------------------------------------

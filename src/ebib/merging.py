@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DomainError, ReliabilityError
-from .models import Dataset, MixtureParams
+from .models import Dataset
 from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate
-from .posteriors import (
-    GaussianPosterior,
-    GridPosterior,
-    PointMassPosterior,
-)
+from .posteriors import PointMassPosterior
 
 
 def delta_theta0(family, theta0, lam1, lam2) -> np.ndarray:
@@ -87,38 +83,15 @@ def l1_distance_mc(p, q, draws: int = 20000, seed: int = 0) -> float:
     return float(np.mean(np.abs(fp[ok] - fq[ok]) / mix[ok]))
 
 
-def predicted_l1_predictive(family, theta0, lam1, lam2, n: int,
-                            spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def predicted_l1_predictive(family, theta0, lam1, lam2, n: int) -> float:
     """First-order L1 expansion between the two posterior predictives.
 
-    Evaluates n^{-1} * integral of |Delta^t I0^{-1} score(y)| p_theta0(y) dy by
-    quadrature over the single-observation sample space.
+    n^{-1} * integral of |Delta^t I0^{-1} score(y)| p_theta0(y) dy over the
+    single-observation sample space; the family evaluates the integral.
     """
     delta = delta_theta0(family, theta0, lam1, lam2)
-    fisher = family.fisher_information(theta0)
-    w = np.linalg.solve(fisher, delta)
-    if family.id == "M1":
-        s2 = family.sigma2
-        t = float(theta0)
-        sd = math.sqrt(s2)
-
-        def f(y):
-            score = (y - t) / s2
-            dens = math.exp(-0.5 * (y - t) ** 2 / s2) / math.sqrt(2.0 * math.pi * s2)
-            return abs(w[0] * score) * dens
-
-        val = integrate(f, t - 10.0 * sd, t + 10.0 * sd, spec)
-        return val / n
-    if family.id == "M6":
-        t: MixtureParams = theta0
-        sd = np.sqrt(t.variances)
-        lo = float(np.min(t.means - 10.0 * sd))
-        hi = float(np.max(t.means + 10.0 * sd))
-        ys = np.linspace(lo, hi, 20001)
-        S, fdens = family._score(ys, t)
-        integrand = np.abs(S @ w) * fdens
-        return float(np.trapezoid(integrand, ys)) / n
-    raise CapabilityError(f"{family.id}: predictive expansion not supported")
+    w = np.linalg.solve(family.fisher_information(theta0), delta)
+    return family.predictive_score_l1(theta0, w) / n
 
 
 def credible_discrepancy(family, data: Dataset, lam_build, lam_eval,

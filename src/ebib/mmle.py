@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import rng as rngmod
-from .errors import DomainError, EstimationError, ReliabilityError
+from .errors import DomainError
 from .marginal import MarginalStrategy, log_marginal
 from .models import Dataset
 from .samplers import GibbsConfig, gibbs_lasso
@@ -48,11 +48,7 @@ class MmleResult:
 
 
 def _objective(family, data, strategy):
-    def f(lam):
-        val = log_marginal(family, lam, data, strategy)
-        return val[0] if isinstance(val, tuple) else val
-
-    return f
+    return lambda lam: log_marginal(family, lam, data, strategy)
 
 
 def mmle_grid(family, data: Dataset, domain: RestrictedDomain,
@@ -61,22 +57,13 @@ def mmle_grid(family, data: Dataset, domain: RestrictedDomain,
     if not domain.grid:
         raise DomainError("mmle_grid needs an explicit grid")
     best = None
-    n_unreliable = 0
     for lam in domain.grid:
-        try:
-            val = log_marginal(family, lam, data, strategy)
-        except ReliabilityError:
-            n_unreliable += 1
-            continue
-        if isinstance(val, tuple):
-            val = val[0]
+        val = log_marginal(family, lam, data, strategy)
         key = np.asarray(lam, float).ravel()
         if best is None or val > best[0] + 1e-15 or (
             abs(val - best[0]) <= 1e-15 and tuple(key) < tuple(best[2])
         ):
             best = (val, lam, key)
-    if best is None:
-        raise EstimationError("all grid points were unreliable")
     val, lam, key = best
     grid_arr = [np.asarray(g, float).ravel() for g in domain.grid]
     lo = np.min(grid_arr, axis=0)
@@ -289,7 +276,4 @@ def lasso_mmle_em(data: Dataset, init_lam: float, gibbs_cfg: GibbsConfig,
 
 def pseudo_mmle(family, data: Dataset):
     """Plug-in hyperparameter: the oracle formula evaluated at the MLE."""
-    theta_hat = family.mle(data)
-    if family.id == "M3":
-        return family.oracle_hyperparameter(theta_hat, data)
-    return family.oracle_hyperparameter(theta_hat)
+    return family.pseudo_hyperparameter(data)

@@ -3,7 +3,9 @@
 Each family bundles the evaluators used elsewhere: log-likelihood,
 hyperparameter-indexed log-prior and its gradient in the true parameter,
 limiting Fisher information, closed-form oracle hyperparameter where one
-exists, and a posterior constructor.
+exists, a posterior constructor, and the family-specific bodies behind the
+generic entry points: closed-form marginal, data simulation, exact KL to the
+marginal, the predictive score moment and the plug-in hyperparameter.
 
 Families
     M1  normal mean, known variance, N(0, lam) prior on the mean
@@ -18,7 +20,7 @@ Families
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,7 +34,7 @@ from .errors import (
     InsufficientDataError,
     NonDifferentiableError,
 )
-from .numerics import log_gamma
+from .numerics import log_gamma, low_rank_gaussian_logpdf
 from .posteriors import (
     GaussianPosterior,
     GridPosterior,
@@ -178,13 +180,6 @@ class DirichletRowsPosterior:
     def mean(self) -> np.ndarray:
         return self.alpha / self.alpha.sum(axis=1, keepdims=True)
 
-    def sample(self, rng, size):
-        K = self.alpha.shape[0]
-        out = np.empty((size, K, K))
-        for i in range(K):
-            out[:, i, :] = rng.dirichlet(self.alpha[i], size=size)
-        return out
-
 
 def _log_dirichlet(p, alpha) -> float:
     p = np.asarray(p, float)
@@ -217,6 +212,18 @@ def _mixture_logpdf(y, w, mu, v):
     m = comp + lw[None, :]
     mx = m.max(axis=1, keepdims=True)
     return (mx[:, 0] + np.log(np.sum(np.exp(m - mx), axis=1))).astype(float)
+
+
+def _simulate_regression(beta, s2, n, g, seed) -> Dataset:
+    from .samplers import uniform_design
+
+    X = uniform_design(n, beta.size, seed)
+    return Dataset(y=X @ beta + g.normal(0.0, math.sqrt(s2), size=n), X=X)
+
+
+def _simulate_mixture(t: MixtureParams, n, g) -> Dataset:
+    z = g.choice(t.k, size=n, p=t.weights)
+    return Dataset(y=t.means[z] + g.normal(size=n) * np.sqrt(t.variances[z]))
 
 
 class ModelFamily:
@@ -252,6 +259,26 @@ class ModelFamily:
 
     def mle(self, data: Dataset):
         raise CapabilityError(f"{self.id}: closed-form MLE not available")
+
+    def log_marginal(self, lam, data: Dataset) -> float:
+        """Closed-form log m_lam(y)."""
+        raise CapabilityError(f"{self.id}: no closed-form marginal")
+
+    def simulate(self, theta0, n: int, g, seed) -> Dataset:
+        """n > 0 draws from p_theta0: noise from ``g``, any design from ``seed``."""
+        raise CapabilityError(f"{self.id}: simulation not supported")
+
+    def kl_exact(self, theta0, lam, n: int, data: Dataset | None = None) -> float:
+        """Closed-form KL(p_theta0 || m_lam) for n observations."""
+        raise CapabilityError(f"{self.id}: exact Gaussian KL not available")
+
+    def predictive_score_l1(self, theta0, w) -> float:
+        """Integral of |w^t score(y)| p_theta0(y) dy over one observation."""
+        raise CapabilityError(f"{self.id}: predictive expansion not supported")
+
+    def pseudo_hyperparameter(self, data: Dataset):
+        """Plug-in hyperparameter: the oracle formula evaluated at the MLE."""
+        return self.oracle_hyperparameter(self.mle(data))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +341,24 @@ class NormalMean(ModelFamily):
             return PointMassPosterior(0.0)
         denom = n * lam + self.sigma2
         return GaussianPosterior(n * lam * ybar / denom, lam * self.sigma2 / denom)
+
+    def log_marginal(self, lam, data):
+        lam = self.validate_hyperparam(lam, allow_boundary=True)
+        return low_rank_gaussian_logpdf(data.y, 0.0, self.sigma2, lam)
+
+    def simulate(self, theta0, n, g, seed):
+        return Dataset(y=g.normal(float(theta0), math.sqrt(self.sigma2), size=n))
+
+    def kl_exact(self, theta0, lam, n, data=None):
+        lam = self.validate_hyperparam(lam, allow_boundary=True)
+        s2 = self.sigma2
+        t = float(theta0)
+        r = n * lam / (s2 + n * lam)
+        return 0.5 * (-r + n * t * t / (s2 + n * lam) + math.log1p(n * lam / s2))
+
+    def predictive_score_l1(self, theta0, w):
+        # score (y - theta0) / sigma2 and E|y - theta0| = sigma sqrt(2/pi)
+        return abs(float(w[0])) * math.sqrt(2.0 / math.pi) / math.sqrt(self.sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +429,58 @@ class IndepNormalRegression(ModelFamily):
                 marginals[j] = GaussianPosterior(mean[k], cov[k, k])
         post = ProductPosterior(marginals=list(marginals))
         return post
+
+    def log_marginal(self, lam, data):
+        tau2 = self.validate_hyperparam(lam, allow_boundary=True)
+        X, y, n = data.X, data.y, data.n
+        s2 = self.sigma2
+        active = np.flatnonzero(tau2 > 0)
+        yy = float(y @ y)
+        if active.size == 0:
+            return -0.5 * (n * math.log(2.0 * math.pi * s2) + yy / s2)
+        Xa = X[:, active]
+        Da = tau2[active]
+        G = Xa.T @ Xa
+        M = G + s2 * np.diag(1.0 / Da)
+        b = Xa.T @ y
+        quad = (yy - float(b @ np.linalg.solve(M, b))) / s2
+        sign, logdet_small = np.linalg.slogdet(
+            np.eye(active.size) + (G * Da[None, :]) / s2
+        )
+        if sign <= 0:
+            raise DomainError("marginal covariance not positive definite")
+        logdet = n * math.log(s2) + logdet_small
+        return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+
+    def simulate(self, theta0, n, g, seed):
+        return _simulate_regression(self._beta(theta0), self.sigma2, n, g, seed)
+
+    def kl_exact(self, theta0, lam, n, data=None):
+        """KL(N(X beta0, s2 I) || N(0, s2 I + X D X^t)) via d-dimensional identities.
+
+        The design is fixed, so ``data`` must carry ``X``; ``n`` is its row count.
+        """
+        if data is None:
+            raise DomainError("M2 exact KL needs the design in data.X")
+        tau2 = self.validate_hyperparam(lam, allow_boundary=True)
+        X = data.X
+        s2 = self.sigma2
+        mu = X @ self._beta(theta0)
+        active = np.flatnonzero(tau2 > 0)
+        if active.size == 0:
+            return 0.5 * float(mu @ mu) / s2
+        Xa = X[:, active]
+        Da = tau2[active]
+        G = Xa.T @ Xa
+        M = s2 * np.diag(1.0 / Da) + G
+        Minv_G = np.linalg.solve(M, G)
+        tr_term = -float(np.trace(Minv_G))
+        b = Xa.T @ mu
+        quad = (float(mu @ mu) - float(b @ np.linalg.solve(M, b))) / s2
+        sign, logdet = np.linalg.slogdet(np.eye(active.size) + (G * Da[None, :]) / s2)
+        if sign <= 0:
+            raise DomainError("marginal covariance not positive definite")
+        return 0.5 * (tr_term + quad + logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +567,10 @@ class GPriorRegression(ModelFamily):
             G = self._require_V()
         return float(beta0 @ G @ beta0) / (theta0.sigma**2 * (p - 2.0))
 
+    def pseudo_hyperparameter(self, data):
+        # the plug-in uses the empirical Gram matrix, not the design limit V
+        return self.oracle_hyperparameter(self.mle(data), data)
+
     def fisher_information(self, theta0):
         V = self._require_V()
         p = V.shape[0]
@@ -523,6 +624,31 @@ class GPriorRegression(ModelFamily):
             alpha_mean=float(np.mean(y)), n=n, mu=mu,
             beta_cov_unit=beta_cov_unit, a1=a1, a2=a2,
         )
+
+    def log_marginal(self, lam, data):
+        # flat prior on the intercept and 1/sigma2 on the variance: the additive
+        # constant follows the convention pi(alpha, sigma2) = 1/sigma2
+        lam = self.validate_hyperparam(lam, allow_boundary=True)
+        n, p = data.n, data.X.shape[1]
+        if n <= p + 1:
+            raise DomainError("need n > d - 1")
+        ssr, sse, _ = self.suff_stats(data)
+        q = sse + ssr / (1.0 + n * lam)
+        return (
+            -0.5 * math.log(n)
+            - 0.5 * (n - 1.0) * math.log(2.0 * math.pi)
+            + log_gamma((n - 1.0) / 2.0)
+            - 0.5 * p * math.log(1.0 + n * lam)
+            - 0.5 * (n - 1.0) * math.log(q / 2.0)
+        )
+
+    def simulate(self, theta0, n, g, seed):
+        from .samplers import uniform_design
+
+        X = uniform_design(n, theta0.beta.size, seed)
+        X = X - X.mean(axis=0)  # the g-prior family requires 1^t X = 0
+        y = theta0.alpha + X @ theta0.beta + g.normal(0.0, theta0.sigma, size=n)
+        return Dataset(y=y, X=X)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +732,22 @@ class MarkovDirichlet(ModelFamily):
     def posterior(self, lam, data):
         alpha = self.validate_hyperparam(lam)
         return DirichletRowsPosterior(alpha=alpha + data.counts)
+
+    def log_marginal(self, lam, data):
+        from .marginal import markov_log_marginal
+
+        return markov_log_marginal(data.counts, self.validate_hyperparam(lam))
+
+    def simulate(self, theta0, n, g, seed):
+        P = np.atleast_2d(np.asarray(theta0, float))
+        K = P.shape[0]
+        path = np.empty(n + 1, dtype=np.int64)
+        path[0] = g.integers(K)
+        for t in range(n):
+            path[t + 1] = g.choice(K, p=P[path[t]])
+        counts = np.zeros((K, K), dtype=np.int64)
+        np.add.at(counts, (path[:-1], path[1:]), 1)
+        return Dataset(y=path.astype(float), counts=counts)
 
 
 def _maximize_dirichlet_row(p, lo, hi, seed, row):
@@ -770,6 +912,25 @@ class BayesLasso(ModelFamily):
         d = data.X.shape[1]
         return SamplePosterior(chain.draws[:, :d], seed=chain.seed)
 
+    def log_marginal(self, lam, data):
+        lam = self.validate_hyperparam(lam)
+        if not self.sigma_known:
+            raise CapabilityError("closed-form M5 marginal requires known sigma2")
+        norms = self._check_orthogonal(data.X)
+        s = math.sqrt(self.sigma2)
+        X, y, n = data.X, data.y, data.n
+        bhat = (X.T @ y) / norms**2
+        sse = float(np.sum((y - X @ bhat) ** 2))
+        out = -0.5 * n * math.log(2.0 * math.pi * s * s) - sse / (2.0 * s * s)
+        for sj, bj in zip(norms, bhat):
+            out += 0.5 * math.log(2.0 * math.pi) + math.log(s / sj)
+            out += math.log(lam / (2.0 * s))
+            out += self.laplace_gauss_log_normalizer(float(bj), float(sj), s, lam)
+        return float(out)
+
+    def simulate(self, theta0, n, g, seed):
+        return _simulate_regression(*self._unpack(theta0), n, g, seed)
+
     @staticmethod
     def laplace_gauss_log_normalizer(bhat: float, colnorm: float, sigma: float, lam: float) -> float:
         """log C(lam): normalizer of exp(-colnorm^2 (b-bhat)^2/(2 sigma^2) - lam|b|/sigma).
@@ -887,6 +1048,18 @@ class GaussMixtureKnownK(ModelFamily):
         W = f * (y[1] - y[0])
         return (S.T * W) @ S
 
+    def predictive_score_l1(self, theta0, w):
+        t = self._params(theta0)
+        sd = np.sqrt(t.variances)
+        lo = float(np.min(t.means - 10.0 * sd))
+        hi = float(np.max(t.means + 10.0 * sd))
+        ys = np.linspace(lo, hi, 20001)
+        S, fdens = self._score(ys, t)
+        return float(np.trapezoid(np.abs(S @ w) * fdens, ys))
+
+    def simulate(self, theta0, n, g, seed):
+        return _simulate_mixture(theta0, n, g)
+
     def posterior(self, lam, data, cfg=None):
         from .posteriors import SamplePosterior
         from .samplers import GibbsConfig, gibbs_gauss_mixture
@@ -968,6 +1141,9 @@ class OverfittedMixture(ModelFamily):
         # boundary oracle for overfitted weights
         return 0.0
 
+    def simulate(self, theta0, n, g, seed):
+        return _simulate_mixture(theta0, n, g)
+
     def posterior(self, lam, data, cfg=None):
         from .posteriors import SamplePosterior
         from .samplers import GibbsConfig, gibbs_mixture_weights
@@ -978,5 +1154,3 @@ class OverfittedMixture(ModelFamily):
         chain = gibbs_mixture_weights(data, lam_ref=lam, K=self.K, base=self, cfg=cfg)
         return SamplePosterior(chain.draws[:, : self.K], seed=chain.seed)
 
-
-FAMILY_IDS = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")

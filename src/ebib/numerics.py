@@ -14,7 +14,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import AccuracyError, DomainError
 
-_SCHEMES = ("adaptive-simpson", "gauss-hermite", "trapezoid-grid")
+_SCHEMES = ("adaptive-simpson", "gauss-hermite")
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class QuadratureSpec:
     """Configuration for 1-D quadrature.
 
     ``abs_tol``/``max_depth`` drive adaptive Simpson; ``grid_points`` is the
-    Gauss-Hermite order or the trapezoid grid size.
+    Gauss-Hermite order.
     """
 
     scheme: str = "adaptive-simpson"
@@ -87,10 +87,6 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD) -> flo
         raise DomainError("infinite endpoints require the gauss-hermite scheme")
     if not a < b:
         raise DomainError("integrate requires a < b")
-    if spec.scheme == "trapezoid-grid":
-        xs = np.linspace(a, b, spec.grid_points)
-        ys = np.array([f(x) for x in xs])
-        return float(np.trapezoid(ys, xs))
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
     val, ok = _adaptive(f, a, fa, b, fb, m, fm, whole, spec.abs_tol, spec.max_depth)
@@ -146,22 +142,3 @@ def finite_diff_gradient(f, x, h: float = 1e-5):
         e[i] = h
         grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return grad
-
-
-def finite_diff_hessian(f, x, h: float = 1e-4):
-    """Central-difference Hessian of a scalar function on R^d."""
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    hess = np.empty((d, d))
-    f0 = f(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h**2)
-    return hess

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import DomainError, SamplerError
-from .models import Dataset, GPriorParams, MixtureParams, RegressionParams
+from .models import Dataset
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class GibbsConfig:
 class ChainOutput:
     draws: np.ndarray  # rows = retained iterations
     names: tuple
-    ess_per_param: np.ndarray
     seed: int
 
     def to_csv(self, path):
@@ -71,8 +70,7 @@ def _chain(draws, names, seed) -> ChainOutput:
     if not np.all(np.isfinite(draws)):
         bad = int(np.argwhere(~np.isfinite(draws))[0][0])
         raise SamplerError("non-finite draw in chain", iteration=bad)
-    ess = np.array([effective_sample_size(draws[:, j]) for j in range(draws.shape[1])])
-    return ChainOutput(draws=draws, names=tuple(names), ess_per_param=ess, seed=seed)
+    return ChainOutput(draws=draws, names=tuple(names), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -107,42 +105,9 @@ def orthogonal_design(n: int, d: int, seed, scale: float = 1.0):
 def simulate(family, theta0, n: int, seed) -> Dataset:
     """Synthetic dataset from p_theta0 for any of the seven families."""
     g = _stream(seed, "data")
-    fid = family.id
     if n == 0:
         return Dataset(y=np.empty(0))
-    if fid == "M1":
-        y = g.normal(float(theta0), math.sqrt(family.sigma2), size=n)
-        return Dataset(y=y)
-    if fid in ("M2", "M5"):
-        beta = theta0.beta if isinstance(theta0, RegressionParams) else np.asarray(theta0, float)
-        s2 = getattr(family, "sigma2", None)
-        if s2 is None:
-            s2 = theta0.sigma2
-        X = uniform_design(n, beta.size, seed)
-        y = X @ beta + g.normal(0.0, math.sqrt(s2), size=n)
-        return Dataset(y=y, X=X)
-    if fid == "M3":
-        t: GPriorParams = theta0
-        X = uniform_design(n, t.beta.size, seed)
-        X = X - X.mean(axis=0)  # the g-prior family requires 1^t X = 0
-        y = t.alpha + X @ t.beta + g.normal(0.0, t.sigma, size=n)
-        return Dataset(y=y, X=X)
-    if fid == "M4":
-        P = np.atleast_2d(np.asarray(theta0, float))
-        K = P.shape[0]
-        path = np.empty(n + 1, dtype=np.int64)
-        path[0] = g.integers(K)
-        for t_ in range(n):
-            path[t_ + 1] = g.choice(K, p=P[path[t_]])
-        counts = np.zeros((K, K), dtype=np.int64)
-        np.add.at(counts, (path[:-1], path[1:]), 1)
-        return Dataset(y=path.astype(float), counts=counts)
-    if fid in ("M6", "M7"):
-        t: MixtureParams = theta0
-        z = g.choice(t.k, size=n, p=t.weights)
-        y = t.means[z] + g.normal(size=n) * np.sqrt(t.variances[z])
-        return Dataset(y=y)
-    raise DomainError(f"unknown family id {fid!r}")
+    return family.simulate(theta0, n, g, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +169,6 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
             out[row] = vals
             row += 1
     return _chain(out[:row], names, cfg.seed)
-
-
-def lasso_conditional_tau2_mean(chain: ChainOutput, d: int) -> np.ndarray:
-    """Posterior-mean estimate of each tau_j2 from a gibbs_lasso chain."""
-    return chain.draws[:, d : 2 * d].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

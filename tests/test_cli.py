@@ -39,6 +39,36 @@ def test_validate_config_rejects_bad_counts():
         validate_config({"experiment": "mmle-consistency", "n_grid": []})
 
 
+def test_validate_config_types_follow_the_defaults():
+    cfg = validate_config({"experiment": "fig1-densities", "theta0": 2,
+                           "lambdas": [1, 2.5]})
+    assert cfg["theta0"] == 2 and cfg["lambdas"] == [1, 2.5]
+    for bad in ({"n": True}, {"n": 30.0}, {"theta0": False}, {"lambdas": 1.0},
+                {"lambdas": ["a"]}, {"output_dir": 3}):
+        with pytest.raises(ValueError):
+            validate_config({"experiment": "fig1-densities", **bad})
+    with pytest.raises(ValueError, match="transition"):
+        validate_config({"experiment": "markov-sparsity",
+                         "transition": [[0.5, 0.5], 1.0]})
+
+
+# badly typed values: each used to end in an uncaught TypeError (exit 1)
+BAD_TYPED = [
+    {"experiment": "mmle-consistency", "seeds": 1.5},
+    {"experiment": "fig1-densities", "n": "x"},
+    {"experiment": "merging-rates", "n_grid": 5},
+]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("doc", BAD_TYPED, ids=lambda d: d["experiment"])
+def test_badly_typed_config_exit_2(tmp_path, capsys, verb, doc):
+    path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
+    assert main([verb, path]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_list_experiments_verb(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

@@ -30,7 +30,7 @@ def test_m2_exact_kl_matches_monte_carlo():
     theta0 = RegressionParams(beta=np.array([0.8, -0.4]), sigma2=1.0)
     data = simulate(fam, theta0, 40, 23)
     tau2 = np.array([1.0, 0.5])
-    exact = kl_exact_gaussian(fam, (theta0, data), tau2, 40)
+    exact = kl_exact_gaussian(fam, theta0, tau2, 40, data=data)
     # direct Monte Carlo with the same fixed design
     from ebib.marginal import MarginalStrategy, log_marginal
     from ebib.models import Dataset

@@ -6,6 +6,7 @@ from scipy.stats import dirichlet as sp_dirichlet
 from scipy.stats import invgamma, norm
 
 from ebib.errors import (
+    CapabilityError,
     DegenerateOracleError,
     DomainError,
     NonDifferentiableError,
@@ -25,6 +26,7 @@ from ebib.models import (
     load_counts_csv,
     load_dataset_csv,
 )
+from ebib.marginal import MarginalStrategy, log_marginal
 from ebib.numerics import finite_diff_gradient
 from ebib.samplers import orthogonal_design, simulate
 
@@ -388,12 +390,32 @@ def test_m5_coordinate_posterior_normalized_and_shrunk():
 
 
 def test_capability_flags_are_consistent():
-    fams = [NormalMean(), IndepNormalRegression(), GPriorRegression(V=np.eye(3)),
-            MarkovDirichlet(K=2), BayesLasso(sigma2=1.0), BayesLasso(sigma2=None),
-            GaussMixtureKnownK(K=2), OverfittedMixture(K=2)]
-    for fam in fams:
+    g = np.random.default_rng(7)
+    y = g.normal(size=12)
+    X = g.normal(size=(12, 3))
+    X -= X.mean(axis=0)
+    lasso = Dataset(y=y, X=orthogonal_design(12, 3, seed=7))
+    # (family, hyperparameter, small valid dataset)
+    cases = [
+        (NormalMean(), 1.0, Dataset(y=y)),
+        (IndepNormalRegression(), [1.0, 0.5, 2.0], Dataset(y=y, X=X)),
+        (GPriorRegression(V=np.eye(3)), 1.0, Dataset(y=y, X=X)),
+        (MarkovDirichlet(K=2), np.ones((2, 2)), Dataset(counts=[[3, 1], [2, 2]])),
+        (BayesLasso(sigma2=1.0), 1.0, lasso),
+        (BayesLasso(sigma2=None), 1.0, lasso),
+        (GaussMixtureKnownK(K=2), (0.0, 1.0, 1.0), Dataset(y=y)),
+        (OverfittedMixture(K=2), 0.5, Dataset(y=y)),
+    ]
+    for fam, lam, data in cases:
         for flag in ("closed_marginal", "closed_posterior", "closed_oracle",
                      "closed_fisher"):
             assert isinstance(getattr(fam, flag), bool)
+        # the flag says exactly whether the closed-form marginal is available
+        if fam.closed_marginal:
+            val = log_marginal(fam, lam, data, MarginalStrategy())
+            assert isinstance(val, float) and math.isfinite(val), fam.id
+        else:
+            with pytest.raises(CapabilityError):
+                log_marginal(fam, lam, data, MarginalStrategy())
     assert BayesLasso(sigma2=1.0).closed_marginal
     assert not BayesLasso(sigma2=None).closed_marginal

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -9,11 +10,15 @@ from ebib.marginal import _cluster_log_marginal
 from ebib.models import (
     BayesLasso,
     Dataset,
+    GaussMixtureKnownK,
     GPriorParams,
     GPriorRegression,
+    IndepNormalRegression,
+    MarkovDirichlet,
     MixtureParams,
     NormalMean,
     OverfittedMixture,
+    RegressionParams,
 )
 from ebib.numerics import log_gamma
 from ebib.samplers import (
@@ -68,6 +73,37 @@ def test_simulate_m3_design_is_centered():
     theta0 = GPriorParams(sigma=1.0, alpha=1.0, beta=[1.0, -1.0])
     data = simulate(fam, theta0, 64, 2)
     assert np.allclose(data.X.sum(axis=0), 0.0, atol=1e-9)
+
+
+def test_simulate_draws_are_pinned_for_every_family():
+    # sha256 prefixes of (y, X, counts) recorded before the per-family bodies
+    # moved onto the model classes; a changed draw order changes the hash
+    cases = {
+        "M1": (NormalMean(sigma2=2.0), 1.5, "f83b795473fd8c4d"),
+        "M2": (IndepNormalRegression(sigma2=1.0),
+               RegressionParams(beta=[0.8, -0.4, 0.0]), "6f0e99529292d84d"),
+        "M3": (GPriorRegression(),
+               GPriorParams(sigma=1.3, alpha=0.5, beta=[1.0, -1.0, 0.5]),
+               "46629fd092ddd01b"),
+        "M4": (MarkovDirichlet(K=3),
+               np.array([[0.6, 0.4, 0.0], [0.0, 0.3, 0.7], [0.5, 0.2, 0.3]]),
+               "14b38654e0572f87"),
+        "M5": (BayesLasso(sigma2=None),
+               RegressionParams(beta=[1.0, 0.0, -0.5], sigma2=0.8),
+               "c91a907bcde0cbc5"),
+        "M6": (GaussMixtureKnownK(K=2),
+               MixtureParams(weights=[0.3, 0.7], means=[-2.0, 1.0],
+                             variances=[0.5, 1.5]), "f1aff8657119e0a0"),
+        "M7": (OverfittedMixture(K=2),
+               MixtureParams(weights=[0.4, 0.6], means=[0.0, 1.0],
+                             variances=[1.0, 1.0]), "a808c390f3f55bdb"),
+    }
+    for fid, (fam, theta0, want) in cases.items():
+        data = simulate(fam, theta0, 30, (5, "hash"))
+        h = hashlib.sha256()
+        for arr in (data.y, data.X, data.counts):
+            h.update(b"-" if arr is None else np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest()[:16] == want, fid
 
 
 def test_design_generators():
