@@ -315,6 +315,11 @@ def _exp_mixture_rate(cfg):
             lam_hat = profile_argmax(prof)
             rows.append((n, s, lam_hat))
     med = [_median([r[2] for r in rows if r[0] == n]) for n in cfg["n_grid"]]
+    # share of seeds whose restricted argmax sits on an end of the grid, where
+    # the profile may still rise beyond the range reweighting can reach
+    edges = (grid[0], grid[-1])
+    at_edge = [float(np.mean([r[2] in edges for r in rows if r[0] == n]))
+               for n in cfg["n_grid"]]
     stat = [m * math.log(n) / math.log(math.log(n))
             for m, n in zip(med, cfg["n_grid"])]
     band_ok = max(stat) <= 10.0 * min(stat)
@@ -336,6 +341,7 @@ def _exp_mixture_rate(cfg):
     passed = monotone and band_ok and match8
     details = {"median_lam_hat_by_n": dict(zip(map(str, cfg["n_grid"]), med)),
                "rate_stat_by_n": dict(zip(map(str, cfg["n_grid"]), stat)),
+               "argmax_at_grid_edge_by_n": dict(zip(map(str, cfg["n_grid"]), at_edge)),
                "band_ok": band_ok, "enum_argmax_n8": enum_arg,
                "reweight_argmax_n8": rw_arg}
     return ["n", "seed", "lam_hat"], rows, passed, details
@@ -438,9 +444,33 @@ def _check_type(key, value, default):
         raise ValueError(f"{key} must be {type(default).__name__}, got {value!r}")
 
 
+# integer keys that may be 0; every other integer key is a count or a size
+_NONNEGATIVE_INTS = ("seed_base", "coords", "gibbs_burnin")
+
+
+def _check_values(cfg, defaults):
+    """Reject well-typed values that no experiment can run with."""
+    for key, default in defaults.items():
+        kind = default[0] if isinstance(default, list) else default
+        if type(kind) is not int:
+            continue
+        low = 0 if key in _NONNEGATIVE_INTS else 1
+        values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        if min(values) < low:
+            raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
+    if "lam_pair" in cfg and len(cfg["lam_pair"]) != 2:
+        raise ValueError("lam_pair must hold exactly two values")
+    if "coords" in cfg and max(cfg["coords"]) >= len(cfg["beta0"]):
+        raise ValueError("coords must index beta0")
+    if "transition" in cfg and [len(r) for r in cfg["transition"]] != [3, 3, 3]:
+        raise ValueError("transition must be a 3x3 matrix")
+    if "gibbs_iters" in cfg and not cfg["gibbs_burnin"] < cfg["gibbs_iters"]:
+        raise ValueError("gibbs_burnin must be below gibbs_iters")
+
+
 def validate_config(doc) -> dict:
-    """Apply defaults, reject unknown keys and values whose type differs from
-    the default's; returns the effective config."""
+    """Apply defaults, reject unknown keys, values whose type differs from
+    the default's and out-of-range values; returns the effective config."""
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     name = doc.get("experiment")
@@ -459,8 +489,7 @@ def validate_config(doc) -> dict:
         raise ValueError("output_dir must be a string")
     cfg = dict(defaults)
     cfg.update({k: v for k, v in doc.items() if k not in ("experiment",)})
-    if "seeds" in cfg and cfg["seeds"] < 1:
-        raise ValueError("seeds must be a positive count")
+    _check_values(cfg, defaults)
     cfg["experiment"] = name
     return cfg
 

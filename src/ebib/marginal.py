@@ -221,7 +221,7 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
     the raw-weight ratios which have infinite variance for lam < lam_ref.
     Returns one record per grid value with ESS-based reliability flags.
     """
-    from .samplers import GibbsConfig, gibbs_mixture_weights
+    from .samplers import GibbsConfig, effective_sample_size, gibbs_mixture_weights
 
     lam_grid = [float(v) for v in lam_grid]
     if lam_ref <= 0 or any(v <= 0 for v in lam_grid):
@@ -231,20 +231,24 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
     cfg = GibbsConfig(iters=draws + max(draws // 4, 200),
                       burnin=max(draws // 4, 200), thin=1, seed=seed)
     chain = gibbs_mixture_weights(data, lam_ref, K, base, cfg)
-    counts = chain.draws[:, K : 2 * K]
+    counts = chain.draws[:, K : 2 * K].astype(np.intp)
     T = counts.shape[0]
     n = data.n
-    lg = np.vectorize(log_gamma)
 
     def log_alloc_mass(lam):
+        # counts take the values 0..n: tabulate the log rising factorials
+        # log Gamma(lam + c) - log Gamma(lam) once and index them
+        lg_lam = log_gamma(lam)
+        table = np.array([log_gamma(lam + c) - lg_lam for c in range(n + 1)])
         return (
             log_gamma(K * lam) - log_gamma(K * lam + n)
-            + np.sum(lg(lam + counts) - log_gamma(lam), axis=1)
+            + np.sum(table[counts], axis=1)
         )
 
+    ref_mass = log_alloc_mass(lam_ref)
     rows = []
     for lam in lam_grid:
-        logw = log_alloc_mass(lam) - log_alloc_mass(lam_ref)
+        logw = log_alloc_mass(lam) - ref_mass
         mx = logw.max()
         w = np.exp(logw - mx)
         mean_w = float(np.mean(w))
@@ -252,8 +256,6 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
         ess = float(np.sum(w)) ** 2 / float(np.sum(w**2))
         # the weights come from a Gibbs chain: deflate the sample size by the
         # autocorrelation time of the weight series
-        from .samplers import effective_sample_size
-
         t_eff = min(effective_sample_size(w), float(T))
         stderr = float(np.std(w, ddof=1)) / (mean_w * math.sqrt(max(t_eff, 1.0)))
         rows.append(

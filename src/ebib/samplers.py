@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from . import rng as rngmod
 from .errors import DomainError, SamplerError
@@ -146,13 +147,19 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
     if sample_sigma:
         names.append("sigma2")
 
+    # A = XtX + diag(1/tau2), rebuilt in place; LAPACK factors Fortran order uncopied
+    A = np.empty((d, d), order="F")
+    diag = A.ravel(order="F")[:: d + 1]
     row = 0
     for it in range(cfg.iters):
-        A = XtX + np.diag(1.0 / tau2)
-        chol = np.linalg.cholesky(A)
-        mean = np.linalg.solve(chol.T, np.linalg.solve(chol, Xty))
+        np.copyto(A, XtX)
+        diag += 1.0 / tau2
+        chol, info = dpotrf(A, lower=1, clean=0, overwrite_a=1)
+        if info:
+            raise SamplerError("precision matrix not positive definite", iteration=it)
+        mean = dpotrs(chol, Xty, lower=1)[0]
         z = g.normal(size=d)
-        beta = mean + math.sqrt(s2) * np.linalg.solve(chol.T, z)
+        beta = mean + math.sqrt(s2) * dtrtrs(chol, z, lower=1, trans=1)[0]
 
         absb = np.maximum(np.abs(beta), 1e-12)
         inv_tau2 = g.wald(lam * math.sqrt(s2) / absb, lam**2)
@@ -165,14 +172,32 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
             s2 = scale / g.gamma(shape)
 
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            vals = np.concatenate([beta, tau2, [s2] if sample_sigma else []])
-            out[row] = vals
+            out[row, :d], out[row, d : 2 * d] = beta, tau2
+            if sample_sigma:
+                out[row, 2 * d] = s2
             row += 1
     return _chain(out[:row], names, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # mixture samplers
+
+
+def _allocate(logp, g):
+    """Allocations z and counts from unnormalised log probabilities ``logp``.
+
+    ``logp`` is components-major, shape (K, n), so the reductions over
+    components run along rows; it is overwritten.  The draws are bit-identical
+    to a row-major (n, K) layout for K < 8; from 8 components up, numpy's
+    unrolled last-axis sum adds the terms in a different order.
+    """
+    K, n = logp.shape
+    logp -= logp.max(axis=0)
+    p = np.exp(logp, out=logp)
+    p /= p.sum(axis=0)
+    u = g.uniform(size=n)
+    z = (p.cumsum(axis=0) < u).sum(axis=0)
+    return z, np.bincount(z, minlength=K)
 
 
 def gibbs_mixture_weights(data: Dataset, lam_ref: float, K: int, base,
@@ -188,7 +213,6 @@ def gibbs_mixture_weights(data: Dataset, lam_ref: float, K: int, base,
     if lam_ref <= 0:
         raise DomainError("lam_ref must be positive")
     y = data.y
-    n = y.size
     g = rngmod.stream(cfg.seed, "gibbs-mix-weights")
     comp_var = base.comp_var
     m0, s02 = base.loc_mean, base.loc_var
@@ -200,27 +224,14 @@ def gibbs_mixture_weights(data: Dataset, lam_ref: float, K: int, base,
     out = np.empty((keep, 2 * K))
     row = 0
     for it in range(cfg.iters):
-        if n:
-            logp = (
-                np.log(np.maximum(w, 1e-300))[None, :]
-                - 0.5 * (y[:, None] - gamma[None, :]) ** 2 / comp_var
-            )
-            logp -= logp.max(axis=1, keepdims=True)
-            p = np.exp(logp)
-            p /= p.sum(axis=1, keepdims=True)
-            u = g.uniform(size=n)
-            z = (p.cumsum(axis=1) < u[:, None]).sum(axis=1)
-            counts = np.bincount(z, minlength=K)
-        else:
-            z = np.empty(0, dtype=int)
-            counts = np.zeros(K, dtype=int)
+        logp = (np.log(np.maximum(w, 1e-300))[:, None]
+                - 0.5 * (y - gamma[:, None]) ** 2 / comp_var)
+        z, counts = _allocate(logp, g)
         w = g.dirichlet(lam_ref + counts)
-        for j in range(K):
-            nj = counts[j]
-            prec = nj / comp_var + 1.0 / s02
-            mu = (y[z == j].sum() / comp_var if nj else 0.0) + m0 / s02
-            mu /= prec
-            gamma[j] = g.normal(mu, math.sqrt(1.0 / prec))
+        prec = counts / comp_var + 1.0 / s02
+        mu = (np.bincount(z, weights=y, minlength=K) / comp_var + m0 / s02) / prec
+        for j, (mj, pj) in enumerate(zip(mu.tolist(), prec.tolist())):
+            gamma[j] = g.normal(mj, math.sqrt(1.0 / pj))
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
             out[row] = np.concatenate([w, counts])
             row += 1
@@ -245,25 +256,13 @@ def gibbs_gauss_mixture(data: Dataset, K: int, xi: float, tau: float, psi: float
     out = np.empty((keep, 3 * K))
     row = 0
     for it in range(cfg.iters):
-        if n:
-            logp = (
-                np.log(np.maximum(w, 1e-300))[None, :]
-                - 0.5 * np.log(v)[None, :]
-                - 0.5 * (y[:, None] - mu[None, :]) ** 2 / v[None, :]
-            )
-            logp -= logp.max(axis=1, keepdims=True)
-            p = np.exp(logp)
-            p /= p.sum(axis=1, keepdims=True)
-            u = g.uniform(size=n)
-            z = (p.cumsum(axis=1) < u[:, None]).sum(axis=1)
-            counts = np.bincount(z, minlength=K)
-        else:
-            z = np.empty(0, dtype=int)
-            counts = np.zeros(K, dtype=int)
+        logp = (np.log(np.maximum(w, 1e-300))[:, None] - 0.5 * np.log(v)[:, None]
+                - 0.5 * (y - mu[:, None]) ** 2 / v[:, None])
+        z, counts = _allocate(logp, g)
         w = g.dirichlet(1.0 + counts)
         for j in range(K):
             nj = counts[j]
-            yj = y[z == j] if n else np.empty(0)
+            yj = y[z == j]  # pairwise sum, unlike bincount's, keeps mu bit-identical
             mean_j = (yj.sum() + tau * xi) / (nj + tau)
             mu[j] = g.normal(mean_j, math.sqrt(v[j] / (nj + tau)))
             shape = (omega + nj + 1.0) / 2.0

@@ -1,10 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from ebib.cli import EXPERIMENTS, main, validate_config
+from ebib.cli import EXPERIMENTS, main, run_experiment, validate_config
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -67,6 +68,57 @@ def test_badly_typed_config_exit_2(tmp_path, capsys, verb, doc):
     assert main([verb, path]) == 2
     assert "validation error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# well-typed values out of range: each used to end in a traceback (exit 1)
+# or, for the burn-in, in a runtime failure (exit 3)
+BAD_VALUES = [
+    {"experiment": "fig1-densities", "seed_base": -1},
+    {"experiment": "merging-rates", "lam_pair": [1.0]},
+    {"experiment": "fig1-densities", "n": 0},
+    {"experiment": "table1-lasso", "gibbs_iters": 300, "gibbs_burnin": 300},
+    {"experiment": "fig2-lasso-marginals", "coords": [0, 15]},
+    {"experiment": "markov-sparsity", "transition": [[1.0]]},
+]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("doc", BAD_VALUES, ids=["seed_base", "lam_pair", "n",
+                                                  "gibbs_burnin", "coords", "transition"])
+def test_out_of_range_config_exit_2(tmp_path, capsys, verb, doc):
+    path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
+    assert main([verb, path]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_config_value_bounds():
+    for ok in ({"experiment": "fig2-lasso-marginals", "coords": [0]},
+               {"experiment": "table1-lasso", "gibbs_burnin": 0}):
+        validate_config(ok)
+    for bad in ({"experiment": "fig2-lasso-marginals", "coords": [0, -1]},
+                {"experiment": "mixture-rate", "n_grid": [100, 0]},
+                {"experiment": "kl-oracle", "mc_reps": 0},
+                {"experiment": "merging-rates", "lam_pair": [1.0, 2.0, 3.0]}):
+        with pytest.raises(ValueError):
+            validate_config(bad)
+
+
+def test_mixture_rate_flags_argmax_on_the_grid_edge(tmp_path):
+    cfg = validate_config({"experiment": "mixture-rate", "n_grid": [100, 400],
+                           "seeds": 2, "draws": 1000})
+    summary = run_experiment(cfg, str(tmp_path))
+    flags = summary["details"]["argmax_at_grid_edge_by_n"]
+    assert list(flags) == ["100", "400"]
+    lam_ref = cfg["lam_ref"]
+    edges = (lam_ref / 20.0, lam_ref)
+    lines = (tmp_path / "results.csv").read_text().splitlines()[2:]
+    rows = [(int(n), float(lam)) for n, _, lam in (ln.split(",") for ln in lines)]
+    for n in (100, 400):
+        hits = [any(math.isclose(lam, e) for e in edges) for m, lam in rows if m == n]
+        assert flags[str(n)] == sum(hits) / len(hits)
+    # the restricted grid cannot reach past lam_ref / 20, where the argmax sits
+    assert max(flags.values()) == 1.0
 
 
 def test_list_experiments_verb(capsys):

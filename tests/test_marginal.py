@@ -234,6 +234,22 @@ def test_m7_profile_argmax_matches_enumeration_argmax_n8():
     assert profile_argmax(rows) == enum_arg
 
 
+def test_m7_profile_rows_are_pinned():
+    # recorded before the allocation-mass table replaced elementwise log_gamma
+    fam = _mix_family()
+    t0 = MixtureParams(weights=[1.0, 0.0], means=[0.5, 0.0], variances=[1.0, 1.0])
+    data = simulate(fam, t0, 60, (7, "pinprof"))
+    rows = mixture_marginal_profile(data, list(np.geomspace(0.05, 1.0, 4)), 0.5,
+                                    draws=400, seed=9, base=fam, K=2)
+    want = [
+        (0.8978431243363101, 0.1271832199296375, 194.34497044732294),
+        (0.6831766878763517, 0.100403158269638, 250.8127500503041),
+        (0.21255445170217002, 0.035187360741851165, 379.102294731911),
+        (-0.5775887860637146, 0.142619522544384, 271.240203784782),
+    ]
+    assert [(r["delta_logm"], r["stderr"], r["ess"]) for r in rows] == want
+
+
 def test_reweighting_guards():
     fam = _mix_family()
     data = Dataset(y=np.array([0.1, -0.2]))

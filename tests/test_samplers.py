@@ -289,3 +289,76 @@ def test_gibbs_gauss_mixture_bit_reproducible():
     a = gibbs_gauss_mixture(data, K=2, xi=0.0, tau=1.0, psi=2.0, omega=2.0, cfg=cfg)
     b = gibbs_gauss_mixture(data, K=2, xi=0.0, tau=1.0, psi=2.0, omega=2.0, cfg=cfg)
     assert np.array_equal(a.draws, b.draws)
+
+
+# ---------------------------------------------------------------------------
+# pinned chains: values recorded before the allocation step and the LASSO
+# solves were rewritten; the streams must be drawn in the same order
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, want", [(8, "9c6d0fedf86bfd65"), (400, "4f6a3d6408674365")])
+def test_gibbs_mixture_weights_draws_are_pinned(n, want):
+    fam = OverfittedMixture(K=2, comp_var=1.0, loc_mean=0.0, loc_var=4.0)
+    t0 = MixtureParams(weights=[1.0, 0.0], means=[0.5, 0.0], variances=[1.0, 1.0])
+    data = simulate(fam, t0, n, (7, "pin", n))
+    chain = gibbs_mixture_weights(data, 0.5, 2, fam,
+                                  GibbsConfig(iters=500, burnin=100, seed=3))
+    assert chain.draws.shape == (400, 4)
+    assert _digest(chain.draws) == want
+
+
+def test_gibbs_gauss_mixture_draws_are_pinned():
+    t0 = MixtureParams(weights=[0.3, 0.3, 0.4], means=[-3.0, 0.0, 3.0],
+                       variances=[1.0, 1.0, 1.0])
+    data = simulate(OverfittedMixture(K=3), t0, 90, (7, "pin3"))
+    chain = gibbs_gauss_mixture(data, K=3, xi=0.0, tau=0.5, psi=2.0, omega=2.0,
+                                cfg=GibbsConfig(iters=400, burnin=100, seed=5))
+    assert chain.draws.shape == (300, 9)
+    assert _digest(chain.draws) == "d2017d939fa2aff9"
+
+
+# (last retained row, column means) per sigma2 setting
+_LASSO_PINNED = {
+    1.0: ([1.0216003046234898, -0.3026316049965623, 0.016447822430625078,
+           2.330899448082005, 1.0224673826253614, 1.520282003656029,
+           0.04348987471571185, 0.9023707596320688],
+          [1.0111541599812937, -0.4224391994202222, -0.005487782258668868,
+           2.224479116238225, 1.248328101290677, 0.8795401162298256,
+           0.6241042534164905, 2.344201425810072]),
+    None: ([1.1054915546231883, -0.6307158658602515, 0.0878108596352766,
+            2.1647831710664494, 0.9023581436838095, 0.35271022180930106,
+            0.03937718172100201, 3.351196136214328, 0.661746873832871],
+           [1.0213640903935575, -0.43748140713732525, -0.016681298164815686,
+            2.2354273905011555, 1.3922358103580341, 0.9764326334694173,
+            0.6244302721388553, 2.656723609583569, 0.7747707490541222]),
+}
+
+
+@pytest.mark.parametrize("sigma2", [1.0, None], ids=["sigma2-fixed", "sigma2-sampled"])
+def test_gibbs_lasso_draws_are_pinned(sigma2):
+    # the solves may round differently, so the pin is relative, not bitwise
+    g = np.random.default_rng(17)
+    X = g.uniform(-2, 2, size=(60, 4))
+    y = X @ np.array([1.0, -0.5, 0.0, 2.0]) + g.normal(size=60)
+    chain = gibbs_lasso(Dataset(y=y, X=X), 1.3, sigma2=sigma2,
+                        cfg=GibbsConfig(iters=300, burnin=100, seed=4))
+    last, means = _LASSO_PINNED[sigma2]
+    np.testing.assert_allclose(chain.draws[-1], last, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(chain.draws.mean(axis=0), means, rtol=1e-9, atol=0)
+
+
+def test_gibbs_lasso_factorization_failure_is_a_sampler_error():
+    # two nearly equal, huge columns: the precision matrix loses positive
+    # definiteness to rounding once 1/tau2 becomes negligible
+    g = np.random.default_rng(0)
+    x = g.normal(size=40)
+    X = np.column_stack([x, x * (1 + 1e-13)]) * 1e8
+    y = x + g.normal(size=40)
+    with pytest.raises(SamplerError, match="not positive definite") as exc:
+        gibbs_lasso(Dataset(y=y, X=X), 1.0, sigma2=1.0,
+                    cfg=GibbsConfig(iters=20, burnin=5, seed=1))
+    assert exc.value.iteration == 2
