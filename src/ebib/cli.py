@@ -21,8 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import EbibError
 from .kl import kl_exact_gaussian, kl_minimizer, kl_monte_carlo
-from .marginal import (
-    MarginalStrategy,
+from .marginal import (  # noqa: F401  (log_marginal: perfbench traces this binding)
     log_marginal,
     markov_log_marginal,
     markov_log_marginal_factorials,
@@ -63,6 +62,21 @@ def _median(xs):
     return float(np.median(np.asarray(xs, dtype=float)))
 
 
+def _replicates(cfg, tag, cell):
+    """Rows (n, s, *cell(n, key)) for every n of ``n_grid`` and seed s.
+
+    ``key = (seed_base, tag, n, s)`` names the cell's random stream, so a row
+    does not depend on which other cells run.
+    """
+    return [(n, s, *cell(n, (cfg["seed_base"], tag, n, s)))
+            for n in cfg["n_grid"] for s in range(cfg["seeds"])]
+
+
+def _medians(rows, ns, f):
+    """Per n of ``ns``, the median of f(row) over the rows of that n."""
+    return [_median([f(r) for r in rows if r[0] == n]) for n in ns]
+
+
 # ---------------------------------------------------------------------------
 # experiment implementations; each returns (columns, rows, passed, details)
 
@@ -91,30 +105,25 @@ def _exp_table1_lasso(cfg):
     beta0 = np.asarray(cfg["beta0"], dtype=float)
     theta0 = RegressionParams(beta=beta0, sigma2=cfg["sigma2"])
     fam = BayesLasso(sigma2=None)
-    rows = []
-    for n in cfg["n_grid"]:
-        for s in range(cfg["seeds"]):
-            seed = (cfg["seed_base"], "table1", n, s)
-            data = simulate(fam, theta0, n, seed)
-            gcfg = GibbsConfig(iters=cfg["gibbs_iters"], burnin=cfg["gibbs_burnin"],
-                               seed=rngmod.stream(*seed, "gibbs").integers(2**31))
-            em = lasso_mmle_em(data, init_lam=cfg["init_lam"], gibbs_cfg=gcfg,
-                               em_steps=cfg["em_steps"], sigma2=None)
-            pseudo = pseudo_mmle(fam, data)
-            rows.append((n, s, em.lam, pseudo, int(em.converged)))
+
+    def cell(n, key):
+        data = simulate(fam, theta0, n, key)
+        gcfg = GibbsConfig(iters=cfg["gibbs_iters"], burnin=cfg["gibbs_burnin"],
+                           seed=rngmod.stream(*key, "gibbs").integers(2**31))
+        em = lasso_mmle_em(data, init_lam=cfg["init_lam"], gibbs_cfg=gcfg,
+                           em_steps=cfg["em_steps"], sigma2=None)
+        return em.lam, pseudo_mmle(fam, data), int(em.converged)
+
+    rows = _replicates(cfg, "table1", cell)
     n_max = max(cfg["n_grid"])
-    em_med = _median([r[2] for r in rows if r[0] == n_max])
-    ps_med = _median([r[3] for r in rows if r[0] == n_max])
+    [em_med] = _medians(rows, [n_max], lambda r: r[2])
+    [ps_med] = _medians(rows, [n_max], lambda r: r[3])
     passed = 2.0 <= em_med <= 2.6 and 2.1 <= ps_med <= 2.6
     details = {"n": n_max, "median_em": em_med, "median_pseudo": ps_med,
+               "em_converged_frac":
+                   float(np.mean([r[4] for r in rows if r[0] == n_max])),
                "oracle": float(len(beta0) / np.sum(np.abs(beta0)))}
     return ["n", "seed", "em_lam", "pseudo_lam", "em_converged"], rows, passed, details
-
-
-def _lasso_grid_mmle(fam, data, grid):
-    strat = MarginalStrategy(kind="closed-form")
-    dom = RestrictedDomain(grid=tuple(grid))
-    return mmle_grid(fam, data, dom, strat).lam
 
 
 def _exp_fig2_lasso_marginals(cfg):
@@ -123,7 +132,8 @@ def _exp_fig2_lasso_marginals(cfg):
     fam = BayesLasso(sigma2=cfg["sigma2"])
     theta0 = RegressionParams(beta=beta0, sigma2=cfg["sigma2"])
     lam_star = fam.oracle_hyperparameter(theta0)
-    grid = np.geomspace(cfg["lam_lo"], cfg["lam_hi"], cfg["lam_points"])
+    dom = RestrictedDomain(grid=tuple(
+        np.geomspace(cfg["lam_lo"], cfg["lam_hi"], cfg["lam_points"])))
     cols = ["n", "coord", "x", "dens_eb", "dens_oracle"]
     rows = []
     gaps = {}
@@ -133,7 +143,7 @@ def _exp_fig2_lasso_marginals(cfg):
                               scale=math.sqrt(100.0 / 3.0))
         y = X @ beta0 + g.normal(0.0, math.sqrt(cfg["sigma2"]), size=n)
         data = Dataset(y=y, X=X)
-        lam_hat = _lasso_grid_mmle(fam, data, grid)
+        lam_hat = mmle_grid(fam, data, dom).lam
         for coord in cfg["coords"]:
             p_eb = fam.coordinate_posterior(lam_hat, data, coord)
             p_or = fam.coordinate_posterior(lam_star, data, coord)
@@ -152,15 +162,13 @@ def _exp_fig2_lasso_marginals(cfg):
 def _exp_mmle_consistency(cfg):
     fam = NormalMean(sigma2=cfg["sigma2"])
     lam_star = fam.oracle_hyperparameter(cfg["theta0"])
-    rows = []
-    for n in cfg["n_grid"]:
-        for s in range(cfg["seeds"]):
-            data = simulate(fam, cfg["theta0"], n, (cfg["seed_base"], "cons", n, s))
-            lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
-            rows.append((n, s, lam_hat, abs(lam_hat - lam_star)))
-    med = [
-        _median([r[3] for r in rows if r[0] == n]) for n in cfg["n_grid"]
-    ]
+
+    def cell(n, key):
+        lam_hat = m1_closed_form_mmle(simulate(fam, cfg["theta0"], n, key), cfg["sigma2"])
+        return lam_hat, abs(lam_hat - lam_star)
+
+    rows = _replicates(cfg, "cons", cell)
+    med = _medians(rows, cfg["n_grid"], lambda r: r[3])
     passed = all(a > b for a, b in zip(med, med[1:])) and med[-1] < 0.3
     return (["n", "seed", "lam_hat", "abs_err"], rows, passed,
             {"median_abs_err_by_n": dict(zip(map(str, cfg["n_grid"]), med))})
@@ -208,27 +216,22 @@ def _exp_merging_rates(cfg):
     theta0 = cfg["theta0"]
     lam1, lam2 = cfg["lam_pair"]
     lam_star = fam.oracle_hyperparameter(theta0)
-    rows = []
-    for n in cfg["n_grid"]:
-        pred = predicted_l1_posterior(fam, theta0, lam1, lam2, n)
-        for s in range(cfg["seeds"]):
-            data = simulate(fam, theta0, n, (cfg["seed_base"], "merge", n, s))
-            l1_bb = _m1_l1(fam, lam1, lam2, data)
-            lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
-            l1_eb = _m1_l1(fam, lam_hat, lam_star, data)
-            rows.append((n, s, l1_bb, pred, l1_eb))
     n_grid = cfg["n_grid"]
+    pred = {n: predicted_l1_posterior(fam, theta0, lam1, lam2, n) for n in n_grid}
+
+    def cell(n, key):
+        data = simulate(fam, theta0, n, key)
+        lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
+        return (_m1_l1(fam, lam1, lam2, data), pred[n],
+                _m1_l1(fam, lam_hat, lam_star, data))
+
+    rows = _replicates(cfg, "merge", cell)
     n_max = max(n_grid)
-    ratio = _median([r[2] / r[3] for r in rows if r[0] == n_max])
-    gap = [
-        _median([math.sqrt(n) * abs(r[2] - r[3]) for r in rows if r[0] == n])
-        for n in n_grid
-    ]
-    eb = [
-        _median([math.sqrt(n) * r[4] for r in rows if r[0] == n]) for n in n_grid
-    ]
-    sandwich_lo = _median([r[2] for r in rows if r[0] == n_max])
-    pred_max = predicted_l1_posterior(fam, theta0, lam1, lam2, n_max)
+    [ratio] = _medians(rows, [n_max], lambda r: r[2] / r[3])
+    [sandwich_lo] = _medians(rows, [n_max], lambda r: r[2])
+    gap = _medians(rows, n_grid, lambda r: math.sqrt(r[0]) * abs(r[2] - r[3]))
+    eb = _medians(rows, n_grid, lambda r: math.sqrt(r[0]) * r[4])
+    pred_max = pred[n_max]
     passed = (
         0.9 <= ratio <= 1.1
         and all(a > b for a, b in zip(gap, gap[1:]))
@@ -251,17 +254,15 @@ def _exp_predictive_rates(cfg):
     fam = NormalMean(sigma2=cfg["sigma2"])
     theta0 = cfg["theta0"]
     lam_star = fam.oracle_hyperparameter(theta0)
-    rows = []
-    for n in cfg["n_grid"]:
-        for s in range(cfg["seeds"]):
-            data = simulate(fam, theta0, n, (cfg["seed_base"], "pred", n, s))
-            lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
-            l1 = l1_distance(_m1_predictive(fam, lam_hat, data),
-                             _m1_predictive(fam, lam_star, data))
-            rows.append((n, s, l1))
-    med = [
-        _median([n * r[2] for r in rows if r[0] == n]) for n in cfg["n_grid"]
-    ]
+
+    def cell(n, key):
+        data = simulate(fam, theta0, n, key)
+        lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
+        return (l1_distance(_m1_predictive(fam, lam_hat, data),
+                            _m1_predictive(fam, lam_star, data)),)
+
+    rows = _replicates(cfg, "pred", cell)
+    med = _medians(rows, cfg["n_grid"], lambda r: r[0] * r[2])
     passed = all(a > b for a, b in zip(med, med[1:]))
     return (["n", "seed", "l1_predictive"], rows, passed,
             {"n_times_l1_by_n": dict(zip(map(str, cfg["n_grid"]), med))})
@@ -273,21 +274,17 @@ def _exp_credible_discrepancy(cfg):
     lam_star = fam.oracle_hyperparameter(theta0)
     lam_far = cfg["lam_far"]
     alpha = cfg["alpha"]
-    rows = []
-    for n in cfg["n_grid"]:
-        for s in range(cfg["seeds"]):
-            data = simulate(fam, theta0, n, (cfg["seed_base"], "cred", n, s))
-            lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
-            d_star = credible_discrepancy(fam, data, lam_hat, lam_star, alpha)
-            d_far = credible_discrepancy(fam, data, lam_hat, lam_far, alpha)
-            rows.append((n, s, d_star, d_far))
-    oracle_curve = [
-        _median([math.sqrt(n) * abs(r[2]) for r in rows if r[0] == n])
-        for n in cfg["n_grid"]
-    ]
-    n_max = max(cfg["n_grid"])
-    far_at_max = _median([math.sqrt(n_max) * abs(r[3]) for r in rows
-                          if r[0] == n_max])
+
+    def cell(n, key):
+        data = simulate(fam, theta0, n, key)
+        lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
+        return tuple(credible_discrepancy(fam, data, lam_hat, lam, alpha)
+                     for lam in (lam_star, lam_far))
+
+    rows = _replicates(cfg, "cred", cell)
+    oracle_curve = _medians(rows, cfg["n_grid"], lambda r: math.sqrt(r[0]) * abs(r[2]))
+    [far_at_max] = _medians(rows, [max(cfg["n_grid"])],
+                            lambda r: math.sqrt(r[0]) * abs(r[3]))
     passed = (all(a > b for a, b in zip(oracle_curve, oracle_curve[1:]))
               and far_at_max > oracle_curve[-1])
     details = {"sqrt_n_abs_disc_oracle_by_n":
@@ -304,17 +301,17 @@ def _exp_mixture_rate(cfg):
                            variances=[cfg["comp_var"]] * cfg["K"])
     lam_ref = cfg["lam_ref"]
     grid = list(np.geomspace(lam_ref / 20.0, lam_ref, cfg["lam_points"]))
-    rows = []
-    for n in cfg["n_grid"]:
-        for s in range(cfg["seeds"]):
-            data = simulate(fam, theta0, n, (cfg["seed_base"], "mixrate", n, s))
-            prof = mixture_marginal_profile(
-                data, grid, lam_ref, draws=cfg["draws"],
-                seed=rngmod.stream(cfg["seed_base"], "mixprof", n, s).integers(2**31),
-                base=fam, K=cfg["K"])
-            lam_hat = profile_argmax(prof)
-            rows.append((n, s, lam_hat))
-    med = [_median([r[2] for r in rows if r[0] == n]) for n in cfg["n_grid"]]
+
+    def cell(n, key):
+        seed_base, _, _, s = key
+        prof = mixture_marginal_profile(
+            simulate(fam, theta0, n, key), grid, lam_ref, draws=cfg["draws"],
+            seed=rngmod.stream(seed_base, "mixprof", n, s).integers(2**31),
+            base=fam, K=cfg["K"])
+        return (profile_argmax(prof),)
+
+    rows = _replicates(cfg, "mixrate", cell)
+    med = _medians(rows, cfg["n_grid"], lambda r: r[2])
     # share of seeds whose restricted argmax sits on an end of the grid, where
     # the profile may still rise beyond the range reweighting can reach
     edges = (grid[0], grid[-1])
@@ -462,8 +459,13 @@ def _check_values(cfg, defaults):
         raise ValueError("lam_pair must hold exactly two values")
     if "coords" in cfg and max(cfg["coords"]) >= len(cfg["beta0"]):
         raise ValueError("coords must index beta0")
-    if "transition" in cfg and [len(r) for r in cfg["transition"]] != [3, 3, 3]:
-        raise ValueError("transition must be a 3x3 matrix")
+    if "transition" in cfg:
+        if [len(r) for r in cfg["transition"]] != [3, 3, 3]:
+            raise ValueError("transition must be a 3x3 matrix")
+        MarkovDirichlet._rows(cfg["transition"])
+    # the rate statistic divides by log log n, which is positive only from n = 3
+    if cfg["experiment"] == "mixture-rate" and min(cfg["n_grid"]) < 3:
+        raise ValueError("mixture-rate needs every n_grid entry >= 3")
     if "gibbs_iters" in cfg and not cfg["gibbs_burnin"] < cfg["gibbs_iters"]:
         raise ValueError("gibbs_burnin must be below gibbs_iters")
 
@@ -488,9 +490,8 @@ def validate_config(doc) -> dict:
     if not isinstance(doc.get("output_dir", ""), str):
         raise ValueError("output_dir must be a string")
     cfg = dict(defaults)
-    cfg.update({k: v for k, v in doc.items() if k not in ("experiment",)})
+    cfg.update(doc)
     _check_values(cfg, defaults)
-    cfg["experiment"] = name
     return cfg
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .marginal import MarginalStrategy, log_marginal
+from .marginal import log_marginal
 from .samplers import simulate
 
 
@@ -44,21 +44,18 @@ def kl_exact_gaussian(family, theta0, lam, n: int, data=None) -> float:
     return family.kl_exact(theta0, lam, n, data)
 
 
-def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed,
-                   strategy: MarginalStrategy | None = None):
+def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed):
     """Monte Carlo KL: mean of log p_theta0(Y) - log m_lam(Y) over replicates.
 
     Returns (estimate, std_error); the standard error is NaN when reps == 1.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    if strategy is None:
-        strategy = MarginalStrategy(kind="closed-form")
     vals = np.empty(reps)
     for r in range(reps):
         data = simulate(family, theta0, n, seed=(seed, "kl-rep", r))
         ll = family.log_likelihood(theta0, data)
-        vals[r] = ll - log_marginal(family, lam, data, strategy)
+        vals[r] = ll - log_marginal(family, lam, data)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan
     return est, se

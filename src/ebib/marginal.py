@@ -1,59 +1,34 @@
 """Marginal likelihood m_lam(y) evaluation.
 
-``log_marginal`` has three kinds: closed form (the family's own
-``log_marginal``; M1, M2, M3, M4 and M5 with known sigma), quadrature (M1
-cross-check) and exact allocation enumeration (mixtures at tiny n).  Mixtures
-at realistic n use posterior importance reweighting across a concentration
-grid, which returns estimates with standard errors and lives in
-``mixture_marginal_profile``.
+``log_marginal`` is the closed form, the family's own ``log_marginal`` (M1,
+M2, M3, M4 and M5 with known sigma).  Reference computations check it and
+the families without one: Gauss-Hermite quadrature for M1, exact allocation
+enumeration for mixtures at tiny n, and posterior importance reweighting
+across a concentration grid for mixtures at realistic n
+(``mixture_marginal_profile``, which returns estimates with standard errors).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    CapacityError,
-    DomainError,
-    EstimationError,
-)
+from .errors import CapacityError, DomainError, EstimationError
 from .models import Dataset
 from .numerics import QuadratureSpec, integrate, log_gamma
-
-_KINDS = ("closed-form", "quadrature", "enumeration")
 
 ENUMERATION_CAP = 1 << 20
 MIN_RELIABLE_ESS = 50.0
 
 
-@dataclass(frozen=True)
-class MarginalStrategy:
-    kind: str = "closed-form"
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown marginal strategy {self.kind!r}")
+def log_marginal(family, lam, data: Dataset) -> float:
+    """log m_lam(y) in closed form."""
+    return family.log_marginal(lam, data)
 
 
-def log_marginal(family, lam, data: Dataset, strategy: MarginalStrategy) -> float:
-    """log m_lam(y) under the chosen strategy."""
-    if strategy.kind == "closed-form":
-        return family.log_marginal(lam, data)
-    if strategy.kind == "quadrature":
-        if family.id != "M1":
-            raise CapabilityError(f"{family.id}: quadrature marginal not supported")
-        return _m1_quadrature(family, lam, data)
-    if family.id != "M7":
-        raise CapabilityError("enumeration is for the overfitted mixture family")
-    return mixture_marginal_exact(data, family.validate_hyperparam(lam),
-                                  family.K, family)
-
-
-def _m1_quadrature(family, lam, data) -> float:
+def m1_quadrature_log_marginal(family, lam, data) -> float:
+    """log m_lam(y) of the normal-mean family (M1) by quadrature."""
     # Gauss-Hermite against a Gaussian weight adapted to the integrand: nodes
     # are placed where likelihood * prior concentrates, not on the prior scale
     lam = family.validate_hyperparam(lam)
@@ -229,7 +204,7 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
     if any(v > 20.0 * lam_ref or v < lam_ref / 20.0 for v in lam_grid):
         raise DomainError("grid must stay within a factor 20 of lam_ref")
     cfg = GibbsConfig(iters=draws + max(draws // 4, 200),
-                      burnin=max(draws // 4, 200), thin=1, seed=seed)
+                      burnin=max(draws // 4, 200), seed=seed)
     chain = gibbs_mixture_weights(data, lam_ref, K, base, cfg)
     counts = chain.draws[:, K : 2 * K].astype(np.intp)
     T = counts.shape[0]

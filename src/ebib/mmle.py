@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 
 from . import rng as rngmod
 from .errors import DomainError
-from .marginal import MarginalStrategy, log_marginal
+from .marginal import log_marginal
 from .models import Dataset
 from .samplers import GibbsConfig, gibbs_lasso
 
@@ -47,18 +47,13 @@ class MmleResult:
     trace: list = field(default_factory=list)
 
 
-def _objective(family, data, strategy):
-    return lambda lam: log_marginal(family, lam, data, strategy)
-
-
-def mmle_grid(family, data: Dataset, domain: RestrictedDomain,
-              strategy: MarginalStrategy) -> MmleResult:
+def mmle_grid(family, data: Dataset, domain: RestrictedDomain) -> MmleResult:
     """Grid argmax; ties break toward the smallest lambda in lexicographic order."""
     if not domain.grid:
         raise DomainError("mmle_grid needs an explicit grid")
     best = None
     for lam in domain.grid:
-        val = log_marginal(family, lam, data, strategy)
+        val = log_marginal(family, lam, data)
         key = np.asarray(lam, float).ravel()
         if best is None or val > best[0] + 1e-15 or (
             abs(val - best[0]) <= 1e-15 and tuple(key) < tuple(best[2])
@@ -123,22 +118,22 @@ def _parabolic_refine(f, x, lo, hi, fx):
 
 
 def mmle_continuous(family, data: Dataset, domain: RestrictedDomain,
-                    tol: float = 1e-8, strategy: MarginalStrategy | None = None,
-                    seed: int = 0) -> MmleResult:
+                    tol: float = 1e-8, seed: int = 0) -> MmleResult:
     """Continuous maximization over the domain box.
 
     1-D boxes use golden-section to width ``tol``; multi-D boxes use
     Nelder-Mead from 5 seed-derived restarts.  Maximizers within ``tol`` of a
     box edge are snapped onto it and flagged.
     """
-    if strategy is None:
-        strategy = MarginalStrategy(kind="closed-form")
     if not domain.box:
         raise DomainError("mmle_continuous needs a box domain")
-    f = _objective(family, data, strategy)
     box = list(domain.box)
     if family.id == "M4":
-        return _mmle_m4(family, data, box, strategy, seed)
+        return _mmle_m4(family, data, box, seed)
+
+    def f(lam):
+        return log_marginal(family, lam, data)
+
     if len(box) == 1:
         lo, hi = box[0]
         if lo == hi:
@@ -181,7 +176,7 @@ def mmle_continuous(family, data: Dataset, domain: RestrictedDomain,
                       iterations=total_iters, at_boundary=tuple(at_b))
 
 
-def _mmle_m4(family, data, box, strategy, seed):
+def _mmle_m4(family, data, box, seed):
     """Row-wise Nelder-Mead: Dirichlet rows enter the marginal independently."""
     from .marginal import markov_log_marginal
 
@@ -257,7 +252,6 @@ def lasso_mmle_em(data: Dataset, init_lam: float, gibbs_cfg: GibbsConfig,
     steps = 0
     for t in range(em_steps):
         cfg = GibbsConfig(iters=gibbs_cfg.iters, burnin=gibbs_cfg.burnin,
-                          thin=gibbs_cfg.thin,
                           seed=rngmod.stream(gibbs_cfg.seed, "em-step", t).integers(2**31))
         chain = gibbs_lasso(data, lam, sigma2=sigma2, cfg=cfg)
         tau2_mean = chain.draws[:, d : 2 * d].mean(axis=0)

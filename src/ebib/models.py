@@ -739,7 +739,7 @@ class MarkovDirichlet(ModelFamily):
         return markov_log_marginal(data.counts, self.validate_hyperparam(lam))
 
     def simulate(self, theta0, n, g, seed):
-        P = np.atleast_2d(np.asarray(theta0, float))
+        P = self._rows(theta0)
         K = P.shape[0]
         path = np.empty(n + 1, dtype=np.int64)
         path[0] = g.integers(K)
@@ -906,7 +906,7 @@ class BayesLasso(ModelFamily):
         from .samplers import GibbsConfig, gibbs_lasso
         from .posteriors import SamplePosterior
 
-        cfg = GibbsConfig(iters=6000, burnin=1000, thin=1, seed=0)
+        cfg = GibbsConfig(iters=6000, burnin=1000, seed=0)
         chain = gibbs_lasso(data, self.validate_hyperparam(lam),
                             sigma2=self.sigma2, cfg=cfg)
         d = data.X.shape[1]
@@ -1066,7 +1066,7 @@ class GaussMixtureKnownK(ModelFamily):
 
         xi, tau, psi = self.validate_hyperparam(lam)
         if cfg is None:
-            cfg = GibbsConfig(iters=6000, burnin=1000, thin=1, seed=0)
+            cfg = GibbsConfig(iters=6000, burnin=1000, seed=0)
         chain = gibbs_gauss_mixture(
             data, K=self.K, xi=xi, tau=tau, psi=psi, omega=self.omega, cfg=cfg
         )
@@ -1150,7 +1150,7 @@ class OverfittedMixture(ModelFamily):
 
         lam = self.validate_hyperparam(lam)
         if cfg is None:
-            cfg = GibbsConfig(iters=6000, burnin=1000, thin=1, seed=0)
+            cfg = GibbsConfig(iters=6000, burnin=1000, seed=0)
         chain = gibbs_mixture_weights(data, lam_ref=lam, K=self.K, base=self, cfg=cfg)
         return SamplePosterior(chain.draws[:, : self.K], seed=chain.seed)
 

@@ -112,7 +112,7 @@ class SamplePosterior:
 
     kind = "samples"
 
-    def __init__(self, draws, weights=None, seed=None, names=None):
+    def __init__(self, draws, weights=None, seed=None):
         draws = np.atleast_2d(np.asarray(draws, dtype=float))
         if weights is None:
             weights = np.full(draws.shape[0], 1.0 / draws.shape[0])
@@ -121,7 +121,6 @@ class SamplePosterior:
         self.draws = draws
         self.weights = weights
         self.seed = seed
-        self.names = names
 
     @property
     def ess(self) -> float:

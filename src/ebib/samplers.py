@@ -21,14 +21,11 @@ from .models import Dataset
 class GibbsConfig:
     iters: int = 6000
     burnin: int = 1000
-    thin: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if not self.iters > self.burnin >= 0:
             raise DomainError("need iters > burnin >= 0")
-        if self.thin < 1:
-            raise DomainError("thin must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +137,8 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
     tau2 = np.maximum(beta**2, 1e-6)
     s2 = sigma2 if not sample_sigma else max(float(np.sum((y - X @ beta) ** 2)) / n, 1e-8)
 
-    keep = (cfg.iters - cfg.burnin) // cfg.thin
     ncol = 2 * d + (1 if sample_sigma else 0)
-    out = np.empty((keep, ncol))
+    out = np.empty((cfg.iters - cfg.burnin, ncol))
     names = [f"beta{j + 1}" for j in range(d)] + [f"tau2_{j + 1}" for j in range(d)]
     if sample_sigma:
         names.append("sigma2")
@@ -150,7 +146,6 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
     # A = XtX + diag(1/tau2), rebuilt in place; LAPACK factors Fortran order uncopied
     A = np.empty((d, d), order="F")
     diag = A.ravel(order="F")[:: d + 1]
-    row = 0
     for it in range(cfg.iters):
         np.copyto(A, XtX)
         diag += 1.0 / tau2
@@ -171,12 +166,12 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
             scale = (rss + float(beta @ (beta / tau2))) / 2.0
             s2 = scale / g.gamma(shape)
 
-        if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            out[row, :d], out[row, d : 2 * d] = beta, tau2
+        if it >= cfg.burnin:
+            row = out[it - cfg.burnin]
+            row[:d], row[d : 2 * d] = beta, tau2
             if sample_sigma:
-                out[row, 2 * d] = s2
-            row += 1
-    return _chain(out[:row], names, cfg.seed)
+                row[2 * d] = s2
+    return _chain(out, names, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +215,7 @@ def gibbs_mixture_weights(data: Dataset, lam_ref: float, K: int, base,
     w = np.full(K, 1.0 / K)
     gamma = g.normal(m0, math.sqrt(s02), size=K)
 
-    keep = (cfg.iters - cfg.burnin) // cfg.thin
-    out = np.empty((keep, 2 * K))
-    row = 0
+    out = np.empty((cfg.iters - cfg.burnin, 2 * K))
     for it in range(cfg.iters):
         logp = (np.log(np.maximum(w, 1e-300))[:, None]
                 - 0.5 * (y - gamma[:, None]) ** 2 / comp_var)
@@ -232,11 +225,10 @@ def gibbs_mixture_weights(data: Dataset, lam_ref: float, K: int, base,
         mu = (np.bincount(z, weights=y, minlength=K) / comp_var + m0 / s02) / prec
         for j, (mj, pj) in enumerate(zip(mu.tolist(), prec.tolist())):
             gamma[j] = g.normal(mj, math.sqrt(1.0 / pj))
-        if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            out[row] = np.concatenate([w, counts])
-            row += 1
+        if it >= cfg.burnin:
+            out[it - cfg.burnin] = np.concatenate([w, counts])
     names = [f"p{j + 1}" for j in range(K)] + [f"c{j + 1}" for j in range(K)]
-    return _chain(out[:row], names, cfg.seed)
+    return _chain(out, names, cfg.seed)
 
 
 def gibbs_gauss_mixture(data: Dataset, K: int, xi: float, tau: float, psi: float,
@@ -252,9 +244,7 @@ def gibbs_gauss_mixture(data: Dataset, K: int, xi: float, tau: float, psi: float
     mu = np.quantile(y, (np.arange(K) + 0.5) / K) if n else np.zeros(K)
     v = np.full(K, max(float(np.var(y)), 1e-3) if n else 1.0)
 
-    keep = (cfg.iters - cfg.burnin) // cfg.thin
-    out = np.empty((keep, 3 * K))
-    row = 0
+    out = np.empty((cfg.iters - cfg.burnin, 3 * K))
     for it in range(cfg.iters):
         logp = (np.log(np.maximum(w, 1e-300))[:, None] - 0.5 * np.log(v)[:, None]
                 - 0.5 * (y - mu[:, None]) ** 2 / v[:, None])
@@ -268,12 +258,11 @@ def gibbs_gauss_mixture(data: Dataset, K: int, xi: float, tau: float, psi: float
             shape = (omega + nj + 1.0) / 2.0
             scale = (psi + float(np.sum((yj - mu[j]) ** 2)) + tau * (mu[j] - xi) ** 2) / 2.0
             v[j] = scale / g.gamma(shape)
-        if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            out[row] = np.concatenate([w, mu, v])
-            row += 1
+        if it >= cfg.burnin:
+            out[it - cfg.burnin] = np.concatenate([w, mu, v])
     names = (
         [f"w{j + 1}" for j in range(K)]
         + [f"mu{j + 1}" for j in range(K)]
         + [f"v{j + 1}" for j in range(K)]
     )
-    return _chain(out[:row], names, cfg.seed)
+    return _chain(out, names, cfg.seed)

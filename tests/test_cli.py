@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -79,12 +80,21 @@ BAD_VALUES = [
     {"experiment": "table1-lasso", "gibbs_iters": 300, "gibbs_burnin": 300},
     {"experiment": "fig2-lasso-marginals", "coords": [0, 15]},
     {"experiment": "markov-sparsity", "transition": [[1.0]]},
+    # rows off the simplex used to fail inside numpy's sampler (exit 1)
+    {"experiment": "markov-sparsity",
+     "transition": [[0.5, 0.6, 0.0], [0.0, 0.4, 0.6], [0.5, 0.25, 0.25]]},
+    {"experiment": "markov-sparsity",
+     "transition": [[1.2, -0.2, 0.0], [0.0, 0.4, 0.6], [0.5, 0.25, 0.25]]},
+    # log log n is undefined at n = 1 and negative at n = 2 (exit 1 at n = 1)
+    {"experiment": "mixture-rate", "n_grid": [1], "seeds": 1, "draws": 100},
 ]
 
 
 @pytest.mark.parametrize("verb", ["validate", "run"])
 @pytest.mark.parametrize("doc", BAD_VALUES, ids=["seed_base", "lam_pair", "n",
-                                                  "gibbs_burnin", "coords", "transition"])
+                                                  "gibbs_burnin", "coords", "transition",
+                                                  "transition_sum", "transition_negative",
+                                                  "mixture_n"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, verb, doc):
     path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
     assert main([verb, path]) == 2
@@ -218,3 +228,36 @@ def test_shipped_configs_cover_all_experiments_and_validate():
         cfg = validate_config(json.loads(path.read_text()))
         names.add(cfg["experiment"])
     assert names == set(EXPERIMENTS)
+
+
+# results.csv of every replicate experiment at small sizes, pinned by sha256
+# before the seed loops moved into one runner; each document exercises its
+# stream keys ("table1" and "gibbs", "cons", "merge", "pred", "cred",
+# "mixrate" and "mixprof") at two n and two seeds
+PINNED = [
+    ({"experiment": "table1-lasso", "n_grid": [30, 50], "seeds": 2,
+      "gibbs_iters": 60, "gibbs_burnin": 20, "em_steps": 2},
+     "019e0a374165d1a9e1ec4ffb5071d74bab69e87794534e7d9636187f6b0164dd"),
+    ({"experiment": "mmle-consistency", "n_grid": [20, 80], "seeds": 2},
+     "741e18dfd9bfe39197fd56b11a86383411f6454b2fcc01cc57dcb15d74db3503"),
+    ({"experiment": "merging-rates", "n_grid": [20, 80], "seeds": 2},
+     "994137dd30fb13f79db1212a814cb785883c064110f229d258af47e2ef6cd455"),
+    ({"experiment": "predictive-rates", "n_grid": [20, 80], "seeds": 2},
+     "06a7f9ced9dcec6d0a861df877f387313e417bcb45fe4b034a22a4f443978bcd"),
+    ({"experiment": "credible-discrepancy", "n_grid": [20, 80], "seeds": 2},
+     "41870420b8e6561006a41c140e79e3bbc2792ea753cbf3969b715de8842601ed"),
+    ({"experiment": "mixture-rate", "n_grid": [20, 40], "seeds": 2, "draws": 200},
+     "84769b641ff84fb2141a3da298ea073430a8aadd3d0cff3810f4a3641285be57"),
+]
+
+
+@pytest.mark.parametrize("doc,sha256", PINNED, ids=[d["experiment"] for d, _ in PINNED])
+def test_replicate_experiment_results_are_pinned(tmp_path, doc, sha256):
+    summary = run_experiment(validate_config(doc), str(tmp_path))
+    data = (tmp_path / "results.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha256
+    if doc["experiment"] == "table1-lasso":
+        n_max = max(doc["n_grid"])
+        flags = [int(ln.split(",")[4]) for ln in data.decode().splitlines()[2:]
+                 if int(ln.split(",")[0]) == n_max]
+        assert summary["details"]["em_converged_frac"] == sum(flags) / len(flags)

@@ -5,8 +5,8 @@ import pytest
 
 from ebib.errors import CapabilityError, CapacityError, DomainError
 from ebib.marginal import (
-    MarginalStrategy,
     log_marginal,
+    m1_quadrature_log_marginal,
     markov_log_marginal,
     markov_log_marginal_factorials,
     markov_ray_derivative,
@@ -28,14 +28,12 @@ from ebib.models import (
 from ebib.numerics import gaussian_logpdf
 from ebib.samplers import orthogonal_design, simulate
 
-CLOSED = MarginalStrategy(kind="closed-form")
-
 
 def test_m1_closed_two_point_checkpoint():
     fam = NormalMean(sigma2=1.0)
     data = Dataset(y=[0.0, 0.0])
     want = gaussian_logpdf([0.0, 0.0], [0.0, 0.0], np.eye(2) + np.ones((2, 2)))
-    assert log_marginal(fam, 1.0, data, CLOSED) == pytest.approx(want, abs=1e-12)
+    assert log_marginal(fam, 1.0, data) == pytest.approx(want, abs=1e-12)
 
 
 def test_m1_closed_matches_dense_oracle():
@@ -44,7 +42,7 @@ def test_m1_closed_matches_dense_oracle():
     y = g.normal(size=30)
     lam = 2.3
     want = gaussian_logpdf(y, np.zeros(30), 1.7 * np.eye(30) + lam * np.ones((30, 30)))
-    got = log_marginal(fam, lam, Dataset(y=y), CLOSED)
+    got = log_marginal(fam, lam, Dataset(y=y))
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -52,8 +50,8 @@ def test_m1_quadrature_matches_closed():
     fam = NormalMean(sigma2=1.0)
     data = simulate(fam, 2.0, 30, 0)
     for lam in (0.5, 4.0, 16.0):
-        closed = log_marginal(fam, lam, data, CLOSED)
-        quad = log_marginal(fam, lam, data, MarginalStrategy(kind="quadrature"))
+        closed = log_marginal(fam, lam, data)
+        quad = m1_quadrature_log_marginal(fam, lam, data)
         assert quad == pytest.approx(closed, abs=1e-8)
 
 
@@ -65,7 +63,7 @@ def test_m2_closed_matches_dense_oracle():
     tau2 = np.array([1.5, 0.0, 0.4])  # includes a boundary coordinate
     cov = 0.8 * np.eye(25) + (X * tau2[None, :]) @ X.T
     want = gaussian_logpdf(y, np.zeros(25), cov)
-    got = log_marginal(fam, tau2, Dataset(y=y, X=X), CLOSED)
+    got = log_marginal(fam, tau2, Dataset(y=y, X=X))
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -74,9 +72,9 @@ def test_m3_closed_argmax_is_the_closed_form_mmle():
     theta0 = GPriorParams(sigma=1.0, alpha=0.5, beta=[1.0, -0.5, 0.8])
     data = simulate(fam, theta0, 120, 5)
     lam_hat = fam.closed_form_mmle(data)
-    best = log_marginal(fam, lam_hat, data, CLOSED)
+    best = log_marginal(fam, lam_hat, data)
     for lam in np.geomspace(lam_hat / 5, lam_hat * 5, 80):
-        assert best >= log_marginal(fam, float(lam), data, CLOSED) - 1e-12
+        assert best >= log_marginal(fam, float(lam), data) - 1e-12
 
 
 def test_m5_closed_matches_coordinate_quadrature():
@@ -86,7 +84,7 @@ def test_m5_closed_matches_coordinate_quadrature():
     y = X[:, 0] * 0.7 + g.normal(size=40)
     data = Dataset(y=y, X=X)
     lam = 1.3
-    closed = log_marginal(fam, lam, data, CLOSED)
+    closed = log_marginal(fam, lam, data)
 
     # brute force: integrate exp(loglik + logprior) over the single coefficient
     from ebib.numerics import integrate
@@ -107,9 +105,9 @@ def test_m5_closed_requires_known_sigma_and_orthogonal_design():
     X = g.normal(size=(20, 2))
     data = Dataset(y=g.normal(size=20), X=X)
     with pytest.raises(CapabilityError):
-        log_marginal(BayesLasso(sigma2=None), 1.0, data, CLOSED)
+        log_marginal(BayesLasso(sigma2=None), 1.0, data)
     with pytest.raises(CapabilityError):
-        log_marginal(BayesLasso(sigma2=1.0), 1.0, data, CLOSED)
+        log_marginal(BayesLasso(sigma2=1.0), 1.0, data)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +253,3 @@ def test_reweighting_guards():
     data = Dataset(y=np.array([0.1, -0.2]))
     with pytest.raises(DomainError):
         mixture_marginal_profile(data, [0.01], 0.5, draws=100, seed=0, base=fam, K=2)
-    with pytest.raises(DomainError):
-        log_marginal(fam, 0.4, data, MarginalStrategy(kind="reweighting"))
-
-
-def test_log_marginal_capability_errors():
-    fam = NormalMean()
-    data = Dataset(y=[0.0])
-    with pytest.raises(CapabilityError):
-        log_marginal(fam, 1.0, data, MarginalStrategy(kind="enumeration"))
-    with pytest.raises(CapabilityError):
-        log_marginal(_mix_family(), 1.0, data, MarginalStrategy(kind="quadrature"))

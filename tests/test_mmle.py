@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ebib.errors import DomainError, InsufficientDataError
-from ebib.marginal import MarginalStrategy, log_marginal
+from ebib.marginal import log_marginal
 from ebib.mmle import (
     MmleResult,
     RestrictedDomain,
@@ -25,8 +25,6 @@ from ebib.models import (
 )
 from ebib.samplers import GibbsConfig, orthogonal_design, simulate
 
-CLOSED = MarginalStrategy(kind="closed-form")
-
 
 def test_restricted_domain_invariants():
     with pytest.raises(DomainError):
@@ -39,7 +37,7 @@ def test_m1_grid_mmle_near_analytic_stationary_point():
     fam = NormalMean(sigma2=1.0)
     data = Dataset(y=np.full(30, 2.0))  # ybar = 2: argmax at 4 - 1/30
     grid = tuple(np.linspace(3.0, 5.0, 2001))  # step 1e-3
-    res = mmle_grid(fam, data, RestrictedDomain(grid=grid), CLOSED)
+    res = mmle_grid(fam, data, RestrictedDomain(grid=grid))
     assert res.lam == pytest.approx(2.0**2 - 1.0 / 30.0, abs=1e-3)
     assert res.converged and not any(res.at_boundary)
 
@@ -48,7 +46,7 @@ def test_grid_tie_breaks_toward_smaller_lambda():
     fam = MarkovDirichlet(K=2)
     data = Dataset(counts=np.zeros((2, 2)))  # marginal is 0 for every alpha
     grid = (np.full((2, 2), 2.0), np.full((2, 2), 1.0))
-    res = mmle_grid(fam, data, RestrictedDomain(grid=grid), CLOSED)
+    res = mmle_grid(fam, data, RestrictedDomain(grid=grid))
     assert np.all(np.asarray(res.lam) == 1.0)
 
 
@@ -56,10 +54,10 @@ def test_mmle_grid_dominates_random_points():
     fam = NormalMean(sigma2=1.0)
     data = simulate(fam, 2.0, 50, 3)
     grid = tuple(np.geomspace(0.1, 30.0, 200))
-    res = mmle_grid(fam, data, RestrictedDomain(grid=grid), CLOSED)
+    res = mmle_grid(fam, data, RestrictedDomain(grid=grid))
     g = np.random.default_rng(4)
     for lam in g.choice(grid, size=50):
-        assert res.objective >= log_marginal(fam, float(lam), data, CLOSED) - 1e-12
+        assert res.objective >= log_marginal(fam, float(lam), data) - 1e-12
 
 
 def test_single_point_domain_returned_converged():
@@ -145,7 +143,7 @@ def test_lasso_em_matches_grid_mmle_d1():
     y = X[:, 0] * 0.8 + g.normal(size=150)
     data = Dataset(y=y, X=X)
     grid = tuple(np.geomspace(0.05, 30.0, 1200))
-    grid_lam = mmle_grid(fam, data, RestrictedDomain(grid=grid), CLOSED).lam
+    grid_lam = mmle_grid(fam, data, RestrictedDomain(grid=grid)).lam
     em = lasso_mmle_em(data, init_lam=1.0,
                        gibbs_cfg=GibbsConfig(iters=4000, burnin=1000, seed=5),
                        em_steps=40, sigma2=1.0)
@@ -163,5 +161,5 @@ def test_mmle_result_objective_consistent():
     data = simulate(fam, 2.0, 30, 9)
     res = mmle_continuous(fam, data, RestrictedDomain(box=((1e-6, 40.0),)))
     assert res.objective == pytest.approx(
-        log_marginal(fam, res.lam, data, CLOSED), abs=1e-9
+        log_marginal(fam, res.lam, data), abs=1e-9
     )

@@ -26,7 +26,7 @@ from ebib.models import (
     load_counts_csv,
     load_dataset_csv,
 )
-from ebib.marginal import MarginalStrategy, log_marginal
+from ebib.marginal import log_marginal
 from ebib.numerics import finite_diff_gradient
 from ebib.samplers import orthogonal_design, simulate
 
@@ -412,10 +412,10 @@ def test_capability_flags_are_consistent():
             assert isinstance(getattr(fam, flag), bool)
         # the flag says exactly whether the closed-form marginal is available
         if fam.closed_marginal:
-            val = log_marginal(fam, lam, data, MarginalStrategy())
+            val = log_marginal(fam, lam, data)
             assert isinstance(val, float) and math.isfinite(val), fam.id
         else:
             with pytest.raises(CapabilityError):
-                log_marginal(fam, lam, data, MarginalStrategy())
+                log_marginal(fam, lam, data)
     assert BayesLasso(sigma2=1.0).closed_marginal
     assert not BayesLasso(sigma2=None).closed_marginal

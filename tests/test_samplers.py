@@ -37,8 +37,6 @@ from ebib.samplers import (
 def test_gibbs_config_validation():
     with pytest.raises(DomainError):
         GibbsConfig(iters=10, burnin=10)
-    with pytest.raises(DomainError):
-        GibbsConfig(iters=10, burnin=2, thin=0)
 
 
 def test_simulate_empty_dataset():
