@@ -179,7 +179,7 @@ def _exp_kl_oracle(cfg):
     theta0 = cfg["theta0"]
     lam_star = fam.oracle_hyperparameter(theta0)
     grid = list(np.geomspace(cfg["lam_lo"], cfg["lam_hi"], cfg["lam_points"]))
-    prof = kl_minimizer(fam, theta0, cfg["n"], grid, strategy="exact")
+    prof = kl_minimizer(fam, theta0, cfg["n"], grid)
     idx_min = grid.index(prof.minimizer)
     idx_star = int(np.argmin(np.abs(np.log(np.asarray(grid)) - math.log(lam_star))))
     within_one = abs(idx_min - idx_star) <= 1

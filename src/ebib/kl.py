@@ -1,13 +1,13 @@
 """Kullback-Leibler divergence KL(p_theta0 || m_lam) and its grid minimizer.
 
-Exact closed forms for the Gaussian families via low-rank identities; Monte
-Carlo over replicate datasets otherwise.
+Exact closed forms for the Gaussian families via low-rank identities, which
+the grid minimizer uses; Monte Carlo over replicate datasets as their check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ class KlProfile:
     stderrs: np.ndarray
     minimizer: object
     min_value: float
-    ambiguous: bool = False
-    candidates: list = field(default_factory=list)
 
     def to_csv(self, path):
         rows = np.column_stack([
@@ -61,39 +59,14 @@ def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed):
     return est, se
 
 
-def kl_minimizer(family, theta0, n: int, lam_grid, strategy="exact",
-                 reps: int = 200, seed=0) -> KlProfile:
-    """KL profile over a hyperparameter grid with its minimizer.
-
-    ``strategy`` is "exact" (closed-form Gaussian KL) or "monte-carlo".  With
-    noisy values, grid points whose confidence band overlaps the minimum leave
-    the minimizer ambiguous; the candidate interval is then reported.
-    """
+def kl_minimizer(family, theta0, n: int, lam_grid) -> KlProfile:
+    """Closed-form Gaussian KL profile over a hyperparameter grid, with its minimizer."""
     lam_grid = list(lam_grid)
     if not lam_grid:
         raise DomainError("empty grid")
-    vals = np.empty(len(lam_grid))
-    ses = np.zeros(len(lam_grid))
-    for i, lam in enumerate(lam_grid):
-        if strategy == "exact":
-            vals[i] = kl_exact_gaussian(family, theta0, lam, n)
-        elif strategy == "monte-carlo":
-            vals[i], ses[i] = kl_monte_carlo(family, theta0, lam, n, reps, seed)
-        else:
-            raise DomainError(f"unknown KL strategy {strategy!r}")
+    vals = np.array([kl_exact_gaussian(family, theta0, lam, n) for lam in lam_grid])
     imin = int(np.argmin(vals))
-    ambiguous = False
-    candidates = []
-    if strategy == "monte-carlo":
-        hi_min = vals[imin] + 3.0 * ses[imin]
-        for i in range(len(lam_grid)):
-            if i != imin and vals[i] - 3.0 * ses[i] <= hi_min:
-                candidates.append(lam_grid[i])
-        ambiguous = bool(candidates)
-        if ambiguous:
-            candidates.append(lam_grid[imin])
     return KlProfile(
-        lam_grid=lam_grid, kl_values=vals, stderrs=ses,
+        lam_grid=lam_grid, kl_values=vals, stderrs=np.zeros(len(lam_grid)),
         minimizer=lam_grid[imin], min_value=float(vals[imin]),
-        ambiguous=ambiguous, candidates=sorted(candidates),
     )

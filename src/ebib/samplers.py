@@ -176,22 +176,58 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
 
 # ---------------------------------------------------------------------------
 # mixture samplers
+#
+# A sweep is a few dozen numpy calls on arrays of K or n elements, so per-call
+# overhead, not arithmetic, sets its cost.  The helpers reach numpy's own
+# draws and sums, bit for bit, with fewer and cheaper calls.
+
+
+def _dirichlet(g, alpha):
+    """``g.dirichlet(alpha)`` draw for draw, leaving the stream in the same state.
+
+    Numpy draws one standard gamma per shape, in order, and scales them by the
+    reciprocal of their running sum; scalar calls skip its array checks.  When
+    every shape is below 0.1 numpy breaks sticks with beta draws instead, so
+    that case stays with numpy.
+    """
+    if max(alpha) < 0.1:
+        return g.dirichlet(alpha)
+    draws = [g.standard_gamma(a) for a in alpha]
+    acc = 0.0
+    for v in draws:  # numpy's order; the builtin sum compensates from Python 3.12
+        acc += v
+    return np.array(draws) * (1.0 / acc)
 
 
 def _allocate(logp, g):
     """Allocations z and counts from unnormalised log probabilities ``logp``.
 
-    ``logp`` is components-major, shape (K, n), so the reductions over
-    components run along rows; it is overwritten.  The draws are bit-identical
-    to a row-major (n, K) layout for K < 8; from 8 components up, numpy's
-    unrolled last-axis sum adds the terms in a different order.
+    ``logp`` is components-major, shape (K, n), and is overwritten.  The
+    reductions over components run row by row, in the sequential order of
+    numpy's axis-0 ``max``, ``sum`` and ``cumsum``, so the draws are theirs.
+    (At n = 1 numpy sums 8 or more components pairwise, so there the last bit
+    of a probability may differ.)
     """
     K, n = logp.shape
-    logp -= logp.max(axis=0)
-    p = np.exp(logp, out=logp)
-    p /= p.sum(axis=0)
-    u = g.uniform(size=n)
-    z = (p.cumsum(axis=0) < u).sum(axis=0)
+    top = logp[0]
+    for j in range(1, K):
+        top = np.maximum(top, logp[j])
+    logp -= top
+    np.exp(logp, out=logp)
+    tot = logp[0]
+    for j in range(1, K):
+        tot = tot + logp[j]
+    u = g.random(n)
+    # row j becomes the running sum of the probabilities of components 0..j,
+    # and z counts the sums below u; the last sum is the total, 1 up to
+    # rounding, so it is neither formed nor compared, and z < K
+    z = np.zeros(n, np.intp)
+    for j in range(K - 1):
+        r = logp[j]
+        r /= tot
+        if j:
+            r += logp[j - 1]
+        z += r < u
     return z, np.bincount(z, minlength=K)
 
 
@@ -211,22 +247,32 @@ def gibbs_mixture_weights(data: Dataset, lam_ref: float, K: int, base,
     g = rngmod.stream(cfg.seed, "gibbs-mix-weights")
     comp_var = base.comp_var
     m0, s02 = base.loc_mean, base.loc_var
+    prior_prec, prior_shift = 1.0 / s02, m0 / s02
 
     w = np.full(K, 1.0 / K)
     gamma = g.normal(m0, math.sqrt(s02), size=K)
+    gamma_col = gamma[:, None]
+    logp = np.empty((K, y.size))
 
     out = np.empty((cfg.iters - cfg.burnin, 2 * K))
     for it in range(cfg.iters):
-        logp = (np.log(np.maximum(w, 1e-300))[:, None]
-                - 0.5 * (y - gamma[:, None]) ** 2 / comp_var)
+        # log w_j - (y_i - gamma_j)^2 / (2 comp_var), in the buffer
+        np.subtract(y, gamma_col, out=logp)
+        np.square(logp, out=logp)
+        logp *= 0.5
+        logp /= comp_var
+        np.subtract(np.log(np.maximum(w, 1e-300))[:, None], logp, out=logp)
         z, counts = _allocate(logp, g)
-        w = g.dirichlet(lam_ref + counts)
-        prec = counts / comp_var + 1.0 / s02
-        mu = (np.bincount(z, weights=y, minlength=K) / comp_var + m0 / s02) / prec
-        for j, (mj, pj) in enumerate(zip(mu.tolist(), prec.tolist())):
-            gamma[j] = g.normal(mj, math.sqrt(1.0 / pj))
+        nj = counts.tolist()
+        w = _dirichlet(g, [lam_ref + c for c in nj])
+        sums = np.bincount(z, weights=y, minlength=K).tolist()
+        for j in range(K):
+            prec = nj[j] / comp_var + prior_prec
+            gamma[j] = g.normal((sums[j] / comp_var + prior_shift) / prec,
+                                math.sqrt(1.0 / prec))
         if it >= cfg.burnin:
-            out[it - cfg.burnin] = np.concatenate([w, counts])
+            row = out[it - cfg.burnin]
+            row[:K], row[K:] = w, counts
     names = [f"p{j + 1}" for j in range(K)] + [f"c{j + 1}" for j in range(K)]
     return _chain(out, names, cfg.seed)
 
@@ -243,13 +289,19 @@ def gibbs_gauss_mixture(data: Dataset, K: int, xi: float, tau: float, psi: float
     w = np.full(K, 1.0 / K)
     mu = np.quantile(y, (np.arange(K) + 0.5) / K) if n else np.zeros(K)
     v = np.full(K, max(float(np.var(y)), 1e-3) if n else 1.0)
+    logp = np.empty((K, n))
 
     out = np.empty((cfg.iters - cfg.burnin, 3 * K))
     for it in range(cfg.iters):
-        logp = (np.log(np.maximum(w, 1e-300))[:, None] - 0.5 * np.log(v)[:, None]
-                - 0.5 * (y - mu[:, None]) ** 2 / v[:, None])
+        # log w_j - log(v_j) / 2 - (y_i - mu_j)^2 / (2 v_j), in the buffer
+        np.subtract(y, mu[:, None], out=logp)
+        np.square(logp, out=logp)
+        logp *= 0.5
+        logp /= v[:, None]
+        np.subtract(np.log(np.maximum(w, 1e-300))[:, None] - 0.5 * np.log(v)[:, None],
+                    logp, out=logp)
         z, counts = _allocate(logp, g)
-        w = g.dirichlet(1.0 + counts)
+        w = _dirichlet(g, (1.0 + counts).tolist())
         for j in range(K):
             nj = counts[j]
             yj = y[z == j]  # pairwise sum, unlike bincount's, keeps mu bit-identical
@@ -259,7 +311,8 @@ def gibbs_gauss_mixture(data: Dataset, K: int, xi: float, tau: float, psi: float
             scale = (psi + float(np.sum((yj - mu[j]) ** 2)) + tau * (mu[j] - xi) ** 2) / 2.0
             v[j] = scale / g.gamma(shape)
         if it >= cfg.burnin:
-            out[it - cfg.burnin] = np.concatenate([w, mu, v])
+            row = out[it - cfg.burnin]
+            row[:K], row[K : 2 * K], row[2 * K :] = w, mu, v
     names = (
         [f"w{j + 1}" for j in range(K)]
         + [f"mu{j + 1}" for j in range(K)]

@@ -78,7 +78,7 @@ def test_kl_minimizer_converges_to_oracle_and_stays_positive():
     grid = list(np.geomspace(0.5, 32.0, 49))  # log step ~ 0.0866
     dist = []
     for n in (50, 500, 5000):
-        prof = kl_minimizer(fam, 2.0, n, grid, strategy="exact")
+        prof = kl_minimizer(fam, 2.0, n, grid)
         dist.append(abs(math.log(prof.minimizer) - math.log(4.0)))
         assert prof.min_value > 0.1  # bounded below: the regular case
     step = math.log(grid[1]) - math.log(grid[0])
@@ -88,17 +88,8 @@ def test_kl_minimizer_converges_to_oracle_and_stays_positive():
 
 def test_kl_minimizer_singleton_grid():
     fam = NormalMean(sigma2=1.0)
-    prof = kl_minimizer(fam, 2.0, 100, [4.0], strategy="exact")
-    assert prof.minimizer == 4.0 and not prof.ambiguous
-
-
-def test_kl_minimizer_monte_carlo_flags_ambiguity():
-    fam = NormalMean(sigma2=1.0)
-    grid = [3.8, 4.0, 4.2]  # indistinguishable at small reps
-    prof = kl_minimizer(fam, 2.0, 50, grid, strategy="monte-carlo", reps=40,
-                        seed=3)
-    assert prof.ambiguous
-    assert prof.minimizer in prof.candidates
+    prof = kl_minimizer(fam, 2.0, 100, [4.0])
+    assert prof.minimizer == 4.0 and prof.min_value > 0
 
 
 def test_kl_profile_csv_contract(tmp_path):
@@ -116,9 +107,7 @@ def test_kl_input_validation():
     with pytest.raises(DomainError):
         kl_monte_carlo(fam, 2.0, 4.0, 10, reps=0, seed=0)
     with pytest.raises(DomainError):
-        kl_minimizer(fam, 2.0, 10, [], strategy="exact")
-    with pytest.raises(DomainError):
-        kl_minimizer(fam, 2.0, 10, [1.0], strategy="bogus")
+        kl_minimizer(fam, 2.0, 10, [])
     from ebib.models import MarkovDirichlet
 
     with pytest.raises(CapabilityError):

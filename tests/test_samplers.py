@@ -23,7 +23,9 @@ from ebib.models import (
 from ebib.numerics import log_gamma
 from ebib.samplers import (
     GibbsConfig,
+    _allocate,
     _chain,
+    _dirichlet,
     effective_sample_size,
     gibbs_gauss_mixture,
     gibbs_lasso,
@@ -232,6 +234,41 @@ def _enumeration_posterior_mean_p1(y, lam, K, base):
     return float(w @ np.asarray(means))
 
 
+@pytest.mark.parametrize("K", range(2, 10))
+def test_dirichlet_helper_matches_numpy_draw_for_draw(K):
+    # shapes all below 0.1 (numpy's stick-breaking path), mixed, in 0.1-1 and
+    # above 1; the next draw checks that both leave the stream in one state
+    pick = np.random.default_rng(K)
+    for lo, hi in [(0.01, 0.1), (0.01, 5.0), (0.1, 1.0), (1.0, 50.0)]:
+        for rep in range(10):
+            alpha = pick.uniform(lo, hi, size=K).tolist()
+            want, got = np.random.default_rng(rep), np.random.default_rng(rep)
+            assert np.array_equal(_dirichlet(got, alpha), want.dirichlet(alpha))
+            assert got.random() == want.random()
+
+
+def _allocate_by_axis0(logp, g):
+    # reference: the reductions as numpy's axis-0 max, sum and cumsum
+    logp = logp - logp.max(axis=0)
+    p = np.exp(logp)
+    p /= p.sum(axis=0)
+    z = (p.cumsum(axis=0) < g.uniform(size=logp.shape[1])).sum(axis=0)
+    return z, np.bincount(z, minlength=logp.shape[0])
+
+
+@pytest.mark.parametrize("K", range(2, 10))
+def test_allocate_matches_axis0_reductions(K):
+    pick = np.random.default_rng(K)
+    for n in (2, 7, 8, 9, 100):
+        for rep in range(20):
+            logp = pick.normal(0.0, 3.0, size=(K, n))
+            want, got = np.random.default_rng(rep), np.random.default_rng(rep)
+            z0, c0 = _allocate_by_axis0(logp, want)
+            z1, c1 = _allocate(logp.copy(), got)
+            assert np.array_equal(z1, z0) and np.array_equal(c1, c0)
+            assert got.random() == want.random()
+
+
 def test_gibbs_mixture_weights_matches_enumeration_at_n8():
     fam = OverfittedMixture(K=2, comp_var=1.0, loc_mean=0.0, loc_var=4.0)
     t0 = MixtureParams(weights=[1.0, 0.0], means=[0.5, 0.0], variances=[1.0, 1.0])
@@ -290,8 +327,9 @@ def test_gibbs_gauss_mixture_bit_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# pinned chains: values recorded before the allocation step and the LASSO
-# solves were rewritten; the streams must be drawn in the same order
+# pinned chains: values recorded before the allocation step, the LASSO solves
+# and the mixture sweeps were rewritten; the streams must be drawn in the same
+# order
 
 
 def _digest(a):
@@ -309,6 +347,29 @@ def test_gibbs_mixture_weights_draws_are_pinned(n, want):
     assert _digest(chain.draws) == want
 
 
+# K components on two-cluster data; lam_ref 0.05 puts Dirichlet shapes below
+# 0.1, and n = 0 with lam_ref 0.05 takes numpy's stick-breaking Dirichlet path
+@pytest.mark.parametrize("K, n, lam_ref, want", [
+    (3, 8, 0.05, "a5a5cdcb7de334b6"),
+    (3, 8, 0.5, "524e26d52a094258"),
+    (3, 1600, 0.05, "6a4b15d5313c6957"),
+    (3, 1600, 0.5, "2eff3e1453d772fa"),
+    (9, 8, 0.05, "78710f928354ae61"),
+    (9, 8, 0.5, "3dfa50a125af339b"),
+    (9, 1600, 0.05, "76959d6c6a69f76b"),
+    (9, 1600, 0.5, "b2e75b9ae1f65e34"),
+    (3, 0, 0.05, "43eb927f9a6f8e59"),
+])
+def test_gibbs_mixture_weights_draws_are_pinned_for_k_and_lam(K, n, lam_ref, want):
+    fam = OverfittedMixture(K=2, comp_var=1.0, loc_mean=0.0, loc_var=4.0)
+    t0 = MixtureParams(weights=[0.5, 0.5], means=[-1.0, 1.5], variances=[1.0, 1.0])
+    data = simulate(fam, t0, n, (7, "pinK", n))
+    chain = gibbs_mixture_weights(data, lam_ref, K, fam,
+                                  GibbsConfig(iters=300, burnin=50, seed=11))
+    assert chain.draws.shape == (250, 2 * K)
+    assert _digest(chain.draws) == want
+
+
 def test_gibbs_gauss_mixture_draws_are_pinned():
     t0 = MixtureParams(weights=[0.3, 0.3, 0.4], means=[-3.0, 0.0, 3.0],
                        variances=[1.0, 1.0, 1.0])
@@ -317,6 +378,16 @@ def test_gibbs_gauss_mixture_draws_are_pinned():
                                 cfg=GibbsConfig(iters=400, burnin=100, seed=5))
     assert chain.draws.shape == (300, 9)
     assert _digest(chain.draws) == "d2017d939fa2aff9"
+
+
+def test_gibbs_gauss_mixture_draws_are_pinned_at_k9():
+    t0 = MixtureParams(weights=[1 / 9] * 9, means=list(np.linspace(-8.0, 8.0, 9)),
+                       variances=[1.0] * 9)
+    data = simulate(OverfittedMixture(K=9), t0, 200, (7, "pin9"))
+    chain = gibbs_gauss_mixture(data, K=9, xi=0.0, tau=0.5, psi=2.0, omega=2.0,
+                                cfg=GibbsConfig(iters=300, burnin=50, seed=13))
+    assert chain.draws.shape == (250, 27)
+    assert _digest(chain.draws) == "2d6efcfb022380e1"
 
 
 # (last retained row, column means) per sigma2 setting
