@@ -427,8 +427,9 @@ EXPERIMENTS = {
 def _check_type(key, value, default):
     """Reject ``value`` unless it has the JSON type of ``default``.
 
-    An int stays an int (not a bool), a float also takes an int, and a list
-    stays a nonempty list whose elements match the default's first element.
+    An int stays an int (not a bool), a float also takes an int but not NaN or
+    an infinity (which Python's json reads), and a list stays a nonempty list
+    whose elements match the default's first element.
     """
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
@@ -439,6 +440,8 @@ def _check_type(key, value, default):
     want = (int, float) if isinstance(default, float) else type(default)
     if isinstance(value, bool) or not isinstance(value, want):
         raise ValueError(f"{key} must be {type(default).__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
 
 
 # integer keys that may be 0; every other integer key is a count or a size
@@ -476,7 +479,7 @@ def validate_config(doc) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     name = doc.get("experiment")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ValueError(f"unknown or missing experiment {name!r}; "
                          f"choose from {sorted(EXPERIMENTS)}")
     _, defaults = EXPERIMENTS[name]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, ReliabilityError
 from .models import Dataset
-from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate
+from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate, norm_cdf
 from .posteriors import PointMassPosterior
 
 
@@ -60,12 +60,10 @@ def l1_distance(p, q, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
 
 def l1_gaussian_equal_var(mean1: float, mean2: float, var: float) -> float:
     """Closed-form L1 between two Gaussians sharing a variance."""
-    from scipy.stats import norm
-
     if var <= 0:
         raise DomainError("var must be positive")
     z = abs(mean1 - mean2) / (2.0 * math.sqrt(var))
-    return 2.0 * (2.0 * norm.cdf(z) - 1.0)
+    return 2.0 * (2.0 * norm_cdf(z) - 1.0)
 
 
 def l1_distance_mc(p, q, draws: int = 20000, seed: int = 0) -> float:

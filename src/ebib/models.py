@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import norm
 
 from . import rng as rngmod
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     InsufficientDataError,
     NonDifferentiableError,
 )
-from .numerics import log_gamma, low_rank_gaussian_logpdf
+from .numerics import log_gamma, low_rank_gaussian_logpdf, norm_logcdf, norm_logpdf
 from .posteriors import (
     GaussianPosterior,
     GridPosterior,
@@ -315,7 +314,7 @@ class NormalMean(ModelFamily):
 
     def log_prior(self, theta, lam):
         lam = self.validate_hyperparam(lam)
-        return float(norm.logpdf(float(theta), 0.0, math.sqrt(lam)))
+        return float(norm_logpdf(float(theta), 0.0, math.sqrt(lam)))
 
     def prior_gradient(self, theta, lam):
         lam = self.validate_hyperparam(lam)
@@ -398,7 +397,7 @@ class IndepNormalRegression(ModelFamily):
     def log_prior(self, theta, lam):
         tau2 = self.validate_hyperparam(lam)
         beta = self._beta(theta)
-        return float(np.sum(norm.logpdf(beta, 0.0, np.sqrt(tau2))))
+        return float(np.sum(norm_logpdf(beta, 0.0, np.sqrt(tau2))))
 
     def prior_gradient(self, theta, lam):
         tau2 = self.validate_hyperparam(lam)
@@ -939,8 +938,8 @@ class BayesLasso(ModelFamily):
         """
         kappa = lam / colnorm
         u = colnorm * bhat / sigma
-        t1 = 0.5 * kappa**2 - kappa * u + norm.logcdf(u - kappa)
-        t2 = 0.5 * kappa**2 + kappa * u + norm.logcdf(-u - kappa)
+        t1 = 0.5 * kappa**2 - kappa * u + norm_logcdf(u - kappa)
+        t2 = 0.5 * kappa**2 + kappa * u + norm_logcdf(-u - kappa)
         hi = max(t1, t2)
         return hi + math.log(math.exp(t1 - hi) + math.exp(t2 - hi))
 
@@ -990,7 +989,7 @@ class GaussMixtureKnownK(ModelFamily):
         t = self._params(theta)
         val = log_gamma(self.K)  # Dirichlet(1,...,1) density on the simplex
         for j in range(self.K):
-            val += float(norm.logpdf(t.means[j], xi, math.sqrt(t.variances[j] / tau)))
+            val += float(norm_logpdf(t.means[j], xi, math.sqrt(t.variances[j] / tau)))
             val += _log_inv_gamma(t.variances[j], self.omega / 2.0, psi / 2.0)
         return float(val)
 
@@ -1122,7 +1121,7 @@ class OverfittedMixture(ModelFamily):
         t = self._params(theta)
         val = _log_dirichlet(t.weights, np.full(self.K, lam))
         val += float(
-            np.sum(norm.logpdf(t.means, self.loc_mean, math.sqrt(self.loc_var)))
+            np.sum(norm_logpdf(t.means, self.loc_mean, math.sqrt(self.loc_var)))
         )
         return val
 

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: quadrature, special functions, small dense
-Gaussian linear algebra and finite differences.
+"""Shared numerical kernels: quadrature, special functions, the Normal
+distribution, small dense Gaussian linear algebra and finite differences.
 
 All routines are pure functions; nothing here holds mutable state.
 """
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import AccuracyError, DomainError
 
@@ -49,6 +50,66 @@ def log_gamma(x: float) -> float:
     if not x > 0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
+
+
+# Normal distribution N(loc, scale^2).  Each kernel repeats the arithmetic of
+# scipy's `norm` distribution step for step, so the results are bit-identical,
+# without its generic per-call argument handling, which costs several times the
+# arithmetic on a scalar, and without importing the scipy module that holds
+# `norm`, which would dominate the start-up time and memory of `import ebib`.
+_NORM_C = np.sqrt(2 * np.pi)
+_NORM_LOGC = np.log(_NORM_C)
+
+
+def _operands(x, loc, scale):
+    """x, loc and scale as float arrays of at least one dimension, with nan
+    for every scale <= 0 (scipy's value there), and whether all three were
+    scalars.
+
+    scipy's argsreduce hands its kernels 1-d arrays.  On numpy scalars the
+    same arithmetic is not the same: -z**2 then goes through the C pow(), and
+    the last bit of the density can differ.
+    """
+    x = np.asarray(x, dtype=float)
+    loc = np.asarray(loc, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    if x.ndim or loc.ndim or scale.ndim:
+        return *np.atleast_1d(x, loc, np.where(scale > 0, scale, np.nan)), False
+    scale = scale.reshape(1) if scale > 0 else np.full(1, np.nan)
+    return x.reshape(1), loc.reshape(1), scale, True
+
+
+def norm_pdf(x, loc=0.0, scale=1.0):
+    x, loc, scale, scalar = _operands(x, loc, scale)
+    z = (x - loc) / scale
+    out = np.exp(-z**2 / 2.0) / _NORM_C / scale
+    return out[0] if scalar else out
+
+
+def norm_logpdf(x, loc=0.0, scale=1.0):
+    x, loc, scale, scalar = _operands(x, loc, scale)
+    z = (x - loc) / scale
+    out = -z**2 / 2.0 - _NORM_LOGC - np.log(scale)
+    return out[0] if scalar else out
+
+
+def norm_cdf(x, loc=0.0, scale=1.0):
+    x, loc, scale, scalar = _operands(x, loc, scale)
+    out = ndtr((x - loc) / scale)
+    return out[0] if scalar else out
+
+
+def norm_logcdf(x, loc=0.0, scale=1.0):
+    x, loc, scale, scalar = _operands(x, loc, scale)
+    out = log_ndtr((x - loc) / scale)
+    return out[0] if scalar else out
+
+
+def norm_ppf(q, loc=0.0, scale=1.0):
+    """Quantile; -inf at q = 0, inf at q = 1 and nan outside [0, 1]."""
+    q, loc, scale, scalar = _operands(q, loc, scale)
+    out = ndtri(q) * scale + loc
+    return out[0] if scalar else out
 
 
 def _simpson(f, a, fa, b, fb):

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DomainError
+from .numerics import norm_cdf, norm_logpdf, norm_pdf, norm_ppf
 
 
 class GaussianPosterior:
@@ -27,22 +27,19 @@ class GaussianPosterior:
             raise DomainError("variance must be nonnegative")
         self.mean = float(mean)
         self.var = float(var)
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.var)
+        self.sd = math.sqrt(self.var)
 
     def pdf(self, x):
-        return norm.pdf(x, self.mean, self.sd)
+        return norm_pdf(x, self.mean, self.sd)
 
     def logpdf(self, x):
-        return norm.logpdf(x, self.mean, self.sd)
+        return norm_logpdf(x, self.mean, self.sd)
 
     def cdf(self, x):
-        return norm.cdf(x, self.mean, self.sd)
+        return norm_cdf(x, self.mean, self.sd)
 
     def ppf(self, q):
-        return norm.ppf(q, self.mean, self.sd)
+        return norm_ppf(q, self.mean, self.sd)
 
     def sample(self, rng, size):
         return rng.normal(self.mean, self.sd, size=size)

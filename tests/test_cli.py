@@ -71,6 +71,29 @@ def test_badly_typed_config_exit_2(tmp_path, capsys, verb, doc):
     assert not (tmp_path / "out").exists()
 
 
+# a non-string experiment used to end in TypeError: unhashable type (exit 1);
+# NaN and infinities, which Python's json reads, in AttributeError (exit 1)
+NON_FINITE_OR_BAD_NAME = [
+    {"experiment": ["a"]},
+    {"experiment": "fig1-densities", "theta0": math.nan},
+    {"experiment": "fig1-densities", "sigma2": math.inf},
+    {"experiment": "fig1-densities", "lambdas": [1.0, -math.inf]},
+    {"experiment": "markov-sparsity",
+     "transition": [[0.7, 0.3, 0.0], [0.0, 0.4, 0.6], [0.5, 0.25, math.nan]]},
+]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("doc", NON_FINITE_OR_BAD_NAME,
+                         ids=["experiment_list", "theta0_nan", "sigma2_inf",
+                              "lambdas_inf", "transition_nan"])
+def test_non_finite_or_unnamed_config_exit_2(tmp_path, capsys, verb, doc):
+    path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
+    assert main([verb, path]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # well-typed values out of range: each used to end in a traceback (exit 1)
 # or, for the burn-in, in a runtime failure (exit 3)
 BAD_VALUES = [
@@ -228,6 +251,23 @@ def test_shipped_configs_cover_all_experiments_and_validate():
         cfg = validate_config(json.loads(path.read_text()))
         names.add(cfg["experiment"])
     assert names == set(EXPERIMENTS)
+
+
+def test_cli_import_and_validation_leave_scipy_stats_unloaded():
+    # importing scipy.stats costs about half a second and 20 MB; only the M3
+    # Student-t marginal needs it, and loads it lazily
+    import pathlib
+
+    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    code = (
+        "import json, pathlib, sys\n"
+        "import ebib.cli\n"
+        f"for path in sorted(pathlib.Path({str(cfg_dir)!r}).glob('*.json')):\n"
+        "    ebib.cli.validate_config(json.loads(path.read_text()))\n"
+        "sys.exit('scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
 
 
 # results.csv of every replicate experiment at small sizes, pinned by sha256

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from ebib.errors import AccuracyError, DomainError
 from ebib.numerics import (
@@ -13,7 +15,13 @@ from ebib.numerics import (
     integrate,
     log_gamma,
     low_rank_gaussian_logpdf,
+    norm_cdf,
+    norm_logcdf,
+    norm_logpdf,
+    norm_pdf,
+    norm_ppf,
 )
+from ebib.posteriors import GaussianPosterior
 
 
 def test_log_gamma_against_high_precision_oracle():
@@ -143,3 +151,101 @@ def test_finite_diff_gradient_quadratic():
 
     x = np.array([0.7, -1.2])
     assert np.allclose(finite_diff_gradient(f, x), A @ x, atol=1e-7)
+
+
+# The Normal kernels must equal scipy.stats.norm bit for bit: every printed
+# number that goes through them stays byte-identical.
+KERNELS = {"pdf": norm_pdf, "logpdf": norm_logpdf, "cdf": norm_cdf,
+           "logcdf": norm_logcdf, "ppf": norm_ppf}
+
+
+def _norm_draws(n, seed=20261018):
+    """x with |z| up to 40 (the density underflows), q including tail
+    probabilities down to 0, loc, and scale from 1e-4 to 1e3."""
+    g = np.random.default_rng(seed)
+    scale = 10.0 ** g.uniform(-4.0, 3.0, n)
+    loc = g.normal(0.0, 10.0, n)
+    x = loc + g.uniform(-40.0, 40.0, n) * scale
+    q = np.concatenate([g.uniform(size=n // 2), ndtr(g.uniform(-40.0, 40.0, n - n // 2))])
+    return {"x": x, "q": q, "loc": loc, "scale": scale}
+
+
+def _first(name):
+    return "q" if name == "ppf" else "x"
+
+
+def _identical(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_norm_kernels_match_scipy_on_arrays(name):
+    d = _norm_draws(20000)
+    x, loc, scale = d[_first(name)], d["loc"], d["scale"]
+    ours, ref = KERNELS[name], getattr(norm, name)
+    _identical(ours(x, loc, scale), ref(x, loc, scale))
+    # 2-d, and an array scale broadcast against x as the M2 prior does
+    x2, loc2, scale2 = x.reshape(100, 200), loc[:200], scale[:200]
+    _identical(ours(x2, loc2, scale2), ref(x2, loc2, scale2))
+    _identical(ours(x2, 0.0, scale2), ref(x2, 0.0, scale2))
+    _identical(ours(x2[:, :1], loc2, 2.5), ref(x2[:, :1], loc2, 2.5))
+    # strided and Fortran-ordered views
+    _identical(ours(x[::3], loc[::3], scale[::3]), ref(x[::3], loc[::3], scale[::3]))
+    _identical(ours(x2.T, loc2[:, None], scale2[:, None]),
+               ref(x2.T, loc2[:, None], scale2[:, None]))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_norm_kernels_match_scipy_on_scalars(name):
+    # Python floats and 0-d arrays, in alternation; arithmetic on 0-d arrays
+    # instead of 1-d ones would round some densities differently
+    d = _norm_draws(10000, seed=7)
+    ours, ref = KERNELS[name], getattr(norm, name)
+    for i, (x, loc, scale) in enumerate(zip(d[_first(name)], d["loc"], d["scale"])):
+        args = (float(x), float(loc), float(scale))
+        if i % 2:
+            args = tuple(np.asarray(a) for a in args)
+        want = ref(*args)
+        _identical(ours(*args), want)
+        # one point as an array, with a scalar loc and scale
+        assert np.array_equal(ours([args[0]], *args[1:]), [want], equal_nan=True)
+    _identical(ours(0.3), ref(0.3))
+
+
+def test_norm_kernels_edge_values():
+    inf, nan = math.inf, math.nan
+    with np.errstate(all="ignore"):  # scipy warns on a zero scale
+        for name, f in KERNELS.items():
+            ref = getattr(norm, name)
+            for scale in (0.0, -1.0, -inf, nan):
+                for x in (0.0, 0.5, 2.0, -inf, inf):
+                    assert math.isnan(f(x, 0.5, scale))
+                    _identical(f(x, 0.5, scale), ref(x, 0.5, scale))
+            assert math.isnan(f(nan, 0.5, 2.0))
+            assert math.isnan(f(0.5, nan, 2.0))
+            _identical(f([nan, 0.1, inf], 0.5, [2.0, -1.0, 3.0]),
+                       ref([nan, 0.1, inf], 0.5, [2.0, -1.0, 3.0]))
+    for x in (-inf, inf):
+        assert norm_pdf(x, 1.0, 2.0) == 0.0
+        assert norm_logpdf(x, 1.0, 2.0) == -inf
+    assert norm_cdf(-inf) == 0.0 and norm_cdf(inf) == 1.0
+    assert norm_logcdf(-inf) == -inf and norm_logcdf(inf) == 0.0
+    assert norm_ppf(0.0, 1.0, 2.0) == -inf and norm_ppf(1.0, 1.0, 2.0) == inf
+    for q in (-0.1, 1.1, nan):
+        assert math.isnan(norm_ppf(q, 1.0, 2.0))
+    q = [0.0, 1.0, -0.1, 1.1, 0.3]
+    _identical(norm_ppf(q, 1.0, 2.0), norm.ppf(q, 1.0, 2.0))
+    _identical(norm_pdf(np.empty(0)), norm.pdf(np.empty(0)))
+
+
+def test_degenerate_gaussian_posterior_is_nan_like_scipy():
+    p = GaussianPosterior(1.5, 0.0)
+    with np.errstate(all="ignore"):
+        for x in (1.5, 0.0, [1.0, 1.5, 2.0]):
+            _identical(p.pdf(x), norm.pdf(x, 1.5, 0.0))
+            _identical(p.logpdf(x), norm.logpdf(x, 1.5, 0.0))
+            _identical(p.cdf(x), norm.cdf(x, 1.5, 0.0))
+        _identical(p.ppf(0.3), norm.ppf(0.3, 1.5, 0.0))
+    assert math.isnan(p.pdf(1.5)) and math.isnan(p.ppf(0.3))
