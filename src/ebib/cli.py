@@ -458,6 +458,13 @@ def _check_values(cfg, defaults):
         values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
         if min(values) < low:
             raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
+    for key in ("lam_lo", "lam_hi", "lam_ref"):
+        # the grids built from these are geometric
+        if key in cfg and not cfg[key] > 0:
+            raise ValueError(f"{key} must be > 0, got {cfg[key]!r}")
+    # the 3-standard-error check needs a standard error
+    if "mc_reps" in cfg and cfg["mc_reps"] < 2:
+        raise ValueError(f"mc_reps must be >= 2, got {cfg['mc_reps']!r}")
     if "lam_pair" in cfg and len(cfg["lam_pair"]) != 2:
         raise ValueError("lam_pair must hold exactly two values")
     if "coords" in cfg and max(cfg["coords"]) >= len(cfg["beta0"]):

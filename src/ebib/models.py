@@ -51,7 +51,10 @@ _SIMPLEX_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Observed data: response y, optional design X, optional transition counts."""
+    """Observed data: response y, optional design X, optional transition counts.
+
+    A 2-d y holds one dataset per row, for families with ``rowwise_eval``.
+    """
 
     y: np.ndarray | None = None
     X: np.ndarray | None = None
@@ -78,7 +81,7 @@ class Dataset:
         if self.counts is not None:
             return int(self.counts.sum())
         if self.y is not None:
-            return int(self.y.shape[0])
+            return int(self.y.shape[-1])
         return 0
 
 
@@ -234,6 +237,8 @@ class ModelFamily:
     closed_posterior = False
     closed_oracle = False
     closed_fisher = False
+    # log_likelihood and log_marginal take one dataset per row of a 2-d y
+    rowwise_eval = False
 
     def validate_hyperparam(self, lam, allow_boundary=False):
         raise NotImplementedError
@@ -292,6 +297,7 @@ class NormalMean(ModelFamily):
     closed_posterior = True
     closed_oracle = True
     closed_fisher = True
+    rowwise_eval = True
 
     def __init__(self, sigma2: float = 1.0):
         if not sigma2 > 0:
@@ -305,12 +311,12 @@ class NormalMean(ModelFamily):
         return lam
 
     def log_likelihood(self, theta, data):
-        r = data.y - float(theta)
-        n = r.size
-        return float(
-            -0.5 * n * math.log(2.0 * math.pi * self.sigma2)
-            - 0.5 * np.sum(r**2) / self.sigma2
-        )
+        # one value per row of a 2-d y, each equal to the 1-d call on it
+        r = np.subtract(data.y, float(theta), order="C")
+        n = r.shape[-1]
+        out = (-0.5 * n * math.log(2.0 * math.pi * self.sigma2)
+               - 0.5 * np.sum(r**2, axis=-1) / self.sigma2)
+        return float(out) if r.ndim == 1 else out
 
     def log_prior(self, theta, lam):
         lam = self.validate_hyperparam(lam)

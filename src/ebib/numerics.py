@@ -159,23 +159,28 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD) -> flo
     return val
 
 
-def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float) -> float:
+def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):
     """Log-density of N(mean, sigma2*I + lam*11^t) at y.
 
     Uses the rank-one determinant lemma and Sherman-Morrison, so the cost is
-    O(n) instead of O(n^3).
+    O(n) instead of O(n^3).  The last axis of ``y`` is the n observations:
+    a 1-d ``y`` gives a float, an (rows, n) ``y`` one value per row, each
+    equal to the 1-d call on that row bit for bit.
     """
     if not sigma2 > 0:
         raise DomainError("sigma2 must be positive")
     if lam < 0:
         raise DomainError("lam must be nonnegative")
-    y = np.asarray(y, dtype=float)
-    r = y - np.asarray(mean, dtype=float)
-    n = r.size
-    s = float(np.sum(r))
-    quad = (float(r @ r) - lam * s * s / (sigma2 + n * lam)) / sigma2
+    # C order keeps each row's sum and dot product in the 1-d reduction order
+    r = np.subtract(np.asarray(y, dtype=float), np.asarray(mean, dtype=float),
+                    order="C")
+    n = r.shape[-1]
+    s = np.sum(r, axis=-1)
+    rr = (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+    quad = (rr - lam * s * s / (sigma2 + n * lam)) / sigma2
     logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
-    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+    out = -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+    return float(out) if r.ndim == 1 else out
 
 
 def gaussian_logpdf(y, mean, cov) -> float:

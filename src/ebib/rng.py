@@ -6,6 +6,11 @@ index) or short role strings (e.g. "gibbs-beta"); strings are mapped to
 stable 32-bit integers with CRC-32.  The resulting tuple feeds a
 ``numpy.random.SeedSequence``, so independent keys give statistically
 independent, reproducible streams.
+
+``streams(keys)`` builds many such generators at once.  It runs the
+SeedSequence hash (O'Neill's ``seed_seq_fe`` mixer, plain uint32 arithmetic)
+on arrays with one lane per key tuple, and gives for each tuple ``k`` the
+generator ``stream(*k)`` gives, draw for draw.
 """
 
 from __future__ import annotations
@@ -13,6 +18,15 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+# numpy.random.SeedSequence's pool size and hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
 
 
 def _key_to_int(key) -> int:
@@ -25,7 +39,100 @@ def _key_to_int(key) -> int:
     raise TypeError(f"unsupported stream key type: {type(key)!r}")
 
 
+def flatten(key) -> list:
+    """The keys of a (nested) key tuple in order; a scalar is one key."""
+    if isinstance(key, tuple):
+        return [k for part in key for k in flatten(part)]
+    return [key]
+
+
 def stream(base_seed: int, *keys) -> np.random.Generator:
     """Generator for the sub-stream identified by (base_seed, *keys)."""
     entropy = [_key_to_int(base_seed)] + [_key_to_int(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _words(keys) -> list:
+    """SeedSequence's uint32 entropy words: 0 is one word, larger integers
+    their little-endian 32-bit words."""
+    out = []
+    for v in map(_key_to_int, keys):
+        if v <= _MASK32:
+            out.append(v)
+            continue
+        while v:
+            out.append(v & _MASK32)
+            v >>= 32
+    return out
+
+
+def _hash_constants(init, mult, steps):
+    """The xor constant and the multiplier of ``steps`` successive hash
+    steps, as (steps, 1) columns that broadcast over the lanes."""
+    c = [init]
+    for _ in range(steps):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(w).generate_state(4, uint64)`` for each row w of a
+    (rows, L) uint32 array, every row with the same word count L.
+
+    The pool is (pool word, lane).  SeedSequence's own loops update one pool
+    word per hash step; the steps that read the same source word are
+    independent, so each group of them is one array operation here.
+    """
+    rows, size = words.shape
+    extra = max(size - _POOL_SIZE, 0)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    pool = np.zeros((_POOL_SIZE, rows), np.uint32)
+    pool[:size] = words.T[:_POOL_SIZE]
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[src], xor[k:k + len(dst)], mult[k:k + len(dst)])
+        pool[dst] = _mix(pool[dst], hashed)
+        k += len(dst)
+    for word in words.T[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, xor[k:k + _POOL_SIZE], mult[k:k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    # generate_state(4, uint64): eight uint32 words cycling over the pool,
+    # read as little-endian pairs
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = _hashmix(np.concatenate([pool, pool]), xor, mult)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _Expanded(ISeedSequence):
+    """Seed material already expanded into PCG64's four uint64 state words."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def streams(keys) -> list:
+    """``[stream(*k) for k in keys]``, hashed for all key tuples at once."""
+    words = [_words(k) for k in keys]
+    gens = [None] * len(words)
+    for size in set(map(len, words)):
+        rows = [i for i, w in enumerate(words) if len(w) == size]
+        block = np.array([words[i] for i in rows], np.uint32)
+        for i, state in zip(rows, _pcg64_states(block)):
+            gens[i] = np.random.Generator(np.random.PCG64(_Expanded(state)))
+    return gens

@@ -75,15 +75,9 @@ def _chain(draws, names, seed) -> ChainOutput:
 # data simulation
 
 
-def _flatten(key):
-    if isinstance(key, tuple):
-        return [k for part in key for k in _flatten(part)]
-    return [key]
-
-
 def _stream(seed, *roles):
     # seeds may be scalars or (nested) key tuples from a parent stream hierarchy
-    return rngmod.stream(*_flatten(seed), *roles)
+    return rngmod.stream(*rngmod.flatten(seed), *roles)
 
 
 def uniform_design(n: int, d: int, seed, low: float = -10.0, high: float = 10.0):

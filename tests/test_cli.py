@@ -110,6 +110,14 @@ BAD_VALUES = [
      "transition": [[1.2, -0.2, 0.0], [0.0, 0.4, 0.6], [0.5, 0.25, 0.25]]},
     # log log n is undefined at n = 1 and negative at n = 2 (exit 1 at n = 1)
     {"experiment": "mixture-rate", "n_grid": [1], "seeds": 1, "draws": 100},
+    # geometric grids cannot include 0 (exit 1) or negative bounds (exit 3)
+    {"experiment": "kl-oracle", "lam_lo": 0.0},
+    {"experiment": "kl-oracle", "lam_lo": -1.0},
+    {"experiment": "kl-oracle", "lam_hi": 0.0},
+    {"experiment": "fig2-lasso-marginals", "lam_lo": 0.0},
+    {"experiment": "mixture-rate", "lam_ref": 0.0},
+    # one replicate has no standard error: NaN and a silent failed check
+    {"experiment": "kl-oracle", "mc_reps": 1, "mc_configs": 2},
 ]
 
 
@@ -117,7 +125,10 @@ BAD_VALUES = [
 @pytest.mark.parametrize("doc", BAD_VALUES, ids=["seed_base", "lam_pair", "n",
                                                   "gibbs_burnin", "coords", "transition",
                                                   "transition_sum", "transition_negative",
-                                                  "mixture_n"])
+                                                  "mixture_n", "kl_lam_lo_zero",
+                                                  "kl_lam_lo_negative", "kl_lam_hi_zero",
+                                                  "fig2_lam_lo_zero", "mixture_lam_ref_zero",
+                                                  "mc_reps_one"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, verb, doc):
     path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
     assert main([verb, path]) == 2

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ebib import kl as klmod
+from ebib import rng as rngmod
 from ebib.errors import CapabilityError, DomainError
 from ebib.kl import KlProfile, kl_exact_gaussian, kl_minimizer, kl_monte_carlo
 from ebib.models import IndepNormalRegression, NormalMean, RegressionParams
@@ -112,3 +114,53 @@ def test_kl_input_validation():
 
     with pytest.raises(CapabilityError):
         kl_exact_gaussian(MarkovDirichlet(K=2), None, np.ones((2, 2)), 10)
+
+
+# (sigma2, theta0, lam, n, reps, seed, estimate, std error) as float.hex,
+# recorded from the one-replicate-at-a-time implementation
+KL_MC_PINS = [
+    (1.0, 2.0, 4.0, 50, 10, 17, '0x1.6a0e5b39529c6p+1', '0x1.8e23f2c2059d1p-4'),
+    (1.0, 1.3, 0.7, 137, 150, (0, 'kl-mc', 5), '0x1.8838e5fa00358p+1', '0x1.ed70ba35119b9p-5'),
+    (2.5, -0.4, 9.0, 20, 40, ((1, ('a', 2)), 'b', 3), '0x1.a62315f1af9d6p+0', '0x1.7e1afe5772a90p-4'),
+    (1.0, 2.0, 4.0, 0, 5, 3, '0x0.0p+0', '0x0.0p+0'),
+    (1.0, 2.0, 4.0, 25, 1, 4, '0x1.bd1c99a2c1800p-2', 'nan'),
+    (0.5, 0.8, 2.0, 37, 23, (2, 'kl-mc', 99), '0x1.2034f19ae3d35p+1', '0x1.e18823f1e97bdp-4'),
+    (1.0, 1.0, 1.0, 3, 7, 1099511627781, '0x1.86b9f6904c47ep-1', '0x1.aceb289ba5a73p-3'),
+    (1.0, 3.0, 16.0, 1, 6, (4294967295, 'x', 4294967296), '0x1.0ff467dfc475ap+0', '0x1.3eb6598e6ea64p-2'),
+]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7, 64, 100])
+def test_kl_monte_carlo_pins(monkeypatch, budget):
+    # nested seeds, n = 0, reps = 1 (NaN error), multi-word seeds; the small
+    # budgets split each estimate into many blocks, down to one row a block
+    if budget is not None:
+        monkeypatch.setattr(klmod, "_BLOCK_ELEMENTS", budget)
+    for sigma2, t0, lam, n, reps, seed, est, se in KL_MC_PINS:
+        got = kl_monte_carlo(NormalMean(sigma2=sigma2), t0, lam, n, reps, seed)
+        assert (got[0].hex(), got[1].hex()) == (est, se), seed
+
+
+def test_kl_monte_carlo_blocks_stay_under_budget(monkeypatch):
+    sizes = []
+    streams = rngmod.streams
+
+    def recording(keys):
+        keys = list(keys)
+        sizes.append(len(keys))
+        return streams(keys)
+
+    monkeypatch.setattr(rngmod, "streams", recording)
+    monkeypatch.setattr(klmod, "_BLOCK_ELEMENTS", 100)
+    kl_monte_carlo(NormalMean(), 2.0, 4.0, 30, 23, 5)
+    assert sizes == [3] * 7 + [2]
+    sizes.clear()
+    kl_monte_carlo(NormalMean(), 2.0, 4.0, 250, 3, 5)
+    assert sizes == [1, 1, 1]
+
+
+def test_kl_monte_carlo_needs_rowwise_family():
+    fam = IndepNormalRegression(sigma2=1.0)
+    theta0 = RegressionParams(beta=np.array([0.8, -0.4]), sigma2=1.0)
+    with pytest.raises(CapabilityError):
+        kl_monte_carlo(fam, theta0, np.array([1.0, 0.5]), 40, reps=3, seed=0)

@@ -419,3 +419,29 @@ def test_capability_flags_are_consistent():
                 log_marginal(fam, lam, data)
     assert BayesLasso(sigma2=1.0).closed_marginal
     assert not BayesLasso(sigma2=None).closed_marginal
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 300])
+def test_normal_mean_log_likelihood_rowwise_equals_rows(n):
+    fam = NormalMean(sigma2=1.7)
+    g = np.random.default_rng(n)
+    wide = g.normal(1.5, 2.0, size=(5, 2 * n))
+    for y in (wide[:, :n], wide[:, ::2], np.asfortranarray(wide[:, :n])):
+        assert Dataset(y=y).n == n
+        got = fam.log_likelihood(1.2, Dataset(y=y))
+        assert got.shape == (5,)
+        for row, val in zip(y, got):
+            one = fam.log_likelihood(1.2, Dataset(y=row))
+            r = row - 1.2
+            # the scalar-reduction form of the 1-d call
+            want = float(-0.5 * n * math.log(2.0 * math.pi * 1.7)
+                         - 0.5 * np.sum(r**2) / 1.7)
+            assert type(one) is float
+            assert one == val == want
+
+
+def test_only_normal_mean_evaluates_rowwise():
+    fams = [NormalMean(), IndepNormalRegression(), GPriorRegression(V=np.eye(3)),
+            MarkovDirichlet(K=2), BayesLasso(sigma2=1.0), GaussMixtureKnownK(K=2),
+            OverfittedMixture(K=2)]
+    assert [f.id for f in fams if f.rowwise_eval] == ["M1"]

@@ -249,3 +249,26 @@ def test_degenerate_gaussian_posterior_is_nan_like_scipy():
             _identical(p.cdf(x), norm.cdf(x, 1.5, 0.0))
         _identical(p.ppf(0.3), norm.ppf(0.3, 1.5, 0.0))
     assert math.isnan(p.pdf(1.5)) and math.isnan(p.ppf(0.3))
+
+
+def _low_rank_1d_reference(y, mean, sigma2, lam):
+    # the scalar-reduction form every 1-d call must keep bit for bit
+    r = np.asarray(y, dtype=float) - np.asarray(mean, dtype=float)
+    n = r.size
+    s = float(np.sum(r))
+    quad = (float(r @ r) - lam * s * s / (sigma2 + n * lam)) / sigma2
+    logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
+    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 300])
+def test_low_rank_gaussian_rowwise_equals_rows(n):
+    g = np.random.default_rng(n)
+    wide = g.normal(1.5, 2.0, size=(5, 2 * n))
+    for y in (wide[:, :n], wide[:, ::2], np.asfortranarray(wide[:, :n])):
+        got = low_rank_gaussian_logpdf(y, 0.3, 1.7, 2.5)
+        assert got.shape == (5,)
+        for row, val in zip(y, got):
+            one = low_rank_gaussian_logpdf(row, 0.3, 1.7, 2.5)
+            assert type(one) is float
+            assert one == val == _low_rank_1d_reference(row, 0.3, 1.7, 2.5)
