@@ -446,6 +446,14 @@ def _check_type(key, value, default):
 
 # integer keys that may be 0; every other integer key is a count or a size
 _NONNEGATIVE_INTS = ("seed_base", "coords", "gibbs_burnin")
+# variances and hyperparameters at which no density exists at 0; the geometric
+# grids cannot reach 0 either
+_POSITIVE_FLOATS = ("sigma2", "comp_var", "loc_var", "init_lam", "lambdas",
+                    "lam_pair", "lam_lo", "lam_hi", "lam_ref")
+
+
+def _values(value):
+    return value if isinstance(value, list) else [value]
 
 
 def _check_values(cfg, defaults):
@@ -455,13 +463,16 @@ def _check_values(cfg, defaults):
         if type(kind) is not int:
             continue
         low = 0 if key in _NONNEGATIVE_INTS else 1
-        values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
-        if min(values) < low:
+        if min(_values(cfg[key])) < low:
             raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
-    for key in ("lam_lo", "lam_hi", "lam_ref"):
-        # the grids built from these are geometric
-        if key in cfg and not cfg[key] > 0:
+    for key in _POSITIVE_FLOATS:
+        if key in cfg and not min(_values(cfg[key])) > 0:
             raise ValueError(f"{key} must be > 0, got {cfg[key]!r}")
+    # 0 is the point-mass prior, which the credible discrepancy allows
+    if "lam_far" in cfg and cfg["lam_far"] < 0:
+        raise ValueError(f"lam_far must be >= 0, got {cfg['lam_far']!r}")
+    if "alpha" in cfg and not 0 < cfg["alpha"] < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {cfg['alpha']!r}")
     # the 3-standard-error check needs a standard error
     if "mc_reps" in cfg and cfg["mc_reps"] < 2:
         raise ValueError(f"mc_reps must be >= 2, got {cfg['mc_reps']!r}")
@@ -473,9 +484,20 @@ def _check_values(cfg, defaults):
         if [len(r) for r in cfg["transition"]] != [3, 3, 3]:
             raise ValueError("transition must be a 3x3 matrix")
         MarkovDirichlet._rows(cfg["transition"])
-    # the rate statistic divides by log log n, which is positive only from n = 3
-    if cfg["experiment"] == "mixture-rate" and min(cfg["n_grid"]) < 3:
-        raise ValueError("mixture-rate needs every n_grid entry >= 3")
+    if cfg["experiment"] == "mixture-rate":
+        # the rate statistic divides by log log n, which is positive only from n = 3
+        if min(cfg["n_grid"]) < 3:
+            raise ValueError("mixture-rate needs every n_grid entry >= 3")
+        if cfg["K"] < 2:
+            raise ValueError("mixture-rate needs K >= 2 components")
+    # the LASSO sampler needs more rows than coefficients, an orthogonal design
+    # at least as many
+    d = len(cfg.get("beta0", ()))
+    if cfg["experiment"] == "table1-lasso" and min(cfg["n_grid"]) <= d:
+        raise ValueError(f"table1-lasso needs every n_grid entry > {d} (len(beta0))")
+    if cfg["experiment"] == "fig2-lasso-marginals" and min(cfg["n_grid"]) < d:
+        raise ValueError(f"fig2-lasso-marginals needs every n_grid entry >= {d} "
+                         "(len(beta0))")
     if "gibbs_iters" in cfg and not cfg["gibbs_burnin"] < cfg["gibbs_iters"]:
         raise ValueError("gibbs_burnin must be below gibbs_iters")
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import rng as rngmod
 from .errors import DomainError
@@ -148,6 +147,8 @@ def mmle_continuous(family, data: Dataset, domain: RestrictedDomain,
         return MmleResult(lam=x, objective=fx, converged=ok, iterations=iters,
                           at_boundary=(at_lo or at_hi,))
     # multi-dimensional Nelder-Mead with restarts
+    from scipy.optimize import minimize
+
     g = rngmod.stream(seed, "mmle-restarts")
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -178,6 +179,8 @@ def mmle_continuous(family, data: Dataset, domain: RestrictedDomain,
 
 def _mmle_m4(family, data, box, seed):
     """Row-wise Nelder-Mead: Dirichlet rows enter the marginal independently."""
+    from scipy.optimize import minimize
+
     from .marginal import markov_log_marginal
 
     K = family.K

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import rng as rngmod
 from .errors import (
@@ -761,6 +760,8 @@ def _maximize_dirichlet_row(p, lo, hi, seed, row):
     Zero-probability cells are pinned to the lower edge and the reduced
     Dirichlet over the positive cells is maximized.
     """
+    from scipy.optimize import minimize
+
     K = p.size
     out = np.full(K, lo)
     pos = np.flatnonzero(p > 0)

@@ -1,5 +1,5 @@
 """Shared numerical kernels: quadrature, special functions, the Normal
-distribution, small dense Gaussian linear algebra and finite differences.
+distribution, the rank-one Gaussian log-density and finite differences.
 
 All routines are pure functions; nothing here holds mutable state.
 """
@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import AccuracyError, DomainError
 
@@ -57,6 +55,8 @@ def log_gamma(x: float) -> float:
 # without its generic per-call argument handling, which costs several times the
 # arithmetic on a scalar, and without importing the scipy module that holds
 # `norm`, which would dominate the start-up time and memory of `import ebib`.
+# The cdf, logcdf and ppf kernels import their `scipy.special` ufunc on call,
+# so a run that needs none of them never loads scipy.
 _NORM_C = np.sqrt(2 * np.pi)
 _NORM_LOGC = np.log(_NORM_C)
 
@@ -94,12 +94,16 @@ def norm_logpdf(x, loc=0.0, scale=1.0):
 
 
 def norm_cdf(x, loc=0.0, scale=1.0):
+    from scipy.special import ndtr
+
     x, loc, scale, scalar = _operands(x, loc, scale)
     out = ndtr((x - loc) / scale)
     return out[0] if scalar else out
 
 
 def norm_logcdf(x, loc=0.0, scale=1.0):
+    from scipy.special import log_ndtr
+
     x, loc, scale, scalar = _operands(x, loc, scale)
     out = log_ndtr((x - loc) / scale)
     return out[0] if scalar else out
@@ -107,6 +111,8 @@ def norm_logcdf(x, loc=0.0, scale=1.0):
 
 def norm_ppf(q, loc=0.0, scale=1.0):
     """Quantile; -inf at q = 0, inf at q = 1 and nan outside [0, 1]."""
+    from scipy.special import ndtri
+
     q, loc, scale, scalar = _operands(q, loc, scale)
     out = ndtri(q) * scale + loc
     return out[0] if scalar else out
@@ -181,20 +187,6 @@ def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):
     logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
     out = -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
     return float(out) if r.ndim == 1 else out
-
-
-def gaussian_logpdf(y, mean, cov) -> float:
-    """Dense multivariate Gaussian log-density via Cholesky."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    r = y - np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("covariance matrix is not positive definite") from exc
-    z = solve_triangular(chol, r, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (r.size * math.log(2.0 * math.pi) + logdet + float(z @ z))
 
 
 def finite_diff_gradient(f, x, h: float = 1e-5):

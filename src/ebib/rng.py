@@ -52,17 +52,30 @@ def stream(base_seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _words(keys) -> list:
-    """SeedSequence's uint32 entropy words: 0 is one word, larger integers
-    their little-endian 32-bit words."""
+def _key_words(key) -> list:
+    """SeedSequence's uint32 entropy words for one key: 0 is one word, larger
+    integers their little-endian 32-bit words."""
+    v = _key_to_int(key)
+    if v <= _MASK32:
+        return [v]
     out = []
-    for v in map(_key_to_int, keys):
-        if v <= _MASK32:
-            out.append(v)
-            continue
-        while v:
-            out.append(v & _MASK32)
-            v >>= 32
+    while v:
+        out.append(v & _MASK32)
+        v >>= 32
+    return out
+
+
+def _words(keys, memo) -> list:
+    """The entropy words of a key tuple, each distinct key converted once
+    per ``memo``; keyed by type too, so a float 1.0 is still refused after
+    the int 1 was converted."""
+    out = []
+    for key in keys:
+        tag = (type(key), key)
+        words = memo.get(tag)
+        if words is None:
+            words = memo[tag] = _key_words(key)
+        out += words
     return out
 
 
@@ -128,7 +141,8 @@ class _Expanded(ISeedSequence):
 
 def streams(keys) -> list:
     """``[stream(*k) for k in keys]``, hashed for all key tuples at once."""
-    words = [_words(k) for k in keys]
+    memo = {}
+    words = [_words(k, memo) for k in keys]
     gens = [None] * len(words)
     for size in set(map(len, words)):
         rows = [i for i, w in enumerate(words) if len(w) == size]

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from . import rng as rngmod
 from .errors import DomainError, SamplerError
@@ -115,6 +114,8 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
     mixture: beta_j | tau_j2, sigma2 ~ N(0, sigma2 tau_j2) with
     tau_j2 ~ Exp(lam^2 / 2).
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
     if lam <= 0:
         raise DomainError("lam must be positive")
     X, y = data.X, data.y

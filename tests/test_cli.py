@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ebib.cli import EXPERIMENTS, main, run_experiment, validate_config
+from helpers import child_env
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -118,6 +119,23 @@ BAD_VALUES = [
     {"experiment": "mixture-rate", "lam_ref": 0.0},
     # one replicate has no standard error: NaN and a silent failed check
     {"experiment": "kl-oracle", "mc_reps": 1, "mc_configs": 2},
+    # each of these used to pass validate and end in a runtime failure (exit 3)
+    {"experiment": "fig1-densities", "sigma2": 0.0},
+    {"experiment": "mmle-consistency", "sigma2": -1.0},
+    {"experiment": "table1-lasso", "sigma2": -1.0},
+    {"experiment": "table1-lasso", "init_lam": -1.0},
+    {"experiment": "merging-rates", "lam_pair": [-1.0, 2.0]},
+    {"experiment": "fig1-densities", "lambdas": [-1.0]},
+    {"experiment": "credible-discrepancy", "lam_far": -1.0},
+    {"experiment": "credible-discrepancy", "alpha": 0.0},
+    {"experiment": "credible-discrepancy", "alpha": 1.5},
+    {"experiment": "mixture-rate", "comp_var": 0.0},
+    {"experiment": "mixture-rate", "loc_var": -1.0},
+    {"experiment": "mixture-rate", "K": 1},
+    {"experiment": "table1-lasso", "n_grid": [10]},
+    {"experiment": "fig2-lasso-marginals", "n_grid": [5]},
+    # a point-mass prior has no density to tabulate (exit 1)
+    {"experiment": "fig1-densities", "lambdas": [0.0]},
 ]
 
 
@@ -128,7 +146,14 @@ BAD_VALUES = [
                                                   "mixture_n", "kl_lam_lo_zero",
                                                   "kl_lam_lo_negative", "kl_lam_hi_zero",
                                                   "fig2_lam_lo_zero", "mixture_lam_ref_zero",
-                                                  "mc_reps_one"])
+                                                  "mc_reps_one", "fig1_sigma2_zero",
+                                                  "consistency_sigma2_negative",
+                                                  "table1_sigma2_negative", "init_lam",
+                                                  "lam_pair_negative", "lambdas_negative",
+                                                  "lam_far", "alpha_zero", "alpha_above_one",
+                                                  "comp_var", "loc_var", "mixture_K",
+                                                  "table1_n_below_d", "fig2_n_below_d",
+                                                  "lambdas_zero"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, verb, doc):
     path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
     assert main([verb, path]) == 2
@@ -138,12 +163,19 @@ def test_out_of_range_config_exit_2(tmp_path, capsys, verb, doc):
 
 def test_validate_config_value_bounds():
     for ok in ({"experiment": "fig2-lasso-marginals", "coords": [0]},
-               {"experiment": "table1-lasso", "gibbs_burnin": 0}):
+               {"experiment": "table1-lasso", "gibbs_burnin": 0},
+               # the edges that still run: the point-mass far prior, n = d + 1
+               # rows for the sampler and a square orthogonal design
+               {"experiment": "credible-discrepancy", "lam_far": 0.0},
+               {"experiment": "table1-lasso", "n_grid": [16]},
+               {"experiment": "fig2-lasso-marginals", "n_grid": [15]}):
         validate_config(ok)
     for bad in ({"experiment": "fig2-lasso-marginals", "coords": [0, -1]},
                 {"experiment": "mixture-rate", "n_grid": [100, 0]},
                 {"experiment": "kl-oracle", "mc_reps": 0},
-                {"experiment": "merging-rates", "lam_pair": [1.0, 2.0, 3.0]}):
+                {"experiment": "merging-rates", "lam_pair": [1.0, 2.0, 3.0]},
+                {"experiment": "table1-lasso", "n_grid": [300, 15]},
+                {"experiment": "merging-rates", "lam_pair": [1.0, 0.0]}):
         with pytest.raises(ValueError):
             validate_config(bad)
 
@@ -195,10 +227,10 @@ def test_run_empty_grid_rejected_before_compute(tmp_path, capsys):
 
 
 def test_run_runtime_failure_exit_3(tmp_path, capsys):
-    # n below the regression dimension: the sampler refuses, harness reports 3
-    doc = {"experiment": "table1-lasso", "n_grid": [2], "seeds": 1,
-           "em_steps": 1, "gibbs_iters": 50, "gibbs_burnin": 10,
-           "output_dir": str(tmp_path / "out")}
+    # the n = 8 enumeration cross-check needs K^8 allocations, past the cap at
+    # K = 6: the marginal refuses, harness reports 3
+    doc = {"experiment": "mixture-rate", "K": 6, "n_grid": [3], "seeds": 1,
+           "draws": 100, "output_dir": str(tmp_path / "out")}
     assert main(["run", _write(tmp_path, doc)]) == 3
     assert "runtime failure" in capsys.readouterr().err
 
@@ -248,7 +280,7 @@ def test_output_root_env_override(tmp_path, monkeypatch, capsys):
 
 def test_console_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "ebib.cli", "list-experiments"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "markov-sparsity" in proc.stdout
 
@@ -264,9 +296,22 @@ def test_shipped_configs_cover_all_experiments_and_validate():
     assert names == set(EXPERIMENTS)
 
 
-def test_cli_import_and_validation_leave_scipy_stats_unloaded():
-    # importing scipy.stats costs about half a second and 20 MB; only the M3
-    # Student-t marginal needs it, and loads it lazily
+def _scipy_modules(code, *args):
+    """Names of the scipy modules loaded by ``code`` in a fresh interpreter,
+    which must end by printing them as a JSON list."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_LOADED = ("print(json.dumps(sorted(m for m in sys.modules\n"
+           "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+
+
+def test_cli_import_and_validation_load_no_scipy():
+    # importing scipy's subpackages costs about half a second and 40 MB, and
+    # most experiments call none of them: each loads where it is called
     import pathlib
 
     cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -274,11 +319,36 @@ def test_cli_import_and_validation_leave_scipy_stats_unloaded():
         "import json, pathlib, sys\n"
         "import ebib.cli\n"
         f"for path in sorted(pathlib.Path({str(cfg_dir)!r}).glob('*.json')):\n"
-        "    ebib.cli.validate_config(json.loads(path.read_text()))\n"
-        "sys.exit('scipy.stats' in sys.modules)\n"
+        "    ebib.cli.validate_config(json.loads(path.read_text()))\n" + _LOADED
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
+    assert _scipy_modules(code) == []
+
+
+RUN_AND_LIST = ("import json, sys\n"
+                "import ebib.cli\n"
+                "doc = ebib.cli.validate_config(json.loads(sys.argv[1]))\n"
+                "ebib.cli.run_experiment(doc, sys.argv[2])\n" + _LOADED)
+
+
+# a tiny run of each experiment, and the scipy subpackages it must not load
+IMPORT_BUDGET = [
+    ({"experiment": "mixture-rate", "n_grid": [20], "seeds": 1, "draws": 200},
+     ("scipy",)),
+    ({"experiment": "kl-oracle", "n": 100, "mc_configs": 2, "mc_reps": 10},
+     ("scipy",)),
+    ({"experiment": "table1-lasso", "n_grid": [30], "seeds": 1, "gibbs_iters": 60,
+      "gibbs_burnin": 20, "em_steps": 2},
+     ("scipy.optimize", "scipy.special")),
+]
+
+
+@pytest.mark.parametrize("doc,forbidden", IMPORT_BUDGET,
+                         ids=[d["experiment"] for d, _ in IMPORT_BUDGET])
+def test_run_loads_only_the_scipy_it_calls(tmp_path, doc, forbidden):
+    loaded = _scipy_modules(RUN_AND_LIST, json.dumps(doc), str(tmp_path))
+    assert (tmp_path / "results.csv").exists()
+    hits = [m for m in loaded if any(m == f or m.startswith(f + ".") for f in forbidden)]
+    assert hits == []
 
 
 # results.csv of every replicate experiment at small sizes, pinned by sha256

@@ -25,8 +25,8 @@ from ebib.models import (
     OverfittedMixture,
     RegressionParams,
 )
-from ebib.numerics import gaussian_logpdf
 from ebib.samplers import orthogonal_design, simulate
+from helpers import gaussian_logpdf
 
 
 def test_m1_closed_two_point_checkpoint():

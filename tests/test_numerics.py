@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -11,7 +13,6 @@ from ebib.numerics import (
     DEFAULT_QUAD,
     QuadratureSpec,
     finite_diff_gradient,
-    gaussian_logpdf,
     integrate,
     log_gamma,
     low_rank_gaussian_logpdf,
@@ -22,6 +23,7 @@ from ebib.numerics import (
     norm_ppf,
 )
 from ebib.posteriors import GaussianPosterior
+from helpers import child_env, gaussian_logpdf
 
 
 def test_log_gamma_against_high_precision_oracle():
@@ -212,6 +214,42 @@ def test_norm_kernels_match_scipy_on_scalars(name):
         # one point as an array, with a scalar loc and scale
         assert np.array_equal(ours([args[0]], *args[1:]), [want], equal_nan=True)
     _identical(ours(0.3), ref(0.3))
+
+
+# In a fresh interpreter the cdf, logcdf and ppf kernels import their
+# scipy.special ufunc on first call; the child writes what they return.
+_FRESH_KERNELS = """
+import sys
+import numpy as np
+from ebib import numerics
+assert not any(m.startswith("scipy") for m in sys.modules), "scipy loaded on import"
+d = np.load(sys.argv[1])
+out = {}
+for name in ("cdf", "logcdf", "ppf"):
+    f = getattr(numerics, "norm_" + name)
+    x = d["q"] if name == "ppf" else d["x"]
+    out[name] = f(x, d["loc"], d["scale"])
+    out[name + "_scalars"] = np.array([f(*map(float, a)) for a in zip(x[:50], d["loc"], d["scale"])])
+    out[name + "_type"] = np.array(type(f(float(x[0]))).__name__)
+np.savez(sys.argv[2], **out)
+"""
+
+
+def test_deferred_norm_kernels_match_scipy_in_a_fresh_interpreter(tmp_path):
+    d = _norm_draws(2000, seed=11)
+    np.savez(tmp_path / "in.npz", **d)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_KERNELS, str(tmp_path / "in.npz"),
+                           str(tmp_path / "out.npz")], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    got = np.load(tmp_path / "out.npz")
+    for name in ("cdf", "logcdf", "ppf"):
+        x, loc, scale = d[_first(name)], d["loc"], d["scale"]
+        ref = getattr(norm, name)
+        _identical(got[name], ref(x, loc, scale))
+        want = [ref(*map(float, a)) for a in zip(x[:50], loc, scale)]
+        assert np.array_equal(got[name + "_scalars"], want, equal_nan=True)
+        assert str(got[name + "_type"]) == type(ref(float(x[0]))).__name__
 
 
 def test_norm_kernels_edge_values():

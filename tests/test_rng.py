@@ -88,3 +88,13 @@ def test_streams_key_errors_match_stream():
         rngmod.streams([(0, 1), (0, -3)])
     with pytest.raises(TypeError):
         rngmod.streams([(0, 1), (0, 1.5)])
+
+
+def test_streams_convert_equal_keys_of_each_type_on_their_own():
+    # a key is converted once per call and reused, but only for keys of the
+    # same type: 1.0 equals the cached 1 and must still be refused
+    with pytest.raises(TypeError):
+        rngmod.streams([(0, 1), (0, 1.0)])
+    keys = [(0, True), (0, 1), (0, np.int64(1)), (2**32, 2**32), (2**32,), ("a", "a")]
+    for key, g in zip(keys, rngmod.streams(keys)):
+        assert g.random() == rngmod.stream(*key).random(), key
