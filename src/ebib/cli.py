@@ -22,6 +22,8 @@ from . import __version__
 from .errors import EbibError
 from .kl import kl_exact_gaussian, kl_minimizer, kl_monte_carlo
 from .marginal import (  # noqa: F401  (log_marginal: perfbench traces this binding)
+    ENUMERATION_CAP,
+    MIN_RELIABLE_ESS,
     log_marginal,
     markov_log_marginal,
     markov_log_marginal_factorials,
@@ -490,6 +492,12 @@ def _check_values(cfg, defaults):
             raise ValueError("mixture-rate needs every n_grid entry >= 3")
         if cfg["K"] < 2:
             raise ValueError("mixture-rate needs K >= 2 components")
+        if cfg["K"] ** 8 > ENUMERATION_CAP:
+            raise ValueError(f"mixture-rate needs K^8 <= {ENUMERATION_CAP} "
+                             "for its n = 8 enumeration")
+        # a profile point's effective sample size is at most draws
+        if cfg["draws"] < MIN_RELIABLE_ESS:
+            raise ValueError(f"mixture-rate needs draws >= {MIN_RELIABLE_ESS:g}")
     # the LASSO sampler needs more rows than coefficients, an orthogonal design
     # at least as many
     d = len(cfg.get("beta0", ()))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, ReliabilityError
 from .models import Dataset
-from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate, norm_cdf
+from .numerics import integrate, norm_cdf
 from .posteriors import PointMassPosterior
 
 
@@ -41,12 +41,13 @@ def _support_interval(p, q, width: float = 10.0):
     return lo, hi
 
 
-def l1_distance(p, q, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def l1_distance(p, q) -> float:
     """L1 distance between two 1-D posterior representations.
 
-    Densities are integrated over +-10 posterior standard deviations around
-    both means; the Gaussian-tail truncation error is below 1e-12 and inside
-    the quadrature tolerance.
+    Adaptive Simpson to an absolute 1e-9 over +-10 posterior sds around both
+    means (tail error below 1e-12).  It can miss that tolerance: at n = 800
+    in predictive-rates it returns about 1e-9 for 19 of 50 seeds whose L1 is
+    2e-6 to 1e-5.
     """
     if isinstance(p, PointMassPosterior) and isinstance(q, PointMassPosterior):
         return 0.0 if p.location == q.location else 2.0
@@ -55,7 +56,7 @@ def l1_distance(p, q, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     if not (hasattr(p, "pdf") and hasattr(q, "pdf")):
         raise CapabilityError("l1_distance needs density-evaluable inputs")
     lo, hi = _support_interval(p, q)
-    return float(integrate(lambda x: abs(p.pdf(x) - q.pdf(x)), lo, hi, spec))
+    return float(integrate(lambda x: abs(p.pdf(x) - q.pdf(x)), lo, hi))
 
 
 def l1_gaussian_equal_var(mean1: float, mean2: float, var: float) -> float:

@@ -1,8 +1,9 @@
 """Maximizers of the (restricted) marginal likelihood.
 
-Grid search, golden-section (1-D), Nelder-Mead with seeded restarts (multi-D),
-the EM-within-Gibbs iteration for the Bayesian LASSO rate, and the plug-in
-pseudo estimate obtained by evaluating the oracle formula at the MLE.
+Grid search, golden-section on one interval, row-wise Nelder-Mead with seeded
+restarts for the Markov family (M4), the EM-within-Gibbs iteration for the
+Bayesian LASSO rate, and the plug-in pseudo estimate obtained by evaluating
+the oracle formula at the MLE.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import DomainError
 from .marginal import log_marginal
-from .models import Dataset
+from .models import Dataset, box_argmin
 from .samplers import GibbsConfig, gibbs_lasso
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -120,67 +121,38 @@ def mmle_continuous(family, data: Dataset, domain: RestrictedDomain,
                     tol: float = 1e-8, seed: int = 0) -> MmleResult:
     """Continuous maximization over the domain box.
 
-    1-D boxes use golden-section to width ``tol``; multi-D boxes use
-    Nelder-Mead from 5 seed-derived restarts.  Maximizers within ``tol`` of a
-    box edge are snapped onto it and flagged.
+    The box is one interval, searched by golden-section to width ``tol``; a
+    maximizer within ``tol`` of an edge is snapped onto it and flagged.  The
+    Markov family (M4) takes one interval shared by every cell, or K*K of
+    them, and is searched row by row with ``seed``-derived restarts.
     """
     if not domain.box:
         raise DomainError("mmle_continuous needs a box domain")
     box = list(domain.box)
     if family.id == "M4":
         return _mmle_m4(family, data, box, seed)
+    if len(box) != 1:
+        raise DomainError("mmle_continuous searches one interval outside M4")
 
     def f(lam):
         return log_marginal(family, lam, data)
 
-    if len(box) == 1:
-        lo, hi = box[0]
-        if lo == hi:
-            return MmleResult(lam=lo, objective=f(lo), converged=True,
-                              iterations=1, at_boundary=(True,))
-        x, fx, iters, ok = _golden_section(f, lo, hi, tol)
-        x, fx = _parabolic_refine(f, x, lo, hi, fx)
-        at_lo, at_hi = x - lo <= tol, hi - x <= tol
-        if at_lo or at_hi:
-            x = lo if at_lo else hi
-            fx = f(x)
-        return MmleResult(lam=x, objective=fx, converged=ok, iterations=iters,
-                          at_boundary=(at_lo or at_hi,))
-    # multi-dimensional Nelder-Mead with restarts
-    from scipy.optimize import minimize
-
-    g = rngmod.stream(seed, "mmle-restarts")
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    starts = [0.5 * (lo + hi)] + [g.uniform(lo, hi) for _ in range(4)]
-    best = None
-    total_iters = 0
-    conv = False
-    for x0 in starts:
-        res = minimize(lambda x: -f(np.clip(x, lo, hi)), x0,
-                       method="Nelder-Mead", bounds=list(zip(lo, hi)),
-                       options={"maxiter": 5000, "xatol": tol, "fatol": 1e-12})
-        total_iters += res.nit
-        conv = conv or bool(res.success)
-        if best is None or -res.fun > best[0]:
-            best = (-res.fun, np.clip(res.x, lo, hi))
-    x = best[1]
-    at_b = []
-    for k in range(x.size):
-        near_lo, near_hi = x[k] - lo[k] <= tol, hi[k] - x[k] <= tol
-        if near_lo:
-            x[k] = lo[k]
-        elif near_hi:
-            x[k] = hi[k]
-        at_b.append(bool(near_lo or near_hi))
-    return MmleResult(lam=x, objective=f(x), converged=conv,
-                      iterations=total_iters, at_boundary=tuple(at_b))
+    lo, hi = box[0]
+    if lo == hi:
+        return MmleResult(lam=lo, objective=f(lo), converged=True,
+                          iterations=1, at_boundary=(True,))
+    x, fx, iters, ok = _golden_section(f, lo, hi, tol)
+    x, fx = _parabolic_refine(f, x, lo, hi, fx)
+    at_lo, at_hi = x - lo <= tol, hi - x <= tol
+    if at_lo or at_hi:
+        x = lo if at_lo else hi
+        fx = f(x)
+    return MmleResult(lam=x, objective=fx, converged=ok, iterations=iters,
+                      at_boundary=(at_lo or at_hi,))
 
 
 def _mmle_m4(family, data, box, seed):
     """Row-wise Nelder-Mead: Dirichlet rows enter the marginal independently."""
-    from scipy.optimize import minimize
-
     from .marginal import markov_log_marginal
 
     K = family.K
@@ -198,23 +170,12 @@ def _mmle_m4(family, data, box, seed):
         row_counts = counts[i : i + 1]
 
         def row_obj(a):
-            a = np.clip(a, lo[i], hi[i])
             return -markov_log_marginal(row_counts, a[None, :])
 
         g = rngmod.stream(seed, "mmle-m4-row", i)
-        starts = [np.ones(K)] + [g.uniform(lo[i], np.minimum(hi[i], 10.0))
-                                 for _ in range(4)]
-        best = None
-        for x0 in starts:
-            res = minimize(row_obj, x0, method="Nelder-Mead",
-                           bounds=list(zip(lo[i], hi[i])),
-                           options={"maxiter": 8000, "xatol": 1e-9,
-                                    "fatol": 1e-12})
-            total_iters += res.nit
-            conv = conv and bool(res.success)
-            if best is None or res.fun < best[0]:
-                best = (res.fun, np.clip(res.x, lo[i], hi[i]))
-        alpha_hat[i] = best[1]
+        alpha_hat[i], iters, ok = box_argmin(row_obj, lo[i], hi[i], g, 8000, 1e-9)
+        total_iters += iters
+        conv = conv and ok
     snap_tol = 1e-6
     at_b = []
     for i in range(K):

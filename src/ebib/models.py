@@ -754,14 +754,35 @@ class MarkovDirichlet(ModelFamily):
         return Dataset(y=path.astype(float), counts=counts)
 
 
+def box_argmin(neg, lo, hi, g, maxiter, xatol):
+    """Nelder-Mead minimizer of ``neg``, which sees its argument clipped to the
+    box [lo, hi], from all ones and four ``g``-uniform starts on [lo, min(hi, 10)].
+
+    Returns the clipped result of the strictly best start, the total
+    iterations and whether every start converged.
+    """
+    from scipy.optimize import minimize
+
+    starts = [np.ones(lo.size)] + [g.uniform(lo, np.minimum(hi, 10.0))
+                                   for _ in range(4)]
+    best, iters, converged = None, 0, True
+    for x0 in starts:
+        res = minimize(lambda a: neg(np.clip(a, lo, hi)), x0, method="Nelder-Mead",
+                       bounds=list(zip(lo, hi)),
+                       options={"maxiter": maxiter, "xatol": xatol, "fatol": 1e-12})
+        iters += res.nit
+        converged = converged and bool(res.success)
+        if best is None or res.fun < best[0]:
+            best = (res.fun, np.clip(res.x, lo, hi))
+    return best[1], iters, converged
+
+
 def _maximize_dirichlet_row(p, lo, hi, seed, row):
     """argmax over alpha in [lo, hi]^K of log Dirichlet(p; alpha).
 
     Zero-probability cells are pinned to the lower edge and the reduced
     Dirichlet over the positive cells is maximized.
     """
-    from scipy.optimize import minimize
-
     K = p.size
     out = np.full(K, lo)
     pos = np.flatnonzero(p > 0)
@@ -773,24 +794,13 @@ def _maximize_dirichlet_row(p, lo, hi, seed, row):
     m = pos.size
 
     def neg(a):
-        a = np.clip(a, lo, hi)
         try:
             return -_log_dirichlet(pp, a)
         except DomainError:
             return math.inf
 
     g = rngmod.stream(seed, "dirichlet-row-oracle", row)
-    starts = [np.ones(m)] + [g.uniform(lo, min(hi, 10.0), size=m) for _ in range(4)]
-    best, best_val = None, math.inf
-    for x0 in starts:
-        res = minimize(
-            neg, x0, method="Nelder-Mead",
-            bounds=[(lo, hi)] * m,
-            options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        if res.fun < best_val:
-            best, best_val = np.clip(res.x, lo, hi), res.fun
-    out[pos] = best
+    out[pos] = box_argmin(neg, np.full(m, lo), np.full(m, hi), g, 4000, 1e-10)[0]
     return out
 
 

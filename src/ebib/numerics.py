@@ -7,40 +7,14 @@ All routines are pure functions; nothing here holds mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-_SCHEMES = ("adaptive-simpson", "gauss-hermite")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Configuration for 1-D quadrature.
-
-    ``abs_tol``/``max_depth`` drive adaptive Simpson; ``grid_points`` is the
-    Gauss-Hermite order.
-    """
-
-    scheme: str = "adaptive-simpson"
-    abs_tol: float = 1e-9
-    max_depth: int = 40
-    grid_points: int = 64
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if self.grid_points < 16:
-            raise DomainError("grid_points must be >= 16")
-        if self.max_depth < 4:
-            raise DomainError("max_depth must be >= 4")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# the absolute tolerance and the bisection depth of `integrate`
+QUAD_ABS_TOL = 1e-9
+QUAD_MAX_DEPTH = 40
 
 
 def log_gamma(x: float) -> float:
@@ -139,24 +113,17 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     return lv + rv, lok and rok
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Integral of f over [a, b].
-
-    Infinite endpoints are allowed only with the gauss-hermite scheme, which
-    evaluates sum_i w_i e^{x_i^2} f(x_i) (the Gaussian weight is factored back
-    in, so ``f`` is the plain integrand).
-    """
-    if spec.scheme == "gauss-hermite":
-        nodes, weights = np.polynomial.hermite.hermgauss(spec.grid_points)
-        vals = np.array([f(x) for x in nodes])
-        return float(np.sum(weights * np.exp(nodes**2) * vals))
+def integrate(f, a: float, b: float) -> float:
+    """Integral of f over the finite interval [a, b] by adaptive Simpson to
+    ``QUAD_ABS_TOL`` in at most ``QUAD_MAX_DEPTH`` bisections.  The error test
+    compares a panel with its halves and can pass falsely: no guarantee."""
     if not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError("infinite endpoints require the gauss-hermite scheme")
+        raise DomainError("integrate requires finite endpoints")
     if not a < b:
         raise DomainError("integrate requires a < b")
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
-    val, ok = _adaptive(f, a, fa, b, fb, m, fm, whole, spec.abs_tol, spec.max_depth)
+    val, ok = _adaptive(f, a, fa, b, fb, m, fm, whole, QUAD_ABS_TOL, QUAD_MAX_DEPTH)
     if not ok:
         raise AccuracyError(
             "adaptive Simpson: max_depth exhausted before reaching abs_tol",

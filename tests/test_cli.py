@@ -136,6 +136,12 @@ BAD_VALUES = [
     {"experiment": "fig2-lasso-marginals", "n_grid": [5]},
     # a point-mass prior has no density to tabulate (exit 1)
     {"experiment": "fig1-densities", "lambdas": [0.0]},
+    # each of these used to pass validate and end in a runtime failure (exit 3):
+    # no profile point can reach an effective sample size of 50 from 49 draws,
+    # and 6^8 allocations exceed the enumeration cap of the n = 8 cross-check,
+    # which ran only after every profile
+    {"experiment": "mixture-rate", "n_grid": [3], "seeds": 1, "draws": 49},
+    {"experiment": "mixture-rate", "K": 6, "n_grid": [3], "seeds": 1, "draws": 100},
 ]
 
 
@@ -153,7 +159,9 @@ BAD_VALUES = [
                                                   "lam_far", "alpha_zero", "alpha_above_one",
                                                   "comp_var", "loc_var", "mixture_K",
                                                   "table1_n_below_d", "fig2_n_below_d",
-                                                  "lambdas_zero"])
+                                                  "lambdas_zero",
+                                                  "mixture_draws_below_ess",
+                                                  "mixture_K_past_enumeration_cap"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, verb, doc):
     path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
     assert main([verb, path]) == 2
@@ -227,10 +235,11 @@ def test_run_empty_grid_rejected_before_compute(tmp_path, capsys):
 
 
 def test_run_runtime_failure_exit_3(tmp_path, capsys):
-    # the n = 8 enumeration cross-check needs K^8 allocations, past the cap at
-    # K = 6: the marginal refuses, harness reports 3
-    doc = {"experiment": "mixture-rate", "K": 6, "n_grid": [3], "seeds": 1,
-           "draws": 100, "output_dir": str(tmp_path / "out")}
+    # a valid config whose output directory lies below a regular file: the
+    # experiment runs, writing its results raises OSError, harness reports 3
+    (tmp_path / "file").write_text("")
+    doc = {"experiment": "fig1-densities", "n": 25, "grid_points": 101,
+           "output_dir": str(tmp_path / "file" / "out")}
     assert main(["run", _write(tmp_path, doc)]) == 3
     assert "runtime failure" in capsys.readouterr().err
 
@@ -354,7 +363,8 @@ def test_run_loads_only_the_scipy_it_calls(tmp_path, doc, forbidden):
 # results.csv of every replicate experiment at small sizes, pinned by sha256
 # before the seed loops moved into one runner; each document exercises its
 # stream keys ("table1" and "gibbs", "cons", "merge", "pred", "cred",
-# "mixrate" and "mixprof") at two n and two seeds
+# "mixrate" and "mixprof") at two n and two seeds; and markov-sparsity, the
+# M4 prior oracle and row-wise MMLE, at shipped size
 PINNED = [
     ({"experiment": "table1-lasso", "n_grid": [30, 50], "seeds": 2,
       "gibbs_iters": 60, "gibbs_burnin": 20, "em_steps": 2},
@@ -369,6 +379,8 @@ PINNED = [
      "41870420b8e6561006a41c140e79e3bbc2792ea753cbf3969b715de8842601ed"),
     ({"experiment": "mixture-rate", "n_grid": [20, 40], "seeds": 2, "draws": 200},
      "84769b641ff84fb2141a3da298ea073430a8aadd3d0cff3810f4a3641285be57"),
+    ({"experiment": "markov-sparsity"},
+     "60de9de2f6f2800e38cfb52b28e9d681009fe4d3c9704ce263c3bc8c187462e3"),
 ]
 
 

@@ -118,6 +118,13 @@ def test_gprior_closed_form_needs_enough_rows():
         fam.closed_form_mmle(Dataset(y=np.zeros(3), X=X))
 
 
+def test_mmle_continuous_searches_one_interval_outside_m4():
+    fam = NormalMean(sigma2=1.0)
+    data = Dataset(y=np.full(10, 2.0))
+    with pytest.raises(DomainError, match="one interval"):
+        mmle_continuous(fam, data, RestrictedDomain(box=((0.1, 5.0), (0.1, 5.0))))
+
+
 def test_m4_mmle_zero_count_cells_hit_lower_edge():
     fam = MarkovDirichlet(K=2)
     data = Dataset(counts=np.array([[5, 0], [3, 4]]))

@@ -224,6 +224,16 @@ def test_m4_gradient_matches_finite_differences_in_free_coords():
 # oracles
 
 
+def test_m4_oracle_on_the_shipped_transition_is_pinned():
+    # markov-sparsity's transition: a zero cell goes to the lower edge, the
+    # dominant cell of each row to the upper edge
+    P = [[0.7, 0.3, 0.0], [0.0, 0.4, 0.6], [0.5, 0.25, 0.25]]
+    got = MarkovDirichlet(K=3).oracle_hyperparameter(P)
+    assert got.tolist() == [[50.0, 21.92604449919309, 0.001],
+                            [0.001, 33.831582044970695, 50.0],
+                            [50.0, 25.746906197802296, 25.74690616786189]]
+
+
 def test_oracle_argmax_property_on_grids():
     g = np.random.default_rng(9)
     m1 = NormalMean()
