@@ -45,9 +45,10 @@ def l1_distance(p, q) -> float:
     """L1 distance between two 1-D posterior representations.
 
     Adaptive Simpson to an absolute 1e-9 over +-10 posterior sds around both
-    means (tail error below 1e-12).  It can miss that tolerance: at n = 800
-    in predictive-rates it returns about 1e-9 for 19 of 50 seeds whose L1 is
-    2e-6 to 1e-5.
+    means (tail error below 1e-12).  Both densities are evaluated on arrays:
+    one call of each ``pdf`` per bisection level, on all its new abscissae.
+    It can miss that tolerance: at n = 800 in predictive-rates it returns
+    about 1e-9 for 19 of 50 seeds whose L1 is 2e-6 to 1e-5.
     """
     if isinstance(p, PointMassPosterior) and isinstance(q, PointMassPosterior):
         return 0.0 if p.location == q.location else 2.0

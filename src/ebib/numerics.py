@@ -1,5 +1,5 @@
 """Shared numerical kernels: quadrature, special functions, the Normal
-distribution, the rank-one Gaussian log-density and finite differences.
+distribution and the rank-one Gaussian log-density.
 
 All routines are pure functions; nothing here holds mutable state.
 """
@@ -92,44 +92,82 @@ def norm_ppf(q, loc=0.0, scale=1.0):
     return out[0] if scalar else out
 
 
-def _simpson(f, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    """Returns (estimate, converged); the caller raises on failure so the
-    exception can carry the best estimate of the full integral."""
-    lm, flm, left = _simpson(f, a, fa, m, fm)
-    rm, frm, right = _simpson(f, m, fm, b, fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0, True
-    if depth <= 0:
-        return left + right + err / 15.0, False
-    lv, lok = _adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
-    rv, rok = _adaptive(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1)
-    return lv + rv, lok and rok
-
-
 def integrate(f, a: float, b: float) -> float:
     """Integral of f over the finite interval [a, b] by adaptive Simpson to
     ``QUAD_ABS_TOL`` in at most ``QUAD_MAX_DEPTH`` bisections.  The error test
-    compares a panel with its halves and can pass falsely: no guarantee."""
+    compares a panel with its halves and can pass falsely: no guarantee.
+
+    ``f`` maps a 1-d array of abscissae to the array of their values.  The
+    bisection runs one level at a time: each level is one call of ``f`` on the
+    new midpoints of all its open panels.  The panel values are then summed
+    bottom-up, left half + right half at every split, so the result, and the
+    estimate an `AccuracyError` carries, equal those of the depth-first
+    recursive rule bit for bit.
+    """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("integrate requires finite endpoints")
     if not a < b:
         raise DomainError("integrate requires a < b")
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson(f, a, fa, b, fb)
-    val, ok = _adaptive(f, a, fa, b, fb, m, fm, whole, QUAD_ABS_TOL, QUAD_MAX_DEPTH)
+    x = np.array([a, 0.5 * (a + b), b])
+    fx = f(x)
+    whole = (b - a) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
+    panels = np.concatenate([x, fx, [whole]])[:, None]
+    val, ok = _panel_values(f, panels, QUAD_ABS_TOL, QUAD_MAX_DEPTH)
     if not ok:
         raise AccuracyError(
             "adaptive Simpson: max_depth exhausted before reaching abs_tol",
-            estimate=val,
+            estimate=float(val[0]),
         )
-    return val
+    return float(val[0])
+
+
+# The most panels one level of `_panel_values` holds.  A wider level is split
+# into runs of panels, each finished before the next starts, so that memory
+# stays bounded where the bisection keeps splitting every panel.
+_MAX_PANELS = 4096
+
+
+def _panel_values(f, panels, tol, depth):
+    """The adaptive Simpson value of each panel, and whether all converged.
+
+    A column of ``panels`` is one panel: its left end, midpoint and right end,
+    their values, and its Simpson sum.  ``tol`` and ``depth`` are each panel's
+    share of the tolerance and the bisections it has left.
+    """
+    levels = []  # per split level: which panels converged, and their values
+    while True:
+        x, fx, whole = panels[:3], panels[3:6], panels[6]
+        mids = 0.5 * (x[:2] + x[1:])  # the midpoints of the two halves
+        fmids = f(mids.ravel()).reshape(mids.shape)
+        halves = (x[1:] - x[:2]) / 6.0 * (fx[:2] + 4.0 * fmids + fx[1:])
+        both = halves[0] + halves[1]
+        err = both - whole
+        done = np.abs(err) <= 15.0 * tol
+        val = both + err / 15.0
+        if depth <= 0 or done.all():
+            ok = bool(done.all())
+            break
+        levels.append((done, val))
+        # the halves as panels: all left halves, then all right halves
+        split = ~done
+        halved = np.empty((7, 2, len(whole)))
+        halved[0], halved[1], halved[2] = x[:2], mids, x[1:]
+        halved[3], halved[4], halved[5] = fx[:2], fmids, fx[1:]
+        halved[6] = halves
+        panels = halved[:, :, split].reshape(7, -1)
+        tol /= 2.0
+        depth -= 1
+        if panels.shape[1] > _MAX_PANELS:
+            runs = [_panel_values(f, panels[:, i:i + _MAX_PANELS], tol, depth)
+                    for i in range(0, panels.shape[1], _MAX_PANELS)]
+            val = np.concatenate([v for v, _ in runs])
+            ok = all(k for _, k in runs)
+            break
+    for done, panel in reversed(levels):
+        half = len(val) // 2
+        panel[~done] = val[:half] + val[half:]
+        val = panel
+    return val, ok
 
 
 def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):
@@ -154,16 +192,3 @@ def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):
     logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
     out = -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
     return float(out) if r.ndim == 1 else out
-
-
-def finite_diff_gradient(f, x, h: float = 1e-5):
-    """Central-difference gradient of a scalar function on R^d."""
-    if not h > 0:
-        raise DomainError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return grad

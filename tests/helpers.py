@@ -1,5 +1,7 @@
-"""Shared test helpers: the dense Gaussian log-density that the rank-one
-kernel is checked against, and the environment of a child interpreter."""
+"""Shared test helpers: the references that library kernels are checked
+against (the dense Gaussian log-density, the recursive adaptive Simpson rule
+and a central-difference gradient) and the environment of a child
+interpreter."""
 
 import math
 import os
@@ -8,7 +10,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ebib.errors import DomainError
+from ebib.errors import AccuracyError, DomainError
+from ebib.numerics import QUAD_ABS_TOL, QUAD_MAX_DEPTH
 
 
 def gaussian_logpdf(y, mean, cov) -> float:
@@ -23,6 +26,59 @@ def gaussian_logpdf(y, mean, cov) -> float:
     z = solve_triangular(chol, r, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (r.size * math.log(2.0 * math.pi) + logdet + float(z @ z))
+
+
+def _simpson(f, a, fa, b, fb):
+    m = 0.5 * (a + b)
+    fm = f(m)
+    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
+    """Returns (estimate, converged); the caller raises on failure so the
+    exception can carry the best estimate of the full integral."""
+    lm, flm, left = _simpson(f, a, fa, m, fm)
+    rm, frm, right = _simpson(f, m, fm, b, fb)
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0, True
+    if depth <= 0:
+        return left + right + err / 15.0, False
+    lv, lok = _adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
+    rv, rok = _adaptive(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1)
+    return lv + rv, lok and rok
+
+
+def recursive_simpson(f, a: float, b: float) -> float:
+    """Integral of a scalar f over [a, b] by recursive adaptive Simpson at
+    ``QUAD_ABS_TOL`` and ``QUAD_MAX_DEPTH``: the rule that
+    `ebib.numerics.integrate` runs level by level, one abscissa per call."""
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise DomainError("integrate requires finite endpoints")
+    if not a < b:
+        raise DomainError("integrate requires a < b")
+    fa, fb = f(a), f(b)
+    m, fm, whole = _simpson(f, a, fa, b, fb)
+    val, ok = _adaptive(f, a, fa, b, fb, m, fm, whole, QUAD_ABS_TOL, QUAD_MAX_DEPTH)
+    if not ok:
+        raise AccuracyError(
+            "adaptive Simpson: max_depth exhausted before reaching abs_tol",
+            estimate=val,
+        )
+    return val
+
+
+def finite_diff_gradient(f, x, h: float = 1e-5):
+    """Central-difference gradient of a scalar function on R^d."""
+    if not h > 0:
+        raise DomainError("h must be positive")
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+    return grad
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -90,10 +90,10 @@ def test_m5_closed_matches_coordinate_quadrature():
     from ebib.numerics import integrate
 
     def integrand(b):
-        r = y - X[:, 0] * b
-        ll = -0.5 * 40 * math.log(2 * math.pi) - 0.5 * float(r @ r)
-        lp = math.log(lam / 2.0) - lam * abs(b)
-        return math.exp(ll - closed + lp)
+        r = y - np.outer(b, X[:, 0])  # one row of residuals per abscissa
+        ll = -0.5 * 40 * math.log(2 * math.pi) - 0.5 * np.sum(r * r, axis=1)
+        lp = math.log(lam / 2.0) - lam * np.abs(b)
+        return np.exp(ll - closed + lp)
 
     bhat = float(X[:, 0] @ y) / float(X[:, 0] @ X[:, 0])
     val = integrate(integrand, bhat - 1.0, bhat + 1.0)

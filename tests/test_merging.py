@@ -6,6 +6,7 @@ import pytest
 from ebib.errors import DomainError
 from ebib.merging import (
     MergingReport,
+    _support_interval,
     credible_discrepancy,
     delta_theta0,
     l1_distance,
@@ -14,6 +15,7 @@ from ebib.merging import (
     predicted_l1_posterior,
     predicted_l1_predictive,
 )
+from ebib.mmle import m1_closed_form_mmle
 from ebib.models import (
     Dataset,
     GPriorParams,
@@ -22,8 +24,10 @@ from ebib.models import (
     MixtureParams,
     NormalMean,
 )
+from ebib.numerics import QUAD_MAX_DEPTH
 from ebib.posteriors import GaussianPosterior, PointMassPosterior
 from ebib.samplers import simulate
+from helpers import recursive_simpson
 
 
 def test_delta_theta0_m1_checkpoint():
@@ -86,6 +90,70 @@ def test_l1_distance_of_nearly_equal_posteriors_matches_a_dense_trapezoid():
     dense = float(np.trapezoid(np.abs(p.pdf(x) - q.pdf(x)), x))
     assert dense == pytest.approx(4.913e-6, rel=1e-3)
     assert l1_distance(p, q) == pytest.approx(dense, rel=1e-3)
+
+
+def _recursive_l1(p, q):
+    """l1_distance's integral by the recursive Simpson rule, one abscissa per
+    call, and the number of abscissae it evaluates."""
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        return abs(p.pdf(x) - q.pdf(x))
+
+    return float(recursive_simpson(f, *_support_interval(p, q))), len(evals)
+
+
+def _shipped_pairs(seed_base, n, seeds):
+    """The posterior pairs of merging-rates (lam_pair 1, 4 and EB against
+    oracle) and the predictive pairs of predictive-rates, as the shipped
+    configs (theta0 2, sigma2 1) build them."""
+    fam = NormalMean(sigma2=1.0)
+    lam_star = fam.oracle_hyperparameter(2.0)
+    for s in range(seeds):
+        data = simulate(fam, 2.0, n, (seed_base, "merge", n, s))
+        lam_hat = m1_closed_form_mmle(data, 1.0)
+        yield fam.posterior(1.0, data), fam.posterior(4.0, data)
+        yield fam.posterior(lam_hat, data), fam.posterior(lam_star, data)
+        data = simulate(fam, 2.0, n, (seed_base, "pred", n, s))
+        lam_hat = m1_closed_form_mmle(data, 1.0)
+        p, q = (fam.posterior(lam, data) for lam in (lam_hat, lam_star))
+        yield (GaussianPosterior(p.mean, p.var + 1.0),
+               GaussianPosterior(q.mean, q.var + 1.0))
+
+
+@pytest.mark.parametrize("seed_base", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [50, 200, 800])
+def test_l1_distance_equals_the_recursive_rule_on_shipped_pairs(seed_base, n):
+    for p, q in _shipped_pairs(seed_base, n, seeds=3):
+        assert l1_distance(p, q) == _recursive_l1(p, q)[0]
+
+
+def test_l1_distance_equals_the_recursive_rule_on_the_false_convergence_pair():
+    p = GaussianPosterior(2.0095763556036426, 1.0012496133284021)
+    q = GaussianPosterior(2.00957019415323, 1.0012496094970322)
+    got = l1_distance(p, q)
+    assert got == _recursive_l1(p, q)[0]
+    assert got == pytest.approx(2.69e-9, rel=1e-2)
+
+
+def test_l1_distance_calls_the_integrand_once_per_bisection_level():
+    # one call for the endpoints and the midpoint, then one per bisection
+    # level (at most QUAD_MAX_DEPTH + 1), not one per abscissa: a pdf call's
+    # fixed cost is larger than its arithmetic on a whole level
+    for p, q in [(GaussianPosterior(0.0, 1.0), GaussianPosterior(0.8, 1.5)),
+                 *_shipped_pairs(0, 800, seeds=1)]:
+        sizes = []
+
+        def count_pdf(x, pdf=p.pdf):
+            sizes.append(np.size(x))
+            return pdf(x)
+
+        p.pdf = count_pdf
+        l1_distance(p, q)
+        del p.pdf
+        assert len(sizes) <= QUAD_MAX_DEPTH + 2
+        assert sum(sizes) == _recursive_l1(p, q)[1]
 
 
 def test_l1_identical_posteriors_zero():

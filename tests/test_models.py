@@ -27,8 +27,8 @@ from ebib.models import (
     load_dataset_csv,
 )
 from ebib.marginal import log_marginal
-from ebib.numerics import finite_diff_gradient
 from ebib.samplers import orthogonal_design, simulate
+from helpers import finite_diff_gradient
 
 LOG_SQRT_2PI = 0.9189385332046727
 

@@ -8,11 +8,11 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from ebib import numerics
 from ebib.errors import AccuracyError, DomainError
 from ebib.numerics import (
     QUAD_ABS_TOL,
     QUAD_MAX_DEPTH,
-    finite_diff_gradient,
     integrate,
     log_gamma,
     low_rank_gaussian_logpdf,
@@ -23,7 +23,7 @@ from ebib.numerics import (
     norm_ppf,
 )
 from ebib.posteriors import GaussianPosterior
-from helpers import child_env, gaussian_logpdf
+from helpers import child_env, finite_diff_gradient, gaussian_logpdf, recursive_simpson
 
 
 def test_log_gamma_against_high_precision_oracle():
@@ -51,7 +51,7 @@ def test_log_gamma_domain():
 
 
 def test_integrate_unit_constant():
-    assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert integrate(np.ones_like, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrate_linearity_on_random_polynomials():
@@ -62,8 +62,8 @@ def test_integrate_linearity_on_random_polynomials():
         a, b = sorted(g.uniform(-2, 2, size=2))
         if b - a < 0.1:
             b = a + 0.5
-        f1 = lambda x: float(np.polyval(c1, x))
-        f2 = lambda x: float(np.polyval(c2, x))
+        f1 = lambda x: np.polyval(c1, x)
+        f2 = lambda x: np.polyval(c2, x)
         al, be = g.normal(size=2)
         combo = integrate(lambda x: al * f1(x) + be * f2(x), a, b)
         parts = al * integrate(f1, a, b) + be * integrate(f2, a, b)
@@ -73,7 +73,7 @@ def test_integrate_linearity_on_random_polynomials():
 def test_integrate_absolute_moment_sqrt_two_over_pi():
     # E|Y - 2| for Y ~ N(2, 1) equals sqrt(2/pi)
     def f(y):
-        return abs(y - 2.0) * math.exp(-0.5 * (y - 2.0) ** 2) / math.sqrt(2 * math.pi)
+        return np.abs(y - 2.0) * np.exp(-0.5 * (y - 2.0) ** 2) / math.sqrt(2 * math.pi)
 
     val = integrate(f, -8.0, 12.0)
     assert val == pytest.approx(0.7978845608, abs=1e-8)
@@ -94,16 +94,64 @@ def test_integrate_max_depth_raises_accuracy_error_with_estimate():
     # converged panels on both sides
     assert (QUAD_ABS_TOL, QUAD_MAX_DEPTH) == (1e-9, 40)
     jump = math.sqrt(2.0) - 1.0
-    calls = []
+    sizes = []
 
     def step(x):
-        calls.append(x)
-        return 1.0 if x > jump else 0.0
+        sizes.append(x.size)
+        return np.where(x > jump, 1.0, 0.0)
 
     with pytest.raises(AccuracyError) as exc:
         integrate(step, 0.0, 1.0)
-    assert len(calls) == 165
+    assert sum(sizes) == 165
     assert abs(exc.value.estimate - (2.0 - math.sqrt(2.0))) < 2e-13
+
+
+# `integrate` runs the recursive rule one bisection level at a time; its
+# results, and the estimate its AccuracyError carries, must equal the
+# recursive rule's bit for bit.
+def test_integrate_equals_recursive_simpson_on_random_polynomials():
+    g = np.random.default_rng(20261018)
+    for _ in range(40):
+        c = g.normal(size=int(g.integers(1, 11))) * 10.0 ** g.uniform(-1, 1.5)
+        a, b = sorted(g.uniform(-1.5, 1.5, size=2))
+        assert integrate(lambda x: np.polyval(c, x), a, b) == \
+            recursive_simpson(lambda x: np.polyval(c, x), a, b)
+
+
+def test_integrate_equals_recursive_simpson_on_the_max_depth_step():
+    jump = math.sqrt(2.0) - 1.0
+    with pytest.raises(AccuracyError) as vec:
+        integrate(lambda x: np.where(x > jump, 1.0, 0.0), 0.0, 1.0)
+    with pytest.raises(AccuracyError) as rec:
+        recursive_simpson(lambda x: 1.0 if x > jump else 0.0, 0.0, 1.0)
+    assert vec.value.estimate == rec.value.estimate
+
+
+def test_integrate_in_runs_of_panels_equals_recursive_simpson(monkeypatch):
+    # a level wider than _MAX_PANELS is finished one run of panels after
+    # another: no call then sees more than two panels' midpoints, and the
+    # sums and the abscissae evaluated stay the recursive rule's
+    monkeypatch.setattr(numerics, "_MAX_PANELS", 2)
+    jump = math.sqrt(2.0) - 1.0
+    cases = [(lambda x: np.exp(-(x - 0.3) ** 2 / 0.01), -1.0, 2.0),
+             (lambda x: np.polyval([3.0, -1.0, 0.5, 2.0, -4.0, 1.0], x), -1.2, 1.4),
+             (lambda x: np.where(x > jump, 1.0, 0.0), 0.0, 1.0)]
+    for f, a, b in cases:
+        sizes, results = {}, {}
+        for rule in (integrate, recursive_simpson):
+            seen = sizes[rule] = []
+
+            def counted(x):
+                seen.append(np.size(x))
+                return f(x)
+
+            try:
+                results[rule] = rule(counted, a, b)
+            except AccuracyError as exc:
+                results[rule] = ("raised", exc.estimate)
+        assert results[integrate] == results[recursive_simpson]
+        assert sum(sizes[integrate]) == len(sizes[recursive_simpson])
+        assert max(sizes[integrate][1:]) <= 4
 
 
 def test_low_rank_gaussian_two_point_case():
