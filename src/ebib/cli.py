@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import EbibError
+from .errors import CapabilityError, EbibError
 from .kl import kl_exact_gaussian, kl_minimizer, kl_monte_carlo
 from .marginal import (  # noqa: F401  (log_marginal: perfbench traces this binding)
     ENUMERATION_CAP,
@@ -37,10 +37,8 @@ from .mmle import (
     GibbsConfig,
     RestrictedDomain,
     lasso_mmle_em,
-    m1_closed_form_mmle,
     mmle_continuous,
     mmle_grid,
-    pseudo_mmle,
 )
 from .models import (
     BayesLasso,
@@ -51,7 +49,7 @@ from .models import (
     OverfittedMixture,
     RegressionParams,
 )
-from .posteriors import GaussianPosterior
+from .posteriors import GaussianPosterior, PointMassPosterior
 from .samplers import orthogonal_design, simulate
 from . import rng as rngmod
 
@@ -87,11 +85,15 @@ def _exp_fig1_densities(cfg):
     fam = NormalMean(sigma2=cfg["sigma2"])
     data = simulate(fam, cfg["theta0"], cfg["n"], cfg["seed_base"])
     lam_star = fam.oracle_hyperparameter(cfg["theta0"])
-    lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
+    lam_hat = fam.closed_form_mmle(data)
     posts = {"dens_eb": fam.posterior(lam_hat, data)}
     for lam in cfg["lambdas"]:
         posts[f"dens_bayes_{lam:g}"] = fam.posterior(float(lam), data)
     posts["dens_oracle"] = fam.posterior(lam_star, data)
+    points = [k for k, p in posts.items() if isinstance(p, PointMassPosterior)]
+    if points:
+        raise CapabilityError(f"{', '.join(points)}: a point-mass posterior "
+                              "has no density")
     lo = min(p.mean - 6 * p.sd for p in posts.values())
     hi = max(p.mean + 6 * p.sd for p in posts.values())
     xs = np.linspace(lo, hi, cfg["grid_points"])
@@ -114,7 +116,7 @@ def _exp_table1_lasso(cfg):
                            seed=rngmod.stream(*key, "gibbs").integers(2**31))
         em = lasso_mmle_em(data, init_lam=cfg["init_lam"], gibbs_cfg=gcfg,
                            em_steps=cfg["em_steps"], sigma2=None)
-        return em.lam, pseudo_mmle(fam, data), int(em.converged)
+        return em.lam, fam.pseudo_hyperparameter(data), int(em.converged)
 
     rows = _replicates(cfg, "table1", cell)
     n_max = max(cfg["n_grid"])
@@ -166,7 +168,7 @@ def _exp_mmle_consistency(cfg):
     lam_star = fam.oracle_hyperparameter(cfg["theta0"])
 
     def cell(n, key):
-        lam_hat = m1_closed_form_mmle(simulate(fam, cfg["theta0"], n, key), cfg["sigma2"])
+        lam_hat = fam.closed_form_mmle(simulate(fam, cfg["theta0"], n, key))
         return lam_hat, abs(lam_hat - lam_star)
 
     rows = _replicates(cfg, "cons", cell)
@@ -223,7 +225,7 @@ def _exp_merging_rates(cfg):
 
     def cell(n, key):
         data = simulate(fam, theta0, n, key)
-        lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
+        lam_hat = fam.closed_form_mmle(data)
         return (_m1_l1(fam, lam1, lam2, data), pred[n],
                 _m1_l1(fam, lam_hat, lam_star, data))
 
@@ -259,7 +261,7 @@ def _exp_predictive_rates(cfg):
 
     def cell(n, key):
         data = simulate(fam, theta0, n, key)
-        lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
+        lam_hat = fam.closed_form_mmle(data)
         return (l1_distance(_m1_predictive(fam, lam_hat, data),
                             _m1_predictive(fam, lam_star, data)),)
 
@@ -279,7 +281,7 @@ def _exp_credible_discrepancy(cfg):
 
     def cell(n, key):
         data = simulate(fam, theta0, n, key)
-        lam_hat = m1_closed_form_mmle(data, cfg["sigma2"])
+        lam_hat = fam.closed_form_mmle(data)
         return tuple(credible_discrepancy(fam, data, lam_hat, lam, alpha)
                      for lam in (lam_star, lam_far))
 
@@ -308,8 +310,7 @@ def _exp_mixture_rate(cfg):
         seed_base, _, _, s = key
         prof = mixture_marginal_profile(
             simulate(fam, theta0, n, key), grid, lam_ref, draws=cfg["draws"],
-            seed=rngmod.stream(seed_base, "mixprof", n, s).integers(2**31),
-            base=fam, K=cfg["K"])
+            seed=rngmod.stream(seed_base, "mixprof", n, s).integers(2**31), family=fam)
         return (profile_argmax(prof),)
 
     rows = _replicates(cfg, "mixrate", cell)
@@ -329,12 +330,11 @@ def _exp_mixture_rate(cfg):
     # of the fine grid sit below Monte Carlo resolution)
     grid8 = list(np.geomspace(lam_ref / 20.0, lam_ref, 5))
     data8 = simulate(fam, theta0, 8, (cfg["seed_base"], "mix8"))
-    enum_vals = [mixture_marginal_exact(data8, lam, cfg["K"], fam) for lam in grid8]
+    enum_vals = [mixture_marginal_exact(data8, lam, fam) for lam in grid8]
     enum_arg = grid8[int(np.argmax(enum_vals))]
     prof8 = mixture_marginal_profile(
         data8, grid8, lam_ref, draws=max(cfg["draws"], 32000),
-        seed=rngmod.stream(cfg["seed_base"], "mix8prof").integers(2**31),
-        base=fam, K=cfg["K"])
+        seed=rngmod.stream(cfg["seed_base"], "mix8prof").integers(2**31), family=fam)
     rw_arg = profile_argmax(prof8)
     match8 = rw_arg == enum_arg
     passed = monotone and band_ok and match8
@@ -480,6 +480,16 @@ def _check_values(cfg, defaults):
         raise ValueError(f"mc_reps must be >= 2, got {cfg['mc_reps']!r}")
     if "lam_pair" in cfg and len(cfg["lam_pair"]) != 2:
         raise ValueError("lam_pair must hold exactly two values")
+    # lam* = theta0^2 must be finite; kl-oracle takes log lam*, and the
+    # first-order prediction that merging-rates divides by is 0 at lam* = 0 or
+    # lam1 = lam2
+    lam_star = cfg.get("theta0", 1.0) * cfg.get("theta0", 1.0)
+    if not math.isfinite(lam_star):
+        raise ValueError(f"theta0**2 must be finite, got theta0 = {cfg['theta0']!r}")
+    if lam_star == 0 and cfg["experiment"] in ("kl-oracle", "merging-rates"):
+        raise ValueError(f"{cfg['experiment']} needs theta0**2 > 0, got {cfg['theta0']!r}")
+    if "lam_pair" in cfg and cfg["lam_pair"][0] == cfg["lam_pair"][1]:
+        raise ValueError("lam_pair must hold two different values")
     if "coords" in cfg and max(cfg["coords"]) >= len(cfg["beta0"]):
         raise ValueError("coords must index beta0")
     if "transition" in cfg:

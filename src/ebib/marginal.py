@@ -135,20 +135,21 @@ def _cluster_log_marginal(m, S, Q, comp_var, loc_var) -> float:
     return -0.5 * (m * math.log(2.0 * math.pi) + logdet + quad)
 
 
-def mixture_marginal_exact(data: Dataset, lam: float, K: int, base) -> float:
+def mixture_marginal_exact(data: Dataset, lam: float, family) -> float:
     """Exact log m_lam by summation over all K^n allocations.
 
-    ``base`` supplies comp_var, loc_mean, loc_var (Normal-known-variance
-    component with a Normal prior on its location).  Allocations are walked
-    depth-first with per-cluster sufficient statistics updated incrementally.
+    ``family`` (an OverfittedMixture) supplies K, comp_var, loc_mean and
+    loc_var (Normal-known-variance components with a Normal prior on their
+    locations).  Allocations are walked depth-first with per-cluster
+    sufficient statistics updated incrementally.
     """
     if lam <= 0:
         raise DomainError("lam must be positive")
     y = np.asarray(data.y, float)
-    n = y.size
+    n, K = y.size, family.K
     if K**n > ENUMERATION_CAP:
         raise CapacityError(f"K^n = {K**n} exceeds the enumeration cap")
-    cv, lm, lv = base.comp_var, base.loc_mean, base.loc_var
+    cv, lm, lv = family.comp_var, family.loc_mean, family.loc_var
     yc = y - lm
 
     lg_lam = log_gamma(lam)
@@ -186,7 +187,7 @@ def mixture_marginal_exact(data: Dataset, lam: float, K: int, base) -> float:
 
 
 def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
-                             draws: int, seed, base, K: int):
+                             draws: int, seed, family):
     """Relative log-marginal profile log m_lam - log m_lam_ref by reweighting.
 
     Only the weight prior depends on lam; conditioning on the allocation counts
@@ -194,6 +195,7 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
     lam_ref) of A(c; lam)/A(c; lam_ref), where A is the Dirichlet-multinomial
     allocation mass.  These ratios are bounded over the finite count set, unlike
     the raw-weight ratios which have infinite variance for lam < lam_ref.
+    ``family`` is the OverfittedMixture whose weight prior lam indexes.
     Returns one record per grid value with ESS-based reliability flags.
     """
     from .samplers import GibbsConfig, effective_sample_size, gibbs_mixture_weights
@@ -205,7 +207,8 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
         raise DomainError("grid must stay within a factor 20 of lam_ref")
     cfg = GibbsConfig(iters=draws + max(draws // 4, 200),
                       burnin=max(draws // 4, 200), seed=seed)
-    chain = gibbs_mixture_weights(data, lam_ref, K, base, cfg)
+    chain = gibbs_mixture_weights(data, lam_ref, family, cfg)
+    K = family.K
     counts = chain.draws[:, K : 2 * K].astype(np.intp)
     T = counts.shape[0]
     n = data.n

@@ -1,15 +1,15 @@
 """Maximizers of the (restricted) marginal likelihood.
 
 Grid search, golden-section on one interval, row-wise Nelder-Mead with seeded
-restarts for the Markov family (M4), the EM-within-Gibbs iteration for the
-Bayesian LASSO rate, and the plug-in pseudo estimate obtained by evaluating
-the oracle formula at the MLE.
+restarts for the Markov family (M4) and the EM-within-Gibbs iteration for the
+Bayesian LASSO rate.  The closed-form maximizers (M1, M3) and the plug-in
+pseudo estimate are methods of the families.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class MmleResult:
     converged: bool
     iterations: int
     at_boundary: tuple = ()
-    trace: list = field(default_factory=list)
 
 
 def mmle_grid(family, data: Dataset, domain: RestrictedDomain) -> MmleResult:
@@ -124,7 +123,9 @@ def mmle_continuous(family, data: Dataset, domain: RestrictedDomain,
     The box is one interval, searched by golden-section to width ``tol``; a
     maximizer within ``tol`` of an edge is snapped onto it and flagged.  The
     Markov family (M4) takes one interval shared by every cell, or K*K of
-    them, and is searched row by row with ``seed``-derived restarts.
+    them, and is searched row by row with ``seed``-derived restarts; it does
+    not use ``tol``: the row search runs to xatol 1e-9 and snaps cells within
+    1e-6 of an edge.
     """
     if not domain.box:
         raise DomainError("mmle_continuous needs a box domain")
@@ -192,12 +193,6 @@ def _mmle_m4(family, data, box, seed):
                       iterations=total_iters, at_boundary=tuple(at_b))
 
 
-def m1_closed_form_mmle(data: Dataset, sigma2: float) -> float:
-    """Stationary point of the exact normal-mean marginal, truncated at 0."""
-    ybar = float(np.mean(data.y))
-    return max(0.0, ybar**2 - sigma2 / data.n)
-
-
 def lasso_mmle_em(data: Dataset, init_lam: float, gibbs_cfg: GibbsConfig,
                   em_steps: int = 30, sigma2: float | None = None) -> MmleResult:
     """Monte Carlo EM for the Laplace rate hyperparameter.
@@ -210,7 +205,6 @@ def lasso_mmle_em(data: Dataset, init_lam: float, gibbs_cfg: GibbsConfig,
         raise DomainError("init_lam must be positive")
     d = data.X.shape[1]
     lam = float(init_lam)
-    trace = [lam]
     calm = 0
     converged = False
     steps = 0
@@ -222,16 +216,10 @@ def lasso_mmle_em(data: Dataset, init_lam: float, gibbs_cfg: GibbsConfig,
         new_lam = math.sqrt(2.0 * d / float(np.sum(tau2_mean)))
         rel = abs(new_lam - lam) / lam
         lam = new_lam
-        trace.append(lam)
         steps = t + 1
         calm = calm + 1 if rel < 1e-3 else 0
         if calm >= 3:
             converged = True
             break
     return MmleResult(lam=lam, objective=math.nan, converged=converged,
-                      iterations=steps, trace=trace)
-
-
-def pseudo_mmle(family, data: Dataset):
-    """Plug-in hyperparameter: the oracle formula evaluated at the MLE."""
-    return family.pseudo_hyperparameter(data)
+                      iterations=steps)

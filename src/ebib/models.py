@@ -176,8 +176,6 @@ class DirichletRowsPosterior:
 
     alpha: np.ndarray
 
-    kind = "dirichlet-rows"
-
     def mean(self) -> np.ndarray:
         return self.alpha / self.alpha.sum(axis=1, keepdims=True)
 
@@ -228,19 +226,23 @@ def _simulate_mixture(t: MixtureParams, n, g) -> Dataset:
 
 
 class ModelFamily:
-    """Base class: capability flags plus the shared evaluator interface."""
+    """Base class: the shared evaluator interface.
+
+    A capability is the method itself: an optional evaluator either answers
+    or raises ``CapabilityError``.
+    """
 
     id = "base"
-    # capability flags, exercised by tests
-    closed_marginal = False
-    closed_posterior = False
-    closed_oracle = False
-    closed_fisher = False
     # log_likelihood and log_marginal take one dataset per row of a 2-d y
     rowwise_eval = False
 
     def validate_hyperparam(self, lam, allow_boundary=False):
-        raise NotImplementedError
+        """A scalar lam > 0, or 0 where ``allow_boundary``; families indexed
+        by a vector or a matrix override this."""
+        lam = float(lam)
+        if lam < 0 or (lam == 0 and not allow_boundary):
+            raise DomainError("lam must be positive (0 only as boundary)")
+        return lam
 
     def log_likelihood(self, theta, data: Dataset) -> float:
         raise NotImplementedError
@@ -292,22 +294,12 @@ class NormalMean(ModelFamily):
     """y_i iid N(theta, sigma2) with prior theta ~ N(0, lam)."""
 
     id = "M1"
-    closed_marginal = True
-    closed_posterior = True
-    closed_oracle = True
-    closed_fisher = True
     rowwise_eval = True
 
     def __init__(self, sigma2: float = 1.0):
         if not sigma2 > 0:
             raise DomainError("sigma2 must be positive")
         self.sigma2 = float(sigma2)
-
-    def validate_hyperparam(self, lam, allow_boundary=False):
-        lam = float(lam)
-        if lam < 0 or (lam == 0 and not allow_boundary):
-            raise DomainError("lam must be positive (0 only as boundary)")
-        return lam
 
     def log_likelihood(self, theta, data):
         # one value per row of a 2-d y, each equal to the 1-d call on it
@@ -333,6 +325,11 @@ class NormalMean(ModelFamily):
 
     def mle(self, data):
         return float(np.mean(data.y))
+
+    def closed_form_mmle(self, data: Dataset) -> float:
+        """Stationary point of the exact marginal, truncated at 0."""
+        ybar = float(np.mean(data.y))
+        return max(0.0, ybar**2 - self.sigma2 / data.n)
 
     def posterior(self, lam, data):
         n = data.n
@@ -373,9 +370,6 @@ class IndepNormalRegression(ModelFamily):
     """y = X beta + eps, eps ~ N(0, sigma2 I); prior beta_j ~ N(0, tau2_j)."""
 
     id = "M2"
-    closed_marginal = True
-    closed_posterior = True
-    closed_oracle = True
 
     def __init__(self, sigma2: float = 1.0):
         if not sigma2 > 0:
@@ -501,10 +495,6 @@ class GPriorRegression(ModelFamily):
     """
 
     id = "M3"
-    closed_marginal = True
-    closed_posterior = True
-    closed_oracle = True
-    closed_fisher = True
 
     def __init__(self, V=None):
         self.V = None if V is None else np.atleast_2d(np.asarray(V, float))
@@ -519,12 +509,6 @@ class GPriorRegression(ModelFamily):
         colsums = np.abs(X.sum(axis=0))
         if np.any(colsums > 1e-8 * max(1.0, X.shape[0])):
             raise DomainError("g-prior design must be column-centered (1^t X = 0)")
-
-    def validate_hyperparam(self, lam, allow_boundary=False):
-        lam = float(lam)
-        if lam < 0 or (lam == 0 and not allow_boundary):
-            raise DomainError("g must be positive")
-        return lam
 
     def log_likelihood(self, theta, data):
         r = data.y - theta.alpha - data.X @ theta.beta
@@ -663,8 +647,6 @@ class MarkovDirichlet(ModelFamily):
     """K-state chain; rows of the transition matrix get Dirichlet(alpha_i) priors."""
 
     id = "M4"
-    closed_marginal = True
-    closed_posterior = True
 
     #: default oracle/MMLE search box per concentration coordinate
     BOX = (1e-3, 50.0)
@@ -816,16 +798,12 @@ class BayesLasso(ModelFamily):
     """
 
     id = "M5"
-    closed_oracle = True
 
     def __init__(self, sigma2: float | None = 1.0, V=None):
         if sigma2 is not None and not sigma2 > 0:
             raise DomainError("sigma2 must be positive")
         self.sigma2 = None if sigma2 is None else float(sigma2)
         self.V = None if V is None else np.atleast_2d(np.asarray(V, float))
-        self.closed_marginal = sigma2 is not None
-        self.closed_posterior = sigma2 is not None
-        self.closed_fisher = sigma2 is not None
 
     @property
     def sigma_known(self) -> bool:
@@ -922,11 +900,10 @@ class BayesLasso(ModelFamily):
         from .samplers import GibbsConfig, gibbs_lasso
         from .posteriors import SamplePosterior
 
-        cfg = GibbsConfig(iters=6000, burnin=1000, seed=0)
         chain = gibbs_lasso(data, self.validate_hyperparam(lam),
-                            sigma2=self.sigma2, cfg=cfg)
+                            sigma2=self.sigma2, cfg=GibbsConfig())
         d = data.X.shape[1]
-        return SamplePosterior(chain.draws[:, :d], seed=chain.seed)
+        return SamplePosterior(chain.draws[:, :d])
 
     def log_marginal(self, lam, data):
         lam = self.validate_hyperparam(lam)
@@ -973,8 +950,6 @@ class GaussMixtureKnownK(ModelFamily):
     """
 
     id = "M6"
-    closed_oracle = True
-    closed_fisher = True  # via deterministic quadrature of the score
 
     def __init__(self, K: int, omega: float = 2.0):
         if K < 2:
@@ -1076,17 +1051,11 @@ class GaussMixtureKnownK(ModelFamily):
     def simulate(self, theta0, n, g, seed):
         return _simulate_mixture(theta0, n, g)
 
-    def posterior(self, lam, data, cfg=None):
+    def posterior(self, lam, data):
         from .posteriors import SamplePosterior
         from .samplers import GibbsConfig, gibbs_gauss_mixture
 
-        xi, tau, psi = self.validate_hyperparam(lam)
-        if cfg is None:
-            cfg = GibbsConfig(iters=6000, burnin=1000, seed=0)
-        chain = gibbs_gauss_mixture(
-            data, K=self.K, xi=xi, tau=tau, psi=psi, omega=self.omega, cfg=cfg
-        )
-        return SamplePosterior(chain.draws, seed=chain.seed)
+        return SamplePosterior(gibbs_gauss_mixture(data, self, lam, GibbsConfig()).draws)
 
 
 # ---------------------------------------------------------------------------
@@ -1113,12 +1082,6 @@ class OverfittedMixture(ModelFamily):
         self.comp_var = float(comp_var)
         self.loc_mean = float(loc_mean)
         self.loc_var = float(loc_var)
-
-    def validate_hyperparam(self, lam, allow_boundary=False):
-        lam = float(lam)
-        if lam < 0 or (lam == 0 and not allow_boundary):
-            raise DomainError("lam must be positive (0 only as boundary)")
-        return lam
 
     def _params(self, theta) -> MixtureParams:
         if not isinstance(theta, MixtureParams):
@@ -1160,13 +1123,11 @@ class OverfittedMixture(ModelFamily):
     def simulate(self, theta0, n, g, seed):
         return _simulate_mixture(theta0, n, g)
 
-    def posterior(self, lam, data, cfg=None):
+    def posterior(self, lam, data):
         from .posteriors import SamplePosterior
         from .samplers import GibbsConfig, gibbs_mixture_weights
 
-        lam = self.validate_hyperparam(lam)
-        if cfg is None:
-            cfg = GibbsConfig(iters=6000, burnin=1000, seed=0)
-        chain = gibbs_mixture_weights(data, lam_ref=lam, K=self.K, base=self, cfg=cfg)
-        return SamplePosterior(chain.draws[:, : self.K], seed=chain.seed)
+        chain = gibbs_mixture_weights(data, self.validate_hyperparam(lam), self,
+                                      GibbsConfig())
+        return SamplePosterior(chain.draws[:, : self.K])
 

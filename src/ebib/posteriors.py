@@ -20,8 +20,6 @@ from .numerics import norm_cdf, norm_logpdf, norm_pdf, norm_ppf
 class GaussianPosterior:
     """Closed-form 1-D Gaussian posterior."""
 
-    kind = "closed-gaussian"
-
     def __init__(self, mean: float, var: float):
         if var < 0:
             raise DomainError("variance must be nonnegative")
@@ -51,8 +49,6 @@ class GaussianPosterior:
 class PointMassPosterior:
     """Degenerate posterior concentrated at a single point."""
 
-    kind = "point-mass"
-
     def __init__(self, location: float):
         self.location = float(location)
         self.mean = self.location
@@ -62,14 +58,15 @@ class PointMassPosterior:
     def cdf(self, x):
         return np.where(np.asarray(x) >= self.location, 1.0, 0.0)
 
+    def ppf(self, q):
+        return np.full(np.shape(q), self.location)
+
     def sample(self, rng, size):
         return np.full(size, self.location)
 
 
 class GridPosterior:
     """1-D density tabulated on an abscissa grid (trapezoid normalized)."""
-
-    kind = "grid-density"
 
     def __init__(self, x, density):
         x = np.asarray(x, dtype=float)
@@ -107,9 +104,7 @@ class GridPosterior:
 class SamplePosterior:
     """Posterior represented by (weighted) Monte Carlo draws."""
 
-    kind = "samples"
-
-    def __init__(self, draws, weights=None, seed=None):
+    def __init__(self, draws, weights=None):
         draws = np.atleast_2d(np.asarray(draws, dtype=float))
         if weights is None:
             weights = np.full(draws.shape[0], 1.0 / draws.shape[0])
@@ -117,7 +112,6 @@ class SamplePosterior:
         weights = weights / weights.sum()
         self.draws = draws
         self.weights = weights
-        self.seed = seed
 
     @property
     def ess(self) -> float:
@@ -153,8 +147,6 @@ class ProductPosterior:
 
     marginals: list = field(default_factory=list)
 
-    kind = "product"
-
     def marginal(self, j: int):
         return self.marginals[j]
 
@@ -165,8 +157,6 @@ class NormalInverseGammaPosterior:
     alpha | Y, s2 ~ N(alpha_mean, s2/n); beta | Y, s2 ~ N(mu, s2 * beta_cov_unit);
     s2 = sigma^2 | Y ~ InvGamma(a1, a2).
     """
-
-    kind = "closed-normal-inverse-gamma"
 
     def __init__(self, alpha_mean, n, mu, beta_cov_unit, a1, a2):
         self.alpha_mean = float(alpha_mean)

@@ -31,7 +31,6 @@ class GibbsConfig:
 class ChainOutput:
     draws: np.ndarray  # rows = retained iterations
     names: tuple
-    seed: int
 
     def to_csv(self, path):
         header = ",".join(self.names)
@@ -62,12 +61,12 @@ def effective_sample_size(x) -> float:
     return float(n / (1.0 + 2.0 * s))
 
 
-def _chain(draws, names, seed) -> ChainOutput:
+def _chain(draws, names) -> ChainOutput:
     draws = np.asarray(draws, dtype=float)
     if not np.all(np.isfinite(draws)):
         bad = int(np.argwhere(~np.isfinite(draws))[0][0])
         raise SamplerError("non-finite draw in chain", iteration=bad)
-    return ChainOutput(draws=draws, names=tuple(names), seed=seed)
+    return ChainOutput(draws=draws, names=tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,7 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
             row[:d], row[d : 2 * d] = beta, tau2
             if sample_sigma:
                 row[2 * d] = s2
-    return _chain(out, names, cfg.seed)
+    return _chain(out, names)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +225,23 @@ def _allocate(logp, g):
     return z, np.bincount(z, minlength=K)
 
 
-def gibbs_mixture_weights(data: Dataset, lam_ref: float, K: int, base,
+def gibbs_mixture_weights(data: Dataset, lam_ref: float, family,
                           cfg: GibbsConfig) -> ChainOutput:
     """Allocation-weight Gibbs for the Gaussian-location mixture.
 
-    ``base`` supplies the fixed component variance and the Normal prior on the
-    locations (an OverfittedMixture instance).  Retained draws are the weight
-    vectors p plus the allocation counts c, which feed the marginal-likelihood
-    reweighting profile (the counts give bounded importance ratios, unlike the
-    raw weights whose ratios have infinite variance near the simplex edge).
+    ``family`` (an OverfittedMixture) supplies the component count K, the
+    fixed component variance and the Normal prior on the locations.  Retained
+    draws are the weight vectors p plus the allocation counts c, which feed
+    the marginal-likelihood reweighting profile (the counts give bounded
+    importance ratios, unlike the raw weights whose ratios have infinite
+    variance near the simplex edge).
     """
     if lam_ref <= 0:
         raise DomainError("lam_ref must be positive")
     y = data.y
     g = rngmod.stream(cfg.seed, "gibbs-mix-weights")
-    comp_var = base.comp_var
-    m0, s02 = base.loc_mean, base.loc_var
+    K, comp_var = family.K, family.comp_var
+    m0, s02 = family.loc_mean, family.loc_var
     prior_prec, prior_shift = 1.0 / s02, m0 / s02
 
     w = np.full(K, 1.0 / K)
@@ -269,15 +269,17 @@ def gibbs_mixture_weights(data: Dataset, lam_ref: float, K: int, base,
             row = out[it - cfg.burnin]
             row[:K], row[K:] = w, counts
     names = [f"p{j + 1}" for j in range(K)] + [f"c{j + 1}" for j in range(K)]
-    return _chain(out, names, cfg.seed)
+    return _chain(out, names)
 
 
-def gibbs_gauss_mixture(data: Dataset, K: int, xi: float, tau: float, psi: float,
-                        omega: float, cfg: GibbsConfig) -> ChainOutput:
-    """Conjugate Gibbs for the known-K Gaussian mixture.
+def gibbs_gauss_mixture(data: Dataset, family, lam, cfg: GibbsConfig) -> ChainOutput:
+    """Conjugate Gibbs for the known-K Gaussian mixture (a GaussMixtureKnownK
+    ``family``) at the hyperparameter lam = (xi, tau, psi).
 
     Draw columns: (w_1..w_K, mu_1..mu_K, v_1..v_K).
     """
+    xi, tau, psi = family.validate_hyperparam(lam)
+    K, omega = family.K, family.omega
     y = data.y
     n = y.size
     g = rngmod.stream(cfg.seed, "gibbs-mix-full")
@@ -313,4 +315,4 @@ def gibbs_gauss_mixture(data: Dataset, K: int, xi: float, tau: float, psi: float
         + [f"mu{j + 1}" for j in range(K)]
         + [f"v{j + 1}" for j in range(K)]
     )
-    return _chain(out, names, cfg.seed)
+    return _chain(out, names)

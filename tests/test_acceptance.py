@@ -277,7 +277,7 @@ def test_criterion_10_sampler_correctness(capsys):
     w = np.exp(np.asarray(terms) - max(terms))
     exact = float(w @ np.asarray(means) / w.sum())
     mcfg = GibbsConfig(iters=21000, burnin=1000, seed=8)
-    mchain = gibbs_mixture_weights(data8, lam, 2, fam7, mcfg)
+    mchain = gibbs_mixture_weights(data8, lam, fam7, mcfg)
     p1 = mchain.draws[:, 0]
     se = float(np.std(p1, ddof=1)) / math.sqrt(effective_sample_size(p1))
     gap = abs(float(np.mean(p1)) - exact)
@@ -286,8 +286,7 @@ def test_criterion_10_sampler_correctness(capsys):
     bitrep = (np.array_equal(chain.draws,
                              gibbs_lasso(data, 1.5, sigma2=1.0, cfg=cfg).draws)
               and np.array_equal(mchain.draws,
-                                 gibbs_mixture_weights(data8, lam, 2, fam7,
-                                                       mcfg).draws))
+                                 gibbs_mixture_weights(data8, lam, fam7, mcfg).draws))
     ok = l1 < 0.05 and gap <= 3.0 * se and bitrep
     _report(capsys, 10, ok,
             f"histogram L1 {l1:.4f} < 0.05 at 5e4 draws; enumeration gap "

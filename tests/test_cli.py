@@ -142,6 +142,14 @@ BAD_VALUES = [
     # which ran only after every profile
     {"experiment": "mixture-rate", "n_grid": [3], "seeds": 1, "draws": 49},
     {"experiment": "mixture-rate", "K": 6, "n_grid": [3], "seeds": 1, "draws": 100},
+    # log lam* is undefined at theta0 = 0 (math domain error, exit 1), and the
+    # merging ratio divides by a first-order prediction that is 0 at theta0 = 0
+    # or lam1 = lam2 (ZeroDivisionError, exit 1)
+    {"experiment": "kl-oracle", "theta0": 0.0},
+    {"experiment": "merging-rates", "theta0": 0.0},
+    {"experiment": "merging-rates", "lam_pair": [1.0, 1.0]},
+    # lam* = theta0^2 overflowed (OverflowError, exit 1)
+    {"experiment": "mmle-consistency", "theta0": 1e160},
 ]
 
 
@@ -161,12 +169,36 @@ BAD_VALUES = [
                                                   "table1_n_below_d", "fig2_n_below_d",
                                                   "lambdas_zero",
                                                   "mixture_draws_below_ess",
-                                                  "mixture_K_past_enumeration_cap"])
+                                                  "mixture_K_past_enumeration_cap",
+                                                  "kl_theta0_zero", "merging_theta0_zero",
+                                                  "lam_pair_equal", "theta0_overflow"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, verb, doc):
     path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
     assert main([verb, path]) == 2
     assert "validation error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a closed-form lam_hat that truncates to 0 gives a point-mass posterior: each
+# of these used to end in an AttributeError (exit 1)
+POINT_MASS = [
+    ({"experiment": "credible-discrepancy", "theta0": 0.1, "n_grid": [50], "seeds": 5},
+     0, ""),
+    ({"experiment": "fig1-densities", "theta0": 0.05}, 3,
+     "runtime failure: dens_eb: a point-mass posterior has no density"),
+]
+
+
+@pytest.mark.parametrize("doc,code,err", POINT_MASS,
+                         ids=[d["experiment"] for d, _, _ in POINT_MASS])
+def test_point_mass_posterior_runs_or_exits_3(tmp_path, capsys, doc, code, err):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, {**doc, "output_dir": str(out)})]) == code
+    assert err in capsys.readouterr().err
+    if code == 0:
+        # a point-mass build posterior brackets no mass of the Gaussian one
+        rows = (out / "results.csv").read_text().splitlines()[2:]
+        assert any(r.split(",")[2] == "-0.9" for r in rows)
 
 
 def test_validate_config_value_bounds():
@@ -363,8 +395,10 @@ def test_run_loads_only_the_scipy_it_calls(tmp_path, doc, forbidden):
 # results.csv of every replicate experiment at small sizes, pinned by sha256
 # before the seed loops moved into one runner; each document exercises its
 # stream keys ("table1" and "gibbs", "cons", "merge", "pred", "cred",
-# "mixrate" and "mixprof") at two n and two seeds; and markov-sparsity, the
-# M4 prior oracle and row-wise MMLE, at shipped size
+# "mixrate" and "mixprof") at two n and two seeds; markov-sparsity, the M4
+# prior oracle and row-wise MMLE, at shipped size; and, pinned before the
+# family interface lost its capability flags, the three single-dataset
+# experiments at small sizes
 PINNED = [
     ({"experiment": "table1-lasso", "n_grid": [30, 50], "seeds": 2,
       "gibbs_iters": 60, "gibbs_burnin": 20, "em_steps": 2},
@@ -381,6 +415,15 @@ PINNED = [
      "84769b641ff84fb2141a3da298ea073430a8aadd3d0cff3810f4a3641285be57"),
     ({"experiment": "markov-sparsity"},
      "60de9de2f6f2800e38cfb52b28e9d681009fe4d3c9704ce263c3bc8c187462e3"),
+    ({"experiment": "fig1-densities", "n": 25, "grid_points": 101,
+      "lambdas": [0.5, 2.0]},
+     "3dfa1125c5b8cafc2be09c54ade523e1d0512b2ca79831aacd2ec107811b2842"),
+    ({"experiment": "fig2-lasso-marginals", "n_grid": [20, 60], "coords": [0, 13],
+      "lam_points": 13, "grid_points": 51},
+     "79cacac1fd67ff1149308d860f766eba6bd69f33308593e173f9c0d420badad2"),
+    ({"experiment": "kl-oracle", "n": 200, "lam_points": 9, "mc_configs": 4,
+      "mc_reps": 20},
+     "e0edf280f26ae75ee7b78cdabc512bf683c34c77dd9876daf905b70036ae6342"),
 ]
 
 

@@ -162,7 +162,7 @@ def test_m7_single_observation_checkpoint():
     fam = _mix_family()
     data = Dataset(y=[0.3])
     want = gaussian_logpdf([0.3], [0.0], np.array([[5.0]]))
-    got = mixture_marginal_exact(data, 0.7, 2, fam)
+    got = mixture_marginal_exact(data, 0.7, fam)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -170,7 +170,7 @@ def test_m7_enumeration_matches_direct_quadrature_n3():
     fam = _mix_family()
     y = np.array([-0.4, 0.9, 0.1])
     lam = 1.0
-    got = mixture_marginal_exact(Dataset(y=y), lam, 2, fam)
+    got = mixture_marginal_exact(Dataset(y=y), lam, fam)
 
     # dense trapezoid over (p, gamma1, gamma2)
     ps = np.linspace(1e-4, 1 - 1e-4, 201)
@@ -195,15 +195,15 @@ def test_m7_enumeration_matches_direct_quadrature_n3():
 def test_m7_enumeration_permutation_invariant():
     fam = _mix_family()
     y = np.array([0.2, -1.1, 0.8, 1.9, -0.3])
-    a = mixture_marginal_exact(Dataset(y=y), 0.5, 2, fam)
-    b = mixture_marginal_exact(Dataset(y=y[::-1].copy()), 0.5, 2, fam)
+    a = mixture_marginal_exact(Dataset(y=y), 0.5, fam)
+    b = mixture_marginal_exact(Dataset(y=y[::-1].copy()), 0.5, fam)
     assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_m7_enumeration_capacity_guard():
     fam = _mix_family()
     with pytest.raises(CapacityError):
-        mixture_marginal_exact(Dataset(y=np.zeros(25)), 0.5, 2, fam)
+        mixture_marginal_exact(Dataset(y=np.zeros(25)), 0.5, fam)
 
 
 def test_m7_reweighting_matches_enumeration_within_3se():
@@ -213,10 +213,10 @@ def test_m7_reweighting_matches_enumeration_within_3se():
     lam_ref = 0.5
     grid = [0.1, 0.25, 0.5]
     rows = mixture_marginal_profile(data, grid, lam_ref, draws=20000, seed=11,
-                                    base=fam, K=2)
-    ref = mixture_marginal_exact(data, lam_ref, 2, fam)
+                                    family=fam)
+    ref = mixture_marginal_exact(data, lam_ref, fam)
     for r in rows:
-        exact_delta = mixture_marginal_exact(data, r["lam"], 2, fam) - ref
+        exact_delta = mixture_marginal_exact(data, r["lam"], fam) - ref
         assert abs(r["delta_logm"] - exact_delta) <= 3.0 * max(r["stderr"], 1e-12)
 
 
@@ -225,10 +225,10 @@ def test_m7_profile_argmax_matches_enumeration_argmax_n8():
     t0 = MixtureParams(weights=[1.0, 0.0], means=[0.0, 0.0], variances=[1.0, 1.0])
     data = simulate(fam, t0, 8, 42)
     grid = list(np.geomspace(0.025, 0.5, 5))
-    enum_arg = grid[int(np.argmax([mixture_marginal_exact(data, l, 2, fam)
+    enum_arg = grid[int(np.argmax([mixture_marginal_exact(data, l, fam)
                                    for l in grid]))]
     rows = mixture_marginal_profile(data, grid, 0.5, draws=32000, seed=12,
-                                    base=fam, K=2)
+                                    family=fam)
     assert profile_argmax(rows) == enum_arg
 
 
@@ -238,7 +238,7 @@ def test_m7_profile_rows_are_pinned():
     t0 = MixtureParams(weights=[1.0, 0.0], means=[0.5, 0.0], variances=[1.0, 1.0])
     data = simulate(fam, t0, 60, (7, "pinprof"))
     rows = mixture_marginal_profile(data, list(np.geomspace(0.05, 1.0, 4)), 0.5,
-                                    draws=400, seed=9, base=fam, K=2)
+                                    draws=400, seed=9, family=fam)
     want = [
         (0.8978431243363101, 0.1271832199296375, 194.34497044732294),
         (0.6831766878763517, 0.100403158269638, 250.8127500503041),
@@ -252,4 +252,4 @@ def test_reweighting_guards():
     fam = _mix_family()
     data = Dataset(y=np.array([0.1, -0.2]))
     with pytest.raises(DomainError):
-        mixture_marginal_profile(data, [0.01], 0.5, draws=100, seed=0, base=fam, K=2)
+        mixture_marginal_profile(data, [0.01], 0.5, draws=100, seed=0, family=fam)

@@ -15,7 +15,6 @@ from ebib.merging import (
     predicted_l1_posterior,
     predicted_l1_predictive,
 )
-from ebib.mmle import m1_closed_form_mmle
 from ebib.models import (
     Dataset,
     GPriorParams,
@@ -112,11 +111,11 @@ def _shipped_pairs(seed_base, n, seeds):
     lam_star = fam.oracle_hyperparameter(2.0)
     for s in range(seeds):
         data = simulate(fam, 2.0, n, (seed_base, "merge", n, s))
-        lam_hat = m1_closed_form_mmle(data, 1.0)
+        lam_hat = fam.closed_form_mmle(data)
         yield fam.posterior(1.0, data), fam.posterior(4.0, data)
         yield fam.posterior(lam_hat, data), fam.posterior(lam_star, data)
         data = simulate(fam, 2.0, n, (seed_base, "pred", n, s))
-        lam_hat = m1_closed_form_mmle(data, 1.0)
+        lam_hat = fam.closed_form_mmle(data)
         p, q = (fam.posterior(lam, data) for lam in (lam_hat, lam_star))
         yield (GaussianPosterior(p.mean, p.var + 1.0),
                GaussianPosterior(q.mean, q.var + 1.0))

@@ -9,10 +9,8 @@ from ebib.mmle import (
     MmleResult,
     RestrictedDomain,
     lasso_mmle_em,
-    m1_closed_form_mmle,
     mmle_continuous,
     mmle_grid,
-    pseudo_mmle,
 )
 from ebib.models import (
     BayesLasso,
@@ -73,13 +71,13 @@ def test_m1_continuous_matches_closed_form():
         data = simulate(fam, 2.0, 40, seed)
         res = mmle_continuous(fam, data, RestrictedDomain(box=((1e-8, 50.0),)),
                               tol=1e-10)
-        closed = m1_closed_form_mmle(data, 1.0)
+        closed = fam.closed_form_mmle(data)
         assert res.lam == pytest.approx(closed, abs=1e-6)
 
 
 def test_m1_closed_form_mmle_truncates_at_zero():
     data = Dataset(y=np.array([0.05, -0.05, 0.0, 0.0]))  # ybar = 0
-    assert m1_closed_form_mmle(data, 1.0) == 0.0
+    assert NormalMean(sigma2=1.0).closed_form_mmle(data) == 0.0
 
 
 def test_m1_zero_mean_boundary_flagged():
@@ -138,7 +136,7 @@ def test_m4_mmle_zero_count_cells_hit_lower_edge():
 def test_pseudo_mmle_m1_checkpoint():
     fam = NormalMean(sigma2=1.0)
     data = Dataset(y=np.full(12, 2.0))
-    assert pseudo_mmle(fam, data) == pytest.approx(4.0, abs=1e-12)
+    assert fam.pseudo_hyperparameter(data) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_lasso_em_matches_grid_mmle_d1():

@@ -27,6 +27,7 @@ from ebib.models import (
     load_dataset_csv,
 )
 from ebib.marginal import log_marginal
+from ebib.posteriors import PointMassPosterior
 from ebib.samplers import orthogonal_design, simulate
 from helpers import finite_diff_gradient
 
@@ -373,7 +374,7 @@ def test_m2_posterior_active_set():
     fam = IndepNormalRegression(sigma2=1.0)
     data = simulate(fam, RegressionParams(beta=[1.0, 0.0], sigma2=1.0), 60, 0)
     post = fam.posterior(np.array([2.0, 0.0]), data)
-    assert post.marginal(1).kind == "point-mass"
+    assert isinstance(post.marginal(1), PointMassPosterior)
     assert post.marginal(0).mean == pytest.approx(1.0, abs=0.1)
 
 
@@ -399,7 +400,7 @@ def test_m5_coordinate_posterior_normalized_and_shrunk():
         assert abs(post.mean) < abs(bhat[j]) + 1e-12
 
 
-def test_capability_flags_are_consistent():
+def test_each_family_answers_log_marginal_or_raises_capability_error():
     g = np.random.default_rng(7)
     y = g.normal(size=12)
     X = g.normal(size=(12, 3))
@@ -416,19 +417,20 @@ def test_capability_flags_are_consistent():
         (GaussMixtureKnownK(K=2), (0.0, 1.0, 1.0), Dataset(y=y)),
         (OverfittedMixture(K=2), 0.5, Dataset(y=y)),
     ]
+    # a capability is the method: it answers with a finite float or raises
+    answered = []
     for fam, lam, data in cases:
-        for flag in ("closed_marginal", "closed_posterior", "closed_oracle",
-                     "closed_fisher"):
-            assert isinstance(getattr(fam, flag), bool)
-        # the flag says exactly whether the closed-form marginal is available
-        if fam.closed_marginal:
+        try:
             val = log_marginal(fam, lam, data)
-            assert isinstance(val, float) and math.isfinite(val), fam.id
-        else:
-            with pytest.raises(CapabilityError):
-                log_marginal(fam, lam, data)
-    assert BayesLasso(sigma2=1.0).closed_marginal
-    assert not BayesLasso(sigma2=None).closed_marginal
+        except CapabilityError:
+            continue
+        assert isinstance(val, float) and math.isfinite(val), fam.id
+        answered.append(fam)
+    assert [f.id for f in answered] == ["M1", "M2", "M3", "M4", "M5"]
+    # the LASSO marginal is closed-form with sigma2 known only
+    assert answered[-1].sigma2 == 1.0
+    with pytest.raises(CapabilityError):
+        BayesLasso(sigma2=None).fisher_information(np.ones(3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 37, 300])

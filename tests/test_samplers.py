@@ -132,12 +132,12 @@ def test_chain_rejects_non_finite_draws():
     draws = np.ones((5, 2))
     draws[3, 1] = math.nan
     with pytest.raises(SamplerError) as exc:
-        _chain(draws, ("a", "b"), 0)
+        _chain(draws, ("a", "b"))
     assert exc.value.iteration == 3
 
 
 def test_chain_output_csv(tmp_path):
-    chain = _chain(np.arange(6.0).reshape(3, 2), ("a", "b"), 0)
+    chain = _chain(np.arange(6.0).reshape(3, 2), ("a", "b"))
     path = tmp_path / "chain.csv"
     chain.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -275,7 +275,7 @@ def test_gibbs_mixture_weights_matches_enumeration_at_n8():
     data = simulate(fam, t0, 8, 77)
     lam = 0.5
     exact = _enumeration_posterior_mean_p1(data.y, lam, 2, fam)
-    chain = gibbs_mixture_weights(data, lam, 2, fam,
+    chain = gibbs_mixture_weights(data, lam, fam,
                                   GibbsConfig(iters=21000, burnin=1000, seed=8))
     p1 = chain.draws[:, 0]
     se = float(np.std(p1, ddof=1)) / math.sqrt(effective_sample_size(p1))
@@ -287,7 +287,7 @@ def test_gibbs_mixture_weights_emptying_tendency():
     fam = OverfittedMixture(K=2, comp_var=1.0, loc_mean=0.0, loc_var=4.0)
     t0 = MixtureParams(weights=[1.0, 0.0], means=[0.0, 0.0], variances=[1.0, 1.0])
     data = simulate(fam, t0, 400, 21)
-    chain = gibbs_mixture_weights(data, 0.5, 2, fam,
+    chain = gibbs_mixture_weights(data, 0.5, fam,
                                   GibbsConfig(iters=4000, burnin=1000, seed=22))
     w = chain.draws[:, :2]
     assert float(np.mean(np.min(w, axis=1))) < 0.2
@@ -298,8 +298,8 @@ def test_gibbs_mixture_weights_bit_reproducible():
     data = simulate(fam, MixtureParams(weights=[1.0, 0.0], means=[0.0, 0.0],
                                        variances=[1.0, 1.0]), 30, 5)
     cfg = GibbsConfig(iters=300, burnin=50, seed=4)
-    a = gibbs_mixture_weights(data, 0.5, 2, fam, cfg)
-    b = gibbs_mixture_weights(data, 0.5, 2, fam, cfg)
+    a = gibbs_mixture_weights(data, 0.5, fam, cfg)
+    b = gibbs_mixture_weights(data, 0.5, fam, cfg)
     assert np.array_equal(a.draws, b.draws)
 
 
@@ -307,7 +307,7 @@ def test_gibbs_gauss_mixture_recovers_separated_components():
     fam = OverfittedMixture(K=2, comp_var=1.0)  # only for simulate dispatch
     t0 = MixtureParams(weights=[0.5, 0.5], means=[-4.0, 4.0], variances=[1.0, 1.0])
     data = simulate(fam, t0, 400, 9)
-    chain = gibbs_gauss_mixture(data, K=2, xi=0.0, tau=0.1, psi=2.0, omega=2.0,
+    chain = gibbs_gauss_mixture(data, GaussMixtureKnownK(K=2, omega=2.0), (0.0, 0.1, 2.0),
                                 cfg=GibbsConfig(iters=4000, burnin=1000, seed=10))
     mu = np.sort(chain.draws[:, 2:4].mean(axis=0))
     assert mu[0] == pytest.approx(-4.0, abs=0.3)
@@ -321,8 +321,9 @@ def test_gibbs_gauss_mixture_bit_reproducible():
     t0 = MixtureParams(weights=[0.5, 0.5], means=[-2.0, 2.0], variances=[1.0, 1.0])
     data = simulate(fam, t0, 50, 11)
     cfg = GibbsConfig(iters=400, burnin=100, seed=12)
-    a = gibbs_gauss_mixture(data, K=2, xi=0.0, tau=1.0, psi=2.0, omega=2.0, cfg=cfg)
-    b = gibbs_gauss_mixture(data, K=2, xi=0.0, tau=1.0, psi=2.0, omega=2.0, cfg=cfg)
+    fam6 = GaussMixtureKnownK(K=2, omega=2.0)
+    a = gibbs_gauss_mixture(data, fam6, (0.0, 1.0, 2.0), cfg=cfg)
+    b = gibbs_gauss_mixture(data, fam6, (0.0, 1.0, 2.0), cfg=cfg)
     assert np.array_equal(a.draws, b.draws)
 
 
@@ -341,7 +342,7 @@ def test_gibbs_mixture_weights_draws_are_pinned(n, want):
     fam = OverfittedMixture(K=2, comp_var=1.0, loc_mean=0.0, loc_var=4.0)
     t0 = MixtureParams(weights=[1.0, 0.0], means=[0.5, 0.0], variances=[1.0, 1.0])
     data = simulate(fam, t0, n, (7, "pin", n))
-    chain = gibbs_mixture_weights(data, 0.5, 2, fam,
+    chain = gibbs_mixture_weights(data, 0.5, fam,
                                   GibbsConfig(iters=500, burnin=100, seed=3))
     assert chain.draws.shape == (400, 4)
     assert _digest(chain.draws) == want
@@ -361,10 +362,10 @@ def test_gibbs_mixture_weights_draws_are_pinned(n, want):
     (3, 0, 0.05, "43eb927f9a6f8e59"),
 ])
 def test_gibbs_mixture_weights_draws_are_pinned_for_k_and_lam(K, n, lam_ref, want):
-    fam = OverfittedMixture(K=2, comp_var=1.0, loc_mean=0.0, loc_var=4.0)
+    fam = OverfittedMixture(K=K, comp_var=1.0, loc_mean=0.0, loc_var=4.0)
     t0 = MixtureParams(weights=[0.5, 0.5], means=[-1.0, 1.5], variances=[1.0, 1.0])
     data = simulate(fam, t0, n, (7, "pinK", n))
-    chain = gibbs_mixture_weights(data, lam_ref, K, fam,
+    chain = gibbs_mixture_weights(data, lam_ref, fam,
                                   GibbsConfig(iters=300, burnin=50, seed=11))
     assert chain.draws.shape == (250, 2 * K)
     assert _digest(chain.draws) == want
@@ -374,7 +375,7 @@ def test_gibbs_gauss_mixture_draws_are_pinned():
     t0 = MixtureParams(weights=[0.3, 0.3, 0.4], means=[-3.0, 0.0, 3.0],
                        variances=[1.0, 1.0, 1.0])
     data = simulate(OverfittedMixture(K=3), t0, 90, (7, "pin3"))
-    chain = gibbs_gauss_mixture(data, K=3, xi=0.0, tau=0.5, psi=2.0, omega=2.0,
+    chain = gibbs_gauss_mixture(data, GaussMixtureKnownK(K=3, omega=2.0), (0.0, 0.5, 2.0),
                                 cfg=GibbsConfig(iters=400, burnin=100, seed=5))
     assert chain.draws.shape == (300, 9)
     assert _digest(chain.draws) == "d2017d939fa2aff9"
@@ -384,7 +385,7 @@ def test_gibbs_gauss_mixture_draws_are_pinned_at_k9():
     t0 = MixtureParams(weights=[1 / 9] * 9, means=list(np.linspace(-8.0, 8.0, 9)),
                        variances=[1.0] * 9)
     data = simulate(OverfittedMixture(K=9), t0, 200, (7, "pin9"))
-    chain = gibbs_gauss_mixture(data, K=9, xi=0.0, tau=0.5, psi=2.0, omega=2.0,
+    chain = gibbs_gauss_mixture(data, GaussMixtureKnownK(K=9, omega=2.0), (0.0, 0.5, 2.0),
                                 cfg=GibbsConfig(iters=300, burnin=50, seed=13))
     assert chain.draws.shape == (250, 27)
     assert _digest(chain.draws) == "2d6efcfb022380e1"
