@@ -32,7 +32,8 @@ from .errors import (
     InsufficientDataError,
     NonDifferentiableError,
 )
-from .numerics import log_gamma, low_rank_gaussian_logpdf, norm_logcdf, norm_logpdf
+from .numerics import (log_gamma, low_rank_gaussian_logpdf, nelder_mead, norm_logcdf,
+                       norm_logpdf)
 from .posteriors import (
     GaussianPosterior,
     GridPosterior,
@@ -737,25 +738,22 @@ class MarkovDirichlet(ModelFamily):
 
 
 def box_argmin(neg, lo, hi, g, maxiter, xatol):
-    """Nelder-Mead minimizer of ``neg``, which sees its argument clipped to the
-    box [lo, hi], from all ones and four ``g``-uniform starts on [lo, min(hi, 10)].
+    """Bounded Nelder-Mead (`numerics.nelder_mead`, ``fatol`` 1e-12) minimizer
+    of ``neg`` over the box [lo, hi], from all ones and four ``g``-uniform
+    starts on [lo, min(hi, 10)].
 
-    Returns the clipped result of the strictly best start, the total
-    iterations and whether every start converged.
+    Returns the result of the strictly best start, the total iterations and
+    whether every start converged.
     """
-    from scipy.optimize import minimize
-
     starts = [np.ones(lo.size)] + [g.uniform(lo, np.minimum(hi, 10.0))
                                    for _ in range(4)]
     best, iters, converged = None, 0, True
     for x0 in starts:
-        res = minimize(lambda a: neg(np.clip(a, lo, hi)), x0, method="Nelder-Mead",
-                       bounds=list(zip(lo, hi)),
-                       options={"maxiter": maxiter, "xatol": xatol, "fatol": 1e-12})
-        iters += res.nit
-        converged = converged and bool(res.success)
-        if best is None or res.fun < best[0]:
-            best = (res.fun, np.clip(res.x, lo, hi))
+        x, fun, nit, ok = nelder_mead(neg, x0, lo, hi, maxiter, xatol, 1e-12)
+        iters += nit
+        converged = converged and ok
+        if best is None or fun < best[0]:
+            best = (fun, x)
     return best[1], iters, converged
 
 
@@ -1049,7 +1047,7 @@ class GaussMixtureKnownK(ModelFamily):
         return float(np.trapezoid(np.abs(S @ w) * fdens, ys))
 
     def simulate(self, theta0, n, g, seed):
-        return _simulate_mixture(theta0, n, g)
+        return _simulate_mixture(self._params(theta0), n, g)
 
     def posterior(self, lam, data):
         from .posteriors import SamplePosterior
@@ -1121,7 +1119,7 @@ class OverfittedMixture(ModelFamily):
         return 0.0
 
     def simulate(self, theta0, n, g, seed):
-        return _simulate_mixture(theta0, n, g)
+        return _simulate_mixture(self._params(theta0), n, g)
 
     def posterior(self, lam, data):
         from .posteriors import SamplePosterior

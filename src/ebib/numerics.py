@@ -1,5 +1,6 @@
-"""Shared numerical kernels: quadrature, special functions, the Normal
-distribution and the rank-one Gaussian log-density.
+"""Shared numerical kernels: quadrature, the bounded Nelder-Mead search,
+special functions, the Normal distribution and the rank-one Gaussian
+log-density.
 
 All routines are pure functions; nothing here holds mutable state.
 """
@@ -168,6 +169,66 @@ def _panel_values(f, panels, tol, depth):
         panel[~done] = val[:half] + val[half:]
         val = panel
     return val, ok
+
+
+def nelder_mead(f, x0, lo, hi, maxiter: int, xatol: float, fatol: float):
+    """Minimize ``f`` over the box [lo, hi] by Nelder and Mead's (1965)
+    simplex search as scipy 1.17.1's ``minimize(method="Nelder-Mead",
+    bounds=...)`` runs it, step for step: with the same ``maxiter``, ``xatol``
+    and ``fatol`` it evaluates the same points in the same order, so its
+    result equals scipy's bit for bit.  The coefficients are fixed
+    (reflection 1, expansion 2, contraction and shrink 1/2); every vertex and
+    trial point is clipped to the box, and ``f`` gets a copy of it.
+
+    Returns (x, fun, nit, success): the best vertex, the least simplex value,
+    the iterations (counted from 1) and whether the stopping test passed
+    before ``maxiter``.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+
+    def box(x):
+        return np.clip(x, lo, hi)
+
+    x0 = box(np.asarray(x0, dtype=float))
+    N = x0.size
+    # x0, and x0 with one coordinate 5 % larger (0.00025 if it is 0); a
+    # vertex above hi is reflected back below it
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = box(np.where(sim > hi, 2 * hi - sim, sim))
+    fsim = np.array([f(v.copy()) for v in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice before the first iteration
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = box(2 * xbar - sim[-1])
+        fxr = f(xr.copy())
+        if fxr < fsim[0]:  # reflected past the best: try expanding
+            xe = box(3 * xbar - 2 * sim[-1])
+            fxe = f(xe.copy())
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract outside if the reflection beat the worst, else inside
+            out = fxr < fsim[-1]
+            xc = box(1.5 * xbar - 0.5 * sim[-1] if out else 0.5 * xbar + 0.5 * sim[-1])
+            fxc = f(xc.copy())
+            if (fxc <= fxr) if out else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = box(sim[0] + 0.5 * (sim[j] - sim[0]))
+                    fsim[j] = f(sim[j].copy())
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), iterations, iterations < maxiter
 
 
 def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):

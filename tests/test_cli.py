@@ -380,6 +380,11 @@ IMPORT_BUDGET = [
     ({"experiment": "table1-lasso", "n_grid": [30], "seeds": 1, "gibbs_iters": 60,
       "gibbs_burnin": 20, "em_steps": 2},
      ("scipy.optimize", "scipy.special")),
+    ({"experiment": "markov-sparsity"}, ("scipy.optimize", "scipy.linalg")),
+    ({"experiment": "merging-rates", "n_grid": [20], "seeds": 1}, ("scipy",)),
+    ({"experiment": "predictive-rates", "n_grid": [20], "seeds": 1}, ("scipy",)),
+    ({"experiment": "fig1-densities", "n": 25, "grid_points": 101}, ("scipy",)),
+    ({"experiment": "mmle-consistency", "n_grid": [20], "seeds": 1}, ("scipy",)),
 ]
 
 

@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ebib import marginal
 from ebib.errors import DomainError, InsufficientDataError
 from ebib.marginal import log_marginal
 from ebib.mmle import (
@@ -131,6 +134,41 @@ def test_m4_mmle_zero_count_cells_hit_lower_edge():
     alpha = np.asarray(res.lam)
     assert alpha[0, 1] == fam.BOX[0]
     assert res.at_boundary[1]
+
+
+# The M4 row search on the shipped markov-sparsity config at seed bases 0-3,
+# as recorded with scipy's Nelder-Mead: its iterations, its convergence, its
+# evaluations of the row marginal (plus the final objective) and alpha-hat
+SHIPPED_M4 = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "markov-sparsity.json").read_text())
+
+
+@pytest.mark.parametrize("seed_base,iterations,calls,alpha_hat", [
+    (0, 2131, 4393, [[50.0, 24.688659822797028, 0.001],
+                     [0.001, 31.732830306174726, 50.0],
+                     [50.0, 24.437079230065343, 25.185232668285906]]),
+    (1, 2232, 4568, [[50.0, 23.84287366993525, 0.001],
+                     [0.001, 30.722381669863616, 50.0],
+                     [50.0, 26.02995183827661, 21.49054504668629]]),
+    (2, 2211, 4500, [[50.0, 21.536837078294063, 0.001],
+                     [0.001, 34.56612264117602, 50.0],
+                     [50.0, 28.80098102585069, 26.968310256650188]]),
+    (3, 2169, 4437, [[50.0, 24.064256326881605, 0.001],
+                     [0.001, 35.08429229748326, 50.0],
+                     [50.0, 24.114248463001168, 27.378537043135324]]),
+])
+def test_m4_mmle_search_on_the_shipped_config_is_pinned(monkeypatch, seed_base,
+                                                        iterations, calls, alpha_hat):
+    fam = MarkovDirichlet(K=3)
+    data = simulate(fam, np.asarray(SHIPPED_M4["transition"], dtype=float),
+                    SHIPPED_M4["n"], (seed_base, "markov"))
+    seen = []
+    original = marginal.markov_log_marginal
+    monkeypatch.setattr(marginal, "markov_log_marginal",
+                        lambda *args: seen.append(args) or original(*args))
+    res = mmle_continuous(fam, data, RestrictedDomain(box=(fam.BOX,)), seed=seed_base)
+    assert (res.iterations, res.converged, len(seen)) == (iterations, True, calls)
+    assert np.asarray(res.lam).tolist() == alpha_hat
 
 
 def test_pseudo_mmle_m1_checkpoint():

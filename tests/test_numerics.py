@@ -16,12 +16,15 @@ from ebib.numerics import (
     integrate,
     log_gamma,
     low_rank_gaussian_logpdf,
+    nelder_mead,
     norm_cdf,
     norm_logcdf,
     norm_logpdf,
     norm_pdf,
     norm_ppf,
 )
+from ebib.marginal import markov_log_marginal
+from ebib.models import _log_dirichlet
 from ebib.posteriors import GaussianPosterior
 from helpers import child_env, finite_diff_gradient, gaussian_logpdf, recursive_simpson
 
@@ -152,6 +155,100 @@ def test_integrate_in_runs_of_panels_equals_recursive_simpson(monkeypatch):
         assert results[integrate] == results[recursive_simpson]
         assert sum(sizes[integrate]) == len(sizes[recursive_simpson])
         assert max(sizes[integrate][1:]) <= 4
+
+
+# `nelder_mead` repeats scipy's bounded Nelder-Mead step for step: on each
+# case below it must evaluate the same points in the same order as
+# scipy.optimize.minimize and return the same x, fun, nit and success.
+def _nelder_mead_and_scipy(f, x0, lo, hi, maxiter, xatol, fatol=1e-12):
+    from scipy.optimize import minimize
+
+    seen = {nelder_mead: [], minimize: []}
+
+    def recorded(key):
+        def g(x):
+            seen[key].append(x.tobytes())
+            return f(x)
+        return g
+
+    got = nelder_mead(recorded(nelder_mead), x0, lo, hi, maxiter, xatol, fatol)
+    res = minimize(recorded(minimize), x0, method="Nelder-Mead",
+                   bounds=list(zip(lo, hi)),
+                   options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+    assert got[0].tobytes() == res.x.tobytes()
+    assert got[1:] == (res.fun, res.nit, res.success)
+    assert seen[nelder_mead] == seen[minimize]
+    return got, [np.frombuffer(b) for b in seen[nelder_mead]]
+
+
+def _m4_row_objective(counts):
+    counts = np.asarray(counts)[None, :]
+    return lambda a: -markov_log_marginal(counts, a[None, :])
+
+
+def _shrunk(x0, nit, points):
+    # an iteration evaluates one or two trial points, or 2 + N with a shrink
+    return len(points) > len(x0) + 1 + 2 * (nit - 1)
+
+
+def test_nelder_mead_equals_scipy_on_random_m4_rows():
+    g = np.random.default_rng(20261019)
+    shrinks = zero_cells = 0
+    for _ in range(50):
+        K = int(g.integers(2, 5))
+        counts = g.integers(0, 41, size=K) * (g.uniform(size=K) > 0.3)
+        counts[0] = max(counts[0], 1)
+        zero_cells += int(np.sum(counts == 0))
+        lo, hi = np.full(K, 1e-3), np.full(K, 50.0)
+        for maxiter, xatol in ((8000, 1e-9), (4000, 1e-10)):
+            x0 = g.uniform(lo, np.minimum(hi, 10.0))
+            got, points = _nelder_mead_and_scipy(_m4_row_objective(counts), x0,
+                                                 lo, hi, maxiter, xatol)
+            assert got[3]
+            shrinks += _shrunk(x0, got[2], points)
+    assert zero_cells > 0 and shrinks > 0
+
+
+def test_nelder_mead_equals_scipy_when_maxiter_stops_it():
+    lo, hi = np.full(3, 1e-3), np.full(3, 50.0)
+    got, _ = _nelder_mead_and_scipy(_m4_row_objective([7, 0, 3]), np.ones(3),
+                                    lo, hi, 50, 1e-9)
+    assert got[2:] == (50, False)
+
+
+def test_nelder_mead_equals_scipy_from_the_upper_edge():
+    # the simplex vertices 5 % above hi are reflected to 2 hi - 1.05 hi
+    lo, hi = np.full(2, 1e-3), np.full(2, 50.0)
+    got, points = _nelder_mead_and_scipy(_m4_row_objective([10, 2]), hi.copy(),
+                                         lo, hi, 8000, 1e-9)
+    assert points[1].tolist() == [2 * 50.0 - 1.05 * 50.0, 50.0]
+    assert points[2].tolist() == [50.0, 2 * 50.0 - 1.05 * 50.0]
+    assert got[0][0] == 50.0 and got[3]
+
+
+def test_nelder_mead_equals_scipy_where_the_objective_is_infinite():
+    # the Dirichlet row objective of the M4 oracle, inf where it raises
+    # DomainError: on a box from 0, at every vertex with a zero concentration
+    p = np.array([0.5, 0.25, 0.25])
+
+    def neg(a):
+        try:
+            return -_log_dirichlet(p, a)
+        except DomainError:
+            return math.inf
+
+    lo, hi = np.zeros(3), np.full(3, 50.0)
+    got, points = _nelder_mead_and_scipy(neg, np.zeros(3), lo, hi, 4000, 1e-10)
+    assert sum(neg(x) == math.inf for x in points) > 0
+    assert math.isfinite(got[1]) and got[3]
+
+
+def test_nelder_mead_equals_scipy_through_a_shrink_step():
+    x0 = np.ones(2)
+    got, points = _nelder_mead_and_scipy(_m4_row_objective([3, 5]), x0,
+                                         np.full(2, 1e-3), np.full(2, 50.0),
+                                         8000, 1e-9)
+    assert _shrunk(x0, got[2], points)
 
 
 def test_low_rank_gaussian_two_point_case():

@@ -364,7 +364,7 @@ def test_gibbs_mixture_weights_draws_are_pinned(n, want):
 def test_gibbs_mixture_weights_draws_are_pinned_for_k_and_lam(K, n, lam_ref, want):
     fam = OverfittedMixture(K=K, comp_var=1.0, loc_mean=0.0, loc_var=4.0)
     t0 = MixtureParams(weights=[0.5, 0.5], means=[-1.0, 1.5], variances=[1.0, 1.0])
-    data = simulate(fam, t0, n, (7, "pinK", n))
+    data = simulate(OverfittedMixture(K=2, comp_var=1.0), t0, n, (7, "pinK", n))
     chain = gibbs_mixture_weights(data, lam_ref, fam,
                                   GibbsConfig(iters=300, burnin=50, seed=11))
     assert chain.draws.shape == (250, 2 * K)
