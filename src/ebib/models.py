@@ -271,7 +271,7 @@ class ModelFamily:
         raise CapabilityError(f"{self.id}: no closed-form marginal")
 
     def simulate(self, theta0, n: int, g, seed) -> Dataset:
-        """n > 0 draws from p_theta0: noise from ``g``, any design from ``seed``."""
+        """n >= 0 draws from p_theta0: noise from ``g``, any design from ``seed``."""
         raise CapabilityError(f"{self.id}: simulation not supported")
 
     def kl_exact(self, theta0, lam, n: int, data: Dataset | None = None) -> float:
@@ -635,7 +635,8 @@ class GPriorRegression(ModelFamily):
         from .samplers import uniform_design
 
         X = uniform_design(n, theta0.beta.size, seed)
-        X = X - X.mean(axis=0)  # the g-prior family requires 1^t X = 0
+        if n:
+            X = X - X.mean(axis=0)  # the g-prior family requires 1^t X = 0
         y = theta0.alpha + X @ theta0.beta + g.normal(0.0, theta0.sigma, size=n)
         return Dataset(y=y, X=X)
 
@@ -738,7 +739,7 @@ class MarkovDirichlet(ModelFamily):
 
 
 def box_argmin(neg, lo, hi, g, maxiter, xatol):
-    """Bounded Nelder-Mead (`numerics.nelder_mead`, ``fatol`` 1e-12) minimizer
+    """Bounded Nelder-Mead (`numerics.nelder_mead`) minimizer
     of ``neg`` over the box [lo, hi], from all ones and four ``g``-uniform
     starts on [lo, min(hi, 10)].
 
@@ -749,7 +750,7 @@ def box_argmin(neg, lo, hi, g, maxiter, xatol):
                                    for _ in range(4)]
     best, iters, converged = None, 0, True
     for x0 in starts:
-        x, fun, nit, ok = nelder_mead(neg, x0, lo, hi, maxiter, xatol, 1e-12)
+        x, fun, nit, ok = nelder_mead(neg, x0, lo, hi, maxiter, xatol)
         iters += nit
         converged = converged and ok
         if best is None or fun < best[0]:

@@ -16,6 +16,8 @@ from .errors import AccuracyError, DomainError
 # the absolute tolerance and the bisection depth of `integrate`
 QUAD_ABS_TOL = 1e-9
 QUAD_MAX_DEPTH = 40
+# the simplex-value spread at which `nelder_mead` may stop
+NM_FATOL = 1e-12
 
 
 def log_gamma(x: float) -> float:
@@ -171,14 +173,15 @@ def _panel_values(f, panels, tol, depth):
     return val, ok
 
 
-def nelder_mead(f, x0, lo, hi, maxiter: int, xatol: float, fatol: float):
+def nelder_mead(f, x0, lo, hi, maxiter: int, xatol: float):
     """Minimize ``f`` over the box [lo, hi] by Nelder and Mead's (1965)
     simplex search as scipy 1.17.1's ``minimize(method="Nelder-Mead",
-    bounds=...)`` runs it, step for step: with the same ``maxiter``, ``xatol``
-    and ``fatol`` it evaluates the same points in the same order, so its
-    result equals scipy's bit for bit.  The coefficients are fixed
-    (reflection 1, expansion 2, contraction and shrink 1/2); every vertex and
-    trial point is clipped to the box, and ``f`` gets a copy of it.
+    bounds=...)`` runs it, step for step: with the same ``maxiter`` and
+    ``xatol``, and ``NM_FATOL`` as ``fatol``, it evaluates the same points in
+    the same order, so its result equals scipy's bit for bit.  The
+    coefficients are fixed (reflection 1, expansion 2, contraction and shrink
+    1/2); every vertex and trial point is clipped to the box, and ``f`` gets a
+    copy of it.
 
     Returns (x, fun, nit, success): the best vertex, the least simplex value,
     the iterations (counted from 1) and whether the stopping test passed
@@ -204,7 +207,7 @@ def nelder_mead(f, x0, lo, hi, maxiter: int, xatol: float, fatol: float):
     iterations = 1
     while iterations < maxiter:
         if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = box(2 * xbar - sim[-1])

@@ -94,10 +94,7 @@ def orthogonal_design(n: int, d: int, seed, scale: float = 1.0):
 
 def simulate(family, theta0, n: int, seed) -> Dataset:
     """Synthetic dataset from p_theta0 for any of the seven families."""
-    g = _stream(seed, "data")
-    if n == 0:
-        return Dataset(y=np.empty(0))
-    return family.simulate(theta0, n, g, seed)
+    return family.simulate(theta0, n, _stream(seed, "data"), seed)
 
 
 # ---------------------------------------------------------------------------

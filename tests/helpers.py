@@ -1,7 +1,7 @@
 """Shared test helpers: the references that library kernels are checked
-against (the dense Gaussian log-density, the recursive adaptive Simpson rule,
-a central-difference gradient and the box search through scipy's Nelder-Mead)
-and the environment of a child interpreter."""
+against (the dense Gaussian log-density, the recursive adaptive Simpson rule
+and a central-difference gradient) and the environment of a child
+interpreter."""
 
 import math
 import os
@@ -79,26 +79,6 @@ def finite_diff_gradient(f, x, h: float = 1e-5):
         e[i] = h
         grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return grad
-
-
-def scipy_box_argmin(neg, lo, hi, g, maxiter, xatol):
-    """`ebib.models.box_argmin` through ``scipy.optimize.minimize``: the
-    five-start box search that `ebib.numerics.nelder_mead` repeats step for
-    step."""
-    from scipy.optimize import minimize
-
-    starts = [np.ones(lo.size)] + [g.uniform(lo, np.minimum(hi, 10.0))
-                                   for _ in range(4)]
-    best, iters, converged = None, 0, True
-    for x0 in starts:
-        res = minimize(lambda a: neg(np.clip(a, lo, hi)), x0, method="Nelder-Mead",
-                       bounds=list(zip(lo, hi)),
-                       options={"maxiter": maxiter, "xatol": xatol, "fatol": 1e-12})
-        iters += res.nit
-        converged = converged and bool(res.success)
-        if best is None or res.fun < best[0]:
-            best = (res.fun, np.clip(res.x, lo, hi))
-    return best[1], iters, converged
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -23,15 +23,13 @@ from ebib.models import (
     NormalMean,
     OverfittedMixture,
     RegressionParams,
-    _log_dirichlet,
-    box_argmin,
     load_counts_csv,
     load_dataset_csv,
 )
-from ebib.marginal import log_marginal, markov_log_marginal
+from ebib.marginal import log_marginal
 from ebib.posteriors import PointMassPosterior
 from ebib.samplers import orthogonal_design, simulate
-from helpers import finite_diff_gradient, scipy_box_argmin
+from helpers import finite_diff_gradient
 
 LOG_SQRT_2PI = 0.9189385332046727
 
@@ -108,6 +106,9 @@ def test_mixture_simulate_rejects_a_truth_the_family_rejects():
     with pytest.raises(DomainError, match="variances are fixed"):
         simulate(OverfittedMixture(K=2, comp_var=1.0), two, 50, 0)
     assert simulate(GaussMixtureKnownK(K=2), two, 50, 0).y.size == 50
+    # an empty sample checks the truth too
+    with pytest.raises(DomainError, match="component count mismatch"):
+        simulate(OverfittedMixture(K=3, comp_var=1.0), two, 0, 0)
 
 
 def test_m4_loglik_zero_counts_and_impossible_transition():
@@ -247,34 +248,6 @@ def test_m4_oracle_on_the_shipped_transition_is_pinned():
     assert got.tolist() == [[50.0, 21.92604449919309, 0.001],
                             [0.001, 33.831582044970695, 50.0],
                             [50.0, 25.746906197802296, 25.74690616786189]]
-
-
-def test_box_argmin_equals_the_scipy_search_on_random_m4_rows():
-    # both M4 objectives, each from the same five starts: the MMLE's row
-    # marginal and the oracle's Dirichlet row density (inf where it raises)
-    g = np.random.default_rng(31)
-    for _ in range(6):
-        K = int(g.integers(2, 5))
-        counts = g.integers(0, 41, size=(1, K)) * (g.uniform(size=K) > 0.3)
-        counts[0, 0] += 1
-        p = counts[0] / counts.sum()
-
-        def neg_dirichlet(a):
-            try:
-                return -_log_dirichlet(p[p > 0], a[p > 0])
-            except DomainError:
-                return math.inf
-
-        for neg, edge, maxiter, xatol in (
-                (lambda a: -markov_log_marginal(counts, a[None, :]), 1e-3, 8000, 1e-9),
-                (neg_dirichlet, 0.0, 4000, 1e-10)):
-            lo, hi = np.full(K, edge), np.full(K, 50.0)
-            seed = int(g.integers(2**32))
-            got = box_argmin(neg, lo, hi, np.random.default_rng(seed), maxiter, xatol)
-            want = scipy_box_argmin(neg, lo, hi, np.random.default_rng(seed),
-                                    maxiter, xatol)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1:] == want[1:]
 
 
 def test_oracle_argmax_property_on_grids():

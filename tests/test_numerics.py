@@ -11,6 +11,7 @@ from scipy.stats import norm
 from ebib import numerics
 from ebib.errors import AccuracyError, DomainError
 from ebib.numerics import (
+    NM_FATOL,
     QUAD_ABS_TOL,
     QUAD_MAX_DEPTH,
     integrate,
@@ -160,7 +161,7 @@ def test_integrate_in_runs_of_panels_equals_recursive_simpson(monkeypatch):
 # `nelder_mead` repeats scipy's bounded Nelder-Mead step for step: on each
 # case below it must evaluate the same points in the same order as
 # scipy.optimize.minimize and return the same x, fun, nit and success.
-def _nelder_mead_and_scipy(f, x0, lo, hi, maxiter, xatol, fatol=1e-12):
+def _nelder_mead_and_scipy(f, x0, lo, hi, maxiter, xatol):
     from scipy.optimize import minimize
 
     seen = {nelder_mead: [], minimize: []}
@@ -171,10 +172,10 @@ def _nelder_mead_and_scipy(f, x0, lo, hi, maxiter, xatol, fatol=1e-12):
             return f(x)
         return g
 
-    got = nelder_mead(recorded(nelder_mead), x0, lo, hi, maxiter, xatol, fatol)
+    got = nelder_mead(recorded(nelder_mead), x0, lo, hi, maxiter, xatol)
     res = minimize(recorded(minimize), x0, method="Nelder-Mead",
                    bounds=list(zip(lo, hi)),
-                   options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+                   options={"maxiter": maxiter, "xatol": xatol, "fatol": NM_FATOL})
     assert got[0].tobytes() == res.x.tobytes()
     assert got[1:] == (res.fun, res.nit, res.success)
     assert seen[nelder_mead] == seen[minimize]
@@ -184,6 +185,16 @@ def _nelder_mead_and_scipy(f, x0, lo, hi, maxiter, xatol, fatol=1e-12):
 def _m4_row_objective(counts):
     counts = np.asarray(counts)[None, :]
     return lambda a: -markov_log_marginal(counts, a[None, :])
+
+
+def _dirichlet_row_objective(p):
+    # the M4 oracle's objective: inf where the Dirichlet density raises
+    def neg(a):
+        try:
+            return -_log_dirichlet(p, a)
+        except DomainError:
+            return math.inf
+    return neg
 
 
 def _shrunk(x0, nit, points):
@@ -199,11 +210,17 @@ def test_nelder_mead_equals_scipy_on_random_m4_rows():
         counts = g.integers(0, 41, size=K) * (g.uniform(size=K) > 0.3)
         counts[0] = max(counts[0], 1)
         zero_cells += int(np.sum(counts == 0))
-        lo, hi = np.full(K, 1e-3), np.full(K, 50.0)
-        for maxiter, xatol in ((8000, 1e-9), (4000, 1e-10)):
+        # the M4 MMLE's and the M4 oracle's objectives and settings; the
+        # oracle searches only the positive cells, and only if there are two
+        p = counts[counts > 0] / counts.sum()
+        runs = [(_m4_row_objective(counts), np.full(K, 1e-3), 8000, 1e-9),
+                (_m4_row_objective(counts), np.full(K, 1e-3), 4000, 1e-10)]
+        if p.size > 1:
+            runs.append((_dirichlet_row_objective(p), np.zeros(p.size), 4000, 1e-10))
+        for f, lo, maxiter, xatol in runs:
+            hi = np.full(lo.size, 50.0)
             x0 = g.uniform(lo, np.minimum(hi, 10.0))
-            got, points = _nelder_mead_and_scipy(_m4_row_objective(counts), x0,
-                                                 lo, hi, maxiter, xatol)
+            got, points = _nelder_mead_and_scipy(f, x0, lo, hi, maxiter, xatol)
             assert got[3]
             shrinks += _shrunk(x0, got[2], points)
     assert zero_cells > 0 and shrinks > 0
@@ -229,14 +246,7 @@ def test_nelder_mead_equals_scipy_from_the_upper_edge():
 def test_nelder_mead_equals_scipy_where_the_objective_is_infinite():
     # the Dirichlet row objective of the M4 oracle, inf where it raises
     # DomainError: on a box from 0, at every vertex with a zero concentration
-    p = np.array([0.5, 0.25, 0.25])
-
-    def neg(a):
-        try:
-            return -_log_dirichlet(p, a)
-        except DomainError:
-            return math.inf
-
+    neg = _dirichlet_row_objective(np.array([0.5, 0.25, 0.25]))
     lo, hi = np.zeros(3), np.full(3, 50.0)
     got, points = _nelder_mead_and_scipy(neg, np.zeros(3), lo, hi, 4000, 1e-10)
     assert sum(neg(x) == math.inf for x in points) > 0
