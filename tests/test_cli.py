@@ -380,7 +380,13 @@ IMPORT_BUDGET = [
     ({"experiment": "table1-lasso", "n_grid": [30], "seeds": 1, "gibbs_iters": 60,
       "gibbs_burnin": 20, "em_steps": 2},
      ("scipy.optimize", "scipy.special")),
-    ({"experiment": "markov-sparsity"}, ("scipy.optimize", "scipy.linalg")),
+    ({"experiment": "markov-sparsity"},
+     ("scipy.optimize", "scipy.linalg", "scipy.stats")),
+    ({"experiment": "fig2-lasso-marginals", "n_grid": [20], "lam_points": 5,
+      "grid_points": 51},
+     ("scipy.optimize", "scipy.linalg", "scipy.stats")),
+    ({"experiment": "credible-discrepancy", "n_grid": [20], "seeds": 1},
+     ("scipy.optimize", "scipy.linalg", "scipy.stats")),
     ({"experiment": "merging-rates", "n_grid": [20], "seeds": 1}, ("scipy",)),
     ({"experiment": "predictive-rates", "n_grid": [20], "seeds": 1}, ("scipy",)),
     ({"experiment": "fig1-densities", "n": 25, "grid_points": 101}, ("scipy",)),

@@ -96,6 +96,63 @@ def test_m7_loglik_two_component_point():
     assert fam.log_likelihood(t, Dataset(y=[0.0])) == pytest.approx(want, abs=1e-12)
 
 
+def _regression_data(seed, n=25, d=3):
+    g = np.random.default_rng(seed)
+    X = g.normal(size=(n, d))
+    return X, g.normal(size=d), g.normal(size=n)
+
+
+def test_m2_loglik_matches_term_by_term_normal_logpdf():
+    X, beta, y = _regression_data(11)
+    fam = IndepNormalRegression(sigma2=1.7)
+    want = float(np.sum(norm.logpdf(y, X @ beta, math.sqrt(1.7))))
+    data = Dataset(y=y, X=X)
+    for theta in (beta, RegressionParams(beta=beta, sigma2=5.0)):
+        assert fam.log_likelihood(theta, data) == pytest.approx(want, rel=1e-12)
+
+
+def test_m3_loglik_matches_term_by_term_normal_logpdf():
+    X, beta, y = _regression_data(12)
+    theta = GPriorParams(sigma=1.3, alpha=0.4, beta=beta)
+    want = float(np.sum(norm.logpdf(y, 0.4 + X @ beta, 1.3)))
+    got = GPriorRegression().log_likelihood(theta, Dataset(y=y, X=X))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_m5_loglik_matches_term_by_term_normal_logpdf():
+    X, beta, y = _regression_data(13)
+    data = Dataset(y=y, X=X)
+    # a known sigma2 overrides the parameter point's; an unknown one reads it
+    for fam, theta, s2 in ((BayesLasso(sigma2=2.0), beta, 2.0),
+                           (BayesLasso(sigma2=2.0), RegressionParams(beta, 0.6), 2.0),
+                           (BayesLasso(sigma2=None), RegressionParams(beta, 0.6), 0.6)):
+        want = float(np.sum(norm.logpdf(y, X @ beta, math.sqrt(s2))))
+        assert fam.log_likelihood(theta, data) == pytest.approx(want, rel=1e-12)
+
+
+def test_m6_loglik_matches_the_explicit_mixture_density():
+    fam = GaussMixtureKnownK(K=3)
+    y = np.random.default_rng(14).normal(0.5, 2.0, size=12)
+    for w in ([0.2, 0.5, 0.3], [0.0, 0.6, 0.4]):
+        t = MixtureParams(weights=w, means=[-1.0, 0.5, 2.0], variances=[0.5, 1.0, 2.5])
+        dens = sum(w[j] * norm.pdf(y, t.means[j], math.sqrt(t.variances[j]))
+                   for j in range(3))
+        want = float(np.sum(np.log(dens)))
+        assert fam.log_likelihood(t, Dataset(y=y)) == pytest.approx(want, rel=1e-12)
+
+
+def test_m3_mle_matches_least_squares_with_intercept():
+    X, beta, y = _regression_data(15, n=30, d=4)
+    X = X - X.mean(axis=0)
+    y = 0.7 + X @ beta + y
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(30), X]), y, rcond=None)
+    sse = float(np.sum((y - coef[0] - X @ coef[1:]) ** 2))
+    got = GPriorRegression().mle(Dataset(y=y, X=X))
+    assert got.sigma == pytest.approx(math.sqrt(sse / 30), rel=1e-12)
+    assert got.alpha == pytest.approx(coef[0], rel=1e-12)
+    assert np.allclose(got.beta, coef[1:], rtol=1e-12, atol=0)
+
+
 def test_mixture_simulate_rejects_a_truth_the_family_rejects():
     # a 2-component truth of variance 25 for 3-component families; M7 also
     # fixes the component variance
