@@ -33,13 +33,7 @@ from .marginal import (  # noqa: F401  (log_marginal: perfbench traces this bind
     profile_argmax,
 )
 from .merging import credible_discrepancy, l1_distance, predicted_l1_posterior
-from .mmle import (
-    GibbsConfig,
-    RestrictedDomain,
-    lasso_mmle_em,
-    mmle_continuous,
-    mmle_grid,
-)
+from .mmle import GibbsConfig, lasso_mmle_em, mmle_continuous, mmle_grid
 from .models import (
     BayesLasso,
     Dataset,
@@ -81,10 +75,15 @@ def _medians(rows, ns, f):
 # experiment implementations; each returns (columns, rows, passed, details)
 
 
-def _exp_fig1_densities(cfg):
+def _m1(cfg):
+    """The M1 family of an experiment, its truth theta0 and the oracle lam*."""
     fam = NormalMean(sigma2=cfg["sigma2"])
-    data = simulate(fam, cfg["theta0"], cfg["n"], cfg["seed_base"])
-    lam_star = fam.oracle_hyperparameter(cfg["theta0"])
+    return fam, cfg["theta0"], fam.oracle_hyperparameter(cfg["theta0"])
+
+
+def _exp_fig1_densities(cfg):
+    fam, theta0, lam_star = _m1(cfg)
+    data = simulate(fam, theta0, cfg["n"], cfg["seed_base"])
     lam_hat = fam.closed_form_mmle(data)
     posts = {"dens_eb": fam.posterior(lam_hat, data)}
     for lam in cfg["lambdas"]:
@@ -109,6 +108,7 @@ def _exp_table1_lasso(cfg):
     beta0 = np.asarray(cfg["beta0"], dtype=float)
     theta0 = RegressionParams(beta=beta0, sigma2=cfg["sigma2"])
     fam = BayesLasso(sigma2=None)
+    oracle = fam.oracle_hyperparameter(theta0)
 
     def cell(n, key):
         data = simulate(fam, theta0, n, key)
@@ -126,7 +126,7 @@ def _exp_table1_lasso(cfg):
     details = {"n": n_max, "median_em": em_med, "median_pseudo": ps_med,
                "em_converged_frac":
                    float(np.mean([r[4] for r in rows if r[0] == n_max])),
-               "oracle": float(len(beta0) / np.sum(np.abs(beta0)))}
+               "oracle": oracle}
     return ["n", "seed", "em_lam", "pseudo_lam", "em_converged"], rows, passed, details
 
 
@@ -136,8 +136,7 @@ def _exp_fig2_lasso_marginals(cfg):
     fam = BayesLasso(sigma2=cfg["sigma2"])
     theta0 = RegressionParams(beta=beta0, sigma2=cfg["sigma2"])
     lam_star = fam.oracle_hyperparameter(theta0)
-    dom = RestrictedDomain(grid=tuple(
-        np.geomspace(cfg["lam_lo"], cfg["lam_hi"], cfg["lam_points"])))
+    grid = np.geomspace(cfg["lam_lo"], cfg["lam_hi"], cfg["lam_points"])
     cols = ["n", "coord", "x", "dens_eb", "dens_oracle"]
     rows = []
     gaps = {}
@@ -147,7 +146,7 @@ def _exp_fig2_lasso_marginals(cfg):
                               scale=math.sqrt(100.0 / 3.0))
         y = X @ beta0 + g.normal(0.0, math.sqrt(cfg["sigma2"]), size=n)
         data = Dataset(y=y, X=X)
-        lam_hat = mmle_grid(fam, data, dom).lam
+        lam_hat = mmle_grid(fam, data, grid).lam
         for coord in cfg["coords"]:
             p_eb = fam.coordinate_posterior(lam_hat, data, coord)
             p_or = fam.coordinate_posterior(lam_star, data, coord)
@@ -164,11 +163,10 @@ def _exp_fig2_lasso_marginals(cfg):
 
 
 def _exp_mmle_consistency(cfg):
-    fam = NormalMean(sigma2=cfg["sigma2"])
-    lam_star = fam.oracle_hyperparameter(cfg["theta0"])
+    fam, theta0, lam_star = _m1(cfg)
 
     def cell(n, key):
-        lam_hat = fam.closed_form_mmle(simulate(fam, cfg["theta0"], n, key))
+        lam_hat = fam.closed_form_mmle(simulate(fam, theta0, n, key))
         return lam_hat, abs(lam_hat - lam_star)
 
     rows = _replicates(cfg, "cons", cell)
@@ -179,9 +177,7 @@ def _exp_mmle_consistency(cfg):
 
 
 def _exp_kl_oracle(cfg):
-    fam = NormalMean(sigma2=cfg["sigma2"])
-    theta0 = cfg["theta0"]
-    lam_star = fam.oracle_hyperparameter(theta0)
+    fam, theta0, lam_star = _m1(cfg)
     grid = list(np.geomspace(cfg["lam_lo"], cfg["lam_hi"], cfg["lam_points"]))
     prof = kl_minimizer(fam, theta0, cfg["n"], grid)
     idx_min = grid.index(prof.minimizer)
@@ -216,10 +212,8 @@ def _m1_l1(fam, lam1, lam2, data):
 
 
 def _exp_merging_rates(cfg):
-    fam = NormalMean(sigma2=cfg["sigma2"])
-    theta0 = cfg["theta0"]
+    fam, theta0, lam_star = _m1(cfg)
     lam1, lam2 = cfg["lam_pair"]
-    lam_star = fam.oracle_hyperparameter(theta0)
     n_grid = cfg["n_grid"]
     pred = {n: predicted_l1_posterior(fam, theta0, lam1, lam2, n) for n in n_grid}
 
@@ -255,9 +249,7 @@ def _m1_predictive(fam, lam, data):
 
 
 def _exp_predictive_rates(cfg):
-    fam = NormalMean(sigma2=cfg["sigma2"])
-    theta0 = cfg["theta0"]
-    lam_star = fam.oracle_hyperparameter(theta0)
+    fam, theta0, lam_star = _m1(cfg)
 
     def cell(n, key):
         data = simulate(fam, theta0, n, key)
@@ -273,9 +265,7 @@ def _exp_predictive_rates(cfg):
 
 
 def _exp_credible_discrepancy(cfg):
-    fam = NormalMean(sigma2=cfg["sigma2"])
-    theta0 = cfg["theta0"]
-    lam_star = fam.oracle_hyperparameter(theta0)
+    fam, theta0, lam_star = _m1(cfg)
     lam_far = cfg["lam_far"]
     alpha = cfg["alpha"]
 
@@ -352,8 +342,7 @@ def _exp_markov_sparsity(cfg):
     fam = MarkovDirichlet(K=K)
     data = simulate(fam, P, cfg["n"], (cfg["seed_base"], "markov"))
     lo, hi = fam.BOX
-    dom = RestrictedDomain(box=((lo, hi),))
-    res = mmle_continuous(fam, data, dom, seed=cfg["seed_base"])
+    res = mmle_continuous(fam, data, lo, hi, seed=cfg["seed_base"])
     alpha_hat = np.asarray(res.lam)
     counts = data.counts
     rows = []

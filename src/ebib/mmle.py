@@ -22,21 +22,6 @@ from .samplers import GibbsConfig, gibbs_lasso
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class RestrictedDomain:
-    """Search region: per-coordinate closed intervals, or an explicit grid."""
-
-    box: tuple = ()
-    grid: tuple = ()
-
-    def __post_init__(self):
-        for lo, hi in self.box:
-            if not lo <= hi:
-                raise DomainError("box intervals must satisfy lo <= hi")
-        if not self.box and not self.grid:
-            raise DomainError("domain needs a box or a grid")
-
-
 @dataclass
 class MmleResult:
     lam: object
@@ -46,12 +31,13 @@ class MmleResult:
     at_boundary: tuple = ()
 
 
-def mmle_grid(family, data: Dataset, domain: RestrictedDomain) -> MmleResult:
-    """Grid argmax; ties break toward the smallest lambda in lexicographic order."""
-    if not domain.grid:
-        raise DomainError("mmle_grid needs an explicit grid")
+def mmle_grid(family, data: Dataset, grid) -> MmleResult:
+    """Argmax over a nonempty sequence of lambdas; ties break toward the
+    smallest lambda in lexicographic order."""
+    if len(grid) == 0:
+        raise DomainError("mmle_grid needs a nonempty grid")
     best = None
-    for lam in domain.grid:
+    for lam in grid:
         val = log_marginal(family, lam, data)
         key = np.asarray(lam, float).ravel()
         if best is None or val > best[0] + 1e-15 or (
@@ -59,12 +45,12 @@ def mmle_grid(family, data: Dataset, domain: RestrictedDomain) -> MmleResult:
         ):
             best = (val, lam, key)
     val, lam, key = best
-    grid_arr = [np.asarray(g, float).ravel() for g in domain.grid]
+    grid_arr = [np.asarray(g, float).ravel() for g in grid]
     lo = np.min(grid_arr, axis=0)
     hi = np.max(grid_arr, axis=0)
     at_b = tuple(bool(k == a or k == b) for k, a, b in zip(key, lo, hi))
     return MmleResult(lam=lam, objective=float(val), converged=True,
-                      iterations=len(domain.grid), at_boundary=at_b)
+                      iterations=len(grid), at_boundary=at_b)
 
 
 def _golden_section(f, lo, hi, tol):
@@ -116,29 +102,24 @@ def _parabolic_refine(f, x, lo, hi, fx):
     return x, fx
 
 
-def mmle_continuous(family, data: Dataset, domain: RestrictedDomain,
+def mmle_continuous(family, data: Dataset, lo, hi,
                     tol: float = 1e-8, seed: int = 0) -> MmleResult:
-    """Continuous maximization over the domain box.
+    """Continuous maximization over the interval [lo, hi].
 
-    The box is one interval, searched by golden-section to width ``tol``; a
-    maximizer within ``tol`` of an edge is snapped onto it and flagged.  The
-    Markov family (M4) takes one interval shared by every cell, or K*K of
-    them, and is searched row by row with ``seed``-derived restarts; it does
-    not use ``tol``: the row search runs to xatol 1e-9 and snaps cells within
-    1e-6 of an edge.
+    Golden-section search to width ``tol``; a maximizer within ``tol`` of an
+    edge is snapped onto it and flagged.  The Markov family (M4) takes [lo, hi]
+    for every cell and is searched row by row with ``seed``-derived restarts;
+    it does not use ``tol``: the row search runs to xatol 1e-9 and snaps cells
+    within 1e-6 of an edge.
     """
-    if not domain.box:
-        raise DomainError("mmle_continuous needs a box domain")
-    box = list(domain.box)
+    if not lo <= hi:
+        raise DomainError("mmle_continuous needs lo <= hi")
     if family.id == "M4":
-        return _mmle_m4(family, data, box, seed)
-    if len(box) != 1:
-        raise DomainError("mmle_continuous searches one interval outside M4")
+        return _mmle_m4(family, data, lo, hi, seed)
 
     def f(lam):
         return log_marginal(family, lam, data)
 
-    lo, hi = box[0]
     if lo == hi:
         return MmleResult(lam=lo, objective=f(lo), converged=True,
                           iterations=1, at_boundary=(True,))
@@ -152,17 +133,11 @@ def mmle_continuous(family, data: Dataset, domain: RestrictedDomain,
                       at_boundary=(at_lo or at_hi,))
 
 
-def _mmle_m4(family, data, box, seed):
+def _mmle_m4(family, data, lo, hi, seed):
     """Row-wise Nelder-Mead: Dirichlet rows enter the marginal independently."""
     from .marginal import markov_log_marginal
 
     K = family.K
-    if len(box) == 1:
-        box = box * (K * K)
-    if len(box) != K * K:
-        raise DomainError("M4 box must have 1 or K*K intervals")
-    lo = np.array([b[0] for b in box]).reshape(K, K)
-    hi = np.array([b[1] for b in box]).reshape(K, K)
     counts = data.counts
     alpha_hat = np.empty((K, K))
     total_iters = 0
@@ -174,23 +149,17 @@ def _mmle_m4(family, data, box, seed):
             return -markov_log_marginal(row_counts, a[None, :])
 
         g = rngmod.stream(seed, "mmle-m4-row", i)
-        alpha_hat[i], iters, ok = box_argmin(row_obj, lo[i], hi[i], g, 8000, 1e-9)
+        alpha_hat[i], iters, ok = box_argmin(row_obj, np.full(K, lo), np.full(K, hi),
+                                             g, 8000, 1e-9)
         total_iters += iters
         conv = conv and ok
-    snap_tol = 1e-6
-    at_b = []
-    for i in range(K):
-        for j in range(K):
-            near_lo = alpha_hat[i, j] - lo[i, j] <= snap_tol
-            near_hi = hi[i, j] - alpha_hat[i, j] <= snap_tol
-            if near_lo:
-                alpha_hat[i, j] = lo[i, j]
-            elif near_hi:
-                alpha_hat[i, j] = hi[i, j]
-            at_b.append(bool(near_lo or near_hi))
+    near_lo = alpha_hat - lo <= 1e-6
+    near_hi = hi - alpha_hat <= 1e-6
+    alpha_hat = np.where(near_lo, lo, np.where(near_hi, hi, alpha_hat))
     obj = markov_log_marginal(counts, alpha_hat)
     return MmleResult(lam=alpha_hat, objective=obj, converged=conv,
-                      iterations=total_iters, at_boundary=tuple(at_b))
+                      iterations=total_iters,
+                      at_boundary=tuple((near_lo | near_hi).ravel().tolist()))
 
 
 def lasso_mmle_em(data: Dataset, init_lam: float, gibbs_cfg: GibbsConfig,

@@ -201,17 +201,12 @@ def _log_inv_gamma(x, a, b) -> float:
     return a * math.log(b) - log_gamma(a) - (a + 1.0) * math.log(x) - b / x
 
 
-def _mixture_logpdf(y, w, mu, v):
-    y = np.atleast_1d(np.asarray(y, float))
-    comp = (
-        -0.5 * np.log(2.0 * np.pi * v)[None, :]
-        - 0.5 * (y[:, None] - mu[None, :]) ** 2 / v[None, :]
-    )
-    with np.errstate(divide="ignore"):
-        lw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
-    m = comp + lw[None, :]
-    mx = m.max(axis=1, keepdims=True)
-    return (mx[:, 0] + np.log(np.sum(np.exp(m - mx), axis=1))).astype(float)
+def _normal_loglik(r, s2):
+    """Sum of the N(0, s2) log-densities of the residuals r over the last axis:
+    a float for a 1-d r, one value per row of a 2-d r."""
+    out = (-0.5 * r.shape[-1] * math.log(2.0 * math.pi * s2)
+           - 0.5 * np.sum(r**2, axis=-1) / s2)
+    return float(out) if r.ndim == 1 else out
 
 
 def _simulate_regression(beta, s2, n, g, seed) -> Dataset:
@@ -219,11 +214,6 @@ def _simulate_regression(beta, s2, n, g, seed) -> Dataset:
 
     X = uniform_design(n, beta.size, seed)
     return Dataset(y=X @ beta + g.normal(0.0, math.sqrt(s2), size=n), X=X)
-
-
-def _simulate_mixture(t: MixtureParams, n, g) -> Dataset:
-    z = g.choice(t.k, size=n, p=t.weights)
-    return Dataset(y=t.means[z] + g.normal(size=n) * np.sqrt(t.variances[z]))
 
 
 class ModelFamily:
@@ -304,11 +294,7 @@ class NormalMean(ModelFamily):
 
     def log_likelihood(self, theta, data):
         # one value per row of a 2-d y, each equal to the 1-d call on it
-        r = np.subtract(data.y, float(theta), order="C")
-        n = r.shape[-1]
-        out = (-0.5 * n * math.log(2.0 * math.pi * self.sigma2)
-               - 0.5 * np.sum(r**2, axis=-1) / self.sigma2)
-        return float(out) if r.ndim == 1 else out
+        return _normal_loglik(np.subtract(data.y, float(theta), order="C"), self.sigma2)
 
     def log_prior(self, theta, lam):
         lam = self.validate_hyperparam(lam)
@@ -387,12 +373,7 @@ class IndepNormalRegression(ModelFamily):
         return theta.beta if isinstance(theta, RegressionParams) else np.atleast_1d(np.asarray(theta, float))
 
     def log_likelihood(self, theta, data):
-        r = data.y - data.X @ self._beta(theta)
-        n = r.size
-        return float(
-            -0.5 * n * math.log(2.0 * math.pi * self.sigma2)
-            - 0.5 * np.sum(r**2) / self.sigma2
-        )
+        return _normal_loglik(data.y - data.X @ self._beta(theta), self.sigma2)
 
     def log_prior(self, theta, lam):
         tau2 = self.validate_hyperparam(lam)
@@ -429,27 +410,32 @@ class IndepNormalRegression(ModelFamily):
         post = ProductPosterior(marginals=list(marginals))
         return post
 
-    def log_marginal(self, lam, data):
-        tau2 = self.validate_hyperparam(lam, allow_boundary=True)
-        X, y, n = data.X, data.y, data.n
+    def _active_set(self, tau2, X, v):
+        """Over the columns a with tau2_a > 0, with D = diag(tau2_a), G = X_a^t X_a
+        and M = G + s2 D^-1: (v^t v - b^t M^-1 b) / s2 for b = X_a^t v,
+        log det(I + G D / s2), G and M; None when no column is active."""
         s2 = self.sigma2
         active = np.flatnonzero(tau2 > 0)
-        yy = float(y @ y)
         if active.size == 0:
-            return -0.5 * (n * math.log(2.0 * math.pi * s2) + yy / s2)
-        Xa = X[:, active]
-        Da = tau2[active]
+            return None
+        Xa, Da = X[:, active], tau2[active]
         G = Xa.T @ Xa
         M = G + s2 * np.diag(1.0 / Da)
-        b = Xa.T @ y
-        quad = (yy - float(b @ np.linalg.solve(M, b))) / s2
-        sign, logdet_small = np.linalg.slogdet(
-            np.eye(active.size) + (G * Da[None, :]) / s2
-        )
+        b = Xa.T @ v
+        quad = (float(v @ v) - float(b @ np.linalg.solve(M, b))) / s2
+        sign, logdet = np.linalg.slogdet(np.eye(active.size) + (G * Da[None, :]) / s2)
         if sign <= 0:
             raise DomainError("marginal covariance not positive definite")
-        logdet = n * math.log(s2) + logdet_small
-        return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+        return quad, logdet, G, M
+
+    def log_marginal(self, lam, data):
+        tau2 = self.validate_hyperparam(lam, allow_boundary=True)
+        y, n, s2 = data.y, data.n, self.sigma2
+        terms = self._active_set(tau2, data.X, y)
+        if terms is None:
+            return -0.5 * (n * math.log(2.0 * math.pi * s2) + float(y @ y) / s2)
+        quad, logdet, _, _ = terms
+        return -0.5 * (n * math.log(2.0 * math.pi) + (n * math.log(s2) + logdet) + quad)
 
     def simulate(self, theta0, n, g, seed):
         return _simulate_regression(self._beta(theta0), self.sigma2, n, g, seed)
@@ -462,24 +448,12 @@ class IndepNormalRegression(ModelFamily):
         if data is None:
             raise DomainError("M2 exact KL needs the design in data.X")
         tau2 = self.validate_hyperparam(lam, allow_boundary=True)
-        X = data.X
-        s2 = self.sigma2
-        mu = X @ self._beta(theta0)
-        active = np.flatnonzero(tau2 > 0)
-        if active.size == 0:
-            return 0.5 * float(mu @ mu) / s2
-        Xa = X[:, active]
-        Da = tau2[active]
-        G = Xa.T @ Xa
-        M = s2 * np.diag(1.0 / Da) + G
-        Minv_G = np.linalg.solve(M, G)
-        tr_term = -float(np.trace(Minv_G))
-        b = Xa.T @ mu
-        quad = (float(mu @ mu) - float(b @ np.linalg.solve(M, b))) / s2
-        sign, logdet = np.linalg.slogdet(np.eye(active.size) + (G * Da[None, :]) / s2)
-        if sign <= 0:
-            raise DomainError("marginal covariance not positive definite")
-        return 0.5 * (tr_term + quad + logdet)
+        mu = data.X @ self._beta(theta0)
+        terms = self._active_set(tau2, data.X, mu)
+        if terms is None:
+            return 0.5 * float(mu @ mu) / self.sigma2
+        quad, logdet, G, M = terms
+        return 0.5 * (-float(np.trace(np.linalg.solve(M, G))) + quad + logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +486,7 @@ class GPriorRegression(ModelFamily):
             raise DomainError("g-prior design must be column-centered (1^t X = 0)")
 
     def log_likelihood(self, theta, data):
-        r = data.y - theta.alpha - data.X @ theta.beta
-        n = r.size
-        s2 = theta.sigma**2
-        return float(-0.5 * n * math.log(2.0 * math.pi * s2) - 0.5 * np.sum(r**2) / s2)
+        return _normal_loglik(data.y - theta.alpha - data.X @ theta.beta, theta.sigma**2)
 
     def log_prior(self, theta, lam):
         # limiting prior; the improper 1/sigma2 factor contributes -2 log sigma
@@ -571,12 +542,9 @@ class GPriorRegression(ModelFamily):
         return out
 
     def mle(self, data):
-        X, y, n = data.X, data.y, data.n
-        self._check_centered(X)
-        beta = np.linalg.solve(X.T @ X, X.T @ y)
-        alpha = float(np.mean(y))
-        sse = float(np.sum((y - alpha - X @ beta) ** 2))
-        return GPriorParams(sigma=math.sqrt(sse / n), alpha=alpha, beta=beta)
+        _, sse, beta = self.suff_stats(data)
+        return GPriorParams(sigma=math.sqrt(sse / data.n), alpha=float(np.mean(data.y)),
+                            beta=beta)
 
     @staticmethod
     def suff_stats(data: Dataset):
@@ -824,9 +792,7 @@ class BayesLasso(ModelFamily):
 
     def log_likelihood(self, theta, data):
         beta, s2 = self._unpack(theta)
-        r = data.y - data.X @ beta
-        n = r.size
-        return float(-0.5 * n * math.log(2.0 * math.pi * s2) - 0.5 * np.sum(r**2) / s2)
+        return _normal_loglik(data.y - data.X @ beta, s2)
 
     def log_prior(self, theta, lam):
         lam = self.validate_hyperparam(lam)
@@ -938,10 +904,36 @@ class BayesLasso(ModelFamily):
 
 
 # ---------------------------------------------------------------------------
-# M6: Gaussian mixture, known component count
+# M6, M7: Gaussian mixtures
 
 
-class GaussMixtureKnownK(ModelFamily):
+class _GaussianMixture(ModelFamily):
+    """The parameter check, likelihood and simulation shared by M6 and M7."""
+
+    def _params(self, theta) -> MixtureParams:
+        if not isinstance(theta, MixtureParams):
+            raise DomainError(f"{self.id} expects MixtureParams")
+        if theta.k != self.K:
+            raise DomainError("component count mismatch")
+        return theta
+
+    def log_likelihood(self, theta, data):
+        t = self._params(theta)
+        y, w, mu, v = np.atleast_1d(data.y), t.weights, t.means, t.variances
+        comp = (-0.5 * np.log(2.0 * np.pi * v)[None, :]
+                - 0.5 * (y[:, None] - mu[None, :]) ** 2 / v[None, :])
+        lw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+        m = comp + lw[None, :]
+        mx = m.max(axis=1, keepdims=True)
+        return float(np.sum(mx[:, 0] + np.log(np.sum(np.exp(m - mx), axis=1))))
+
+    def simulate(self, theta0, n, g, seed):
+        t = self._params(theta0)
+        z = g.choice(t.k, size=n, p=t.weights)
+        return Dataset(y=t.means[z] + g.normal(size=n) * np.sqrt(t.variances[z]))
+
+
+class GaussMixtureKnownK(_GaussianMixture):
     """K-component Gaussian mixture with conjugate priors.
 
     Priors: mu_j | v_j ~ N(xi, v_j / tau), v_j ~ InvGamma(omega/2, psi/2),
@@ -963,17 +955,6 @@ class GaussMixtureKnownK(ModelFamily):
         if tau <= 0 or psi <= 0:
             raise DomainError("tau and psi must be positive")
         return xi, tau, psi
-
-    def _params(self, theta) -> MixtureParams:
-        if not isinstance(theta, MixtureParams):
-            raise DomainError("M6 expects MixtureParams")
-        if theta.k != self.K:
-            raise DomainError("component count mismatch")
-        return theta
-
-    def log_likelihood(self, theta, data):
-        t = self._params(theta)
-        return float(np.sum(_mixture_logpdf(data.y, t.weights, t.means, t.variances)))
 
     def log_prior(self, theta, lam):
         xi, tau, psi = self.validate_hyperparam(lam)
@@ -1047,9 +1028,6 @@ class GaussMixtureKnownK(ModelFamily):
         S, fdens = self._score(ys, t)
         return float(np.trapezoid(np.abs(S @ w) * fdens, ys))
 
-    def simulate(self, theta0, n, g, seed):
-        return _simulate_mixture(self._params(theta0), n, g)
-
     def posterior(self, lam, data):
         from .posteriors import SamplePosterior
         from .samplers import GibbsConfig, gibbs_gauss_mixture
@@ -1061,7 +1039,7 @@ class GaussMixtureKnownK(ModelFamily):
 # M7: overfitted Gaussian-location mixture
 
 
-class OverfittedMixture(ModelFamily):
+class OverfittedMixture(_GaussianMixture):
     """K-component Gaussian-location mixture with Dirichlet(lam, ..., lam) weights.
 
     Component variance is known; locations get independent N(loc_mean, loc_var)
@@ -1083,17 +1061,10 @@ class OverfittedMixture(ModelFamily):
         self.loc_var = float(loc_var)
 
     def _params(self, theta) -> MixtureParams:
-        if not isinstance(theta, MixtureParams):
-            raise DomainError("M7 expects MixtureParams")
-        if theta.k != self.K:
-            raise DomainError("component count mismatch")
-        if np.any(np.abs(theta.variances - self.comp_var) > 1e-12):
+        t = super()._params(theta)
+        if np.any(np.abs(t.variances - self.comp_var) > 1e-12):
             raise DomainError("component variances are fixed for this family")
-        return theta
-
-    def log_likelihood(self, theta, data):
-        t = self._params(theta)
-        return float(np.sum(_mixture_logpdf(data.y, t.weights, t.means, t.variances)))
+        return t
 
     def log_prior(self, theta, lam):
         lam = self.validate_hyperparam(lam)
@@ -1118,9 +1089,6 @@ class OverfittedMixture(ModelFamily):
     def oracle_hyperparameter(self, theta0):
         # boundary oracle for overfitted weights
         return 0.0
-
-    def simulate(self, theta0, n, g, seed):
-        return _simulate_mixture(self._params(theta0), n, g)
 
     def posterior(self, lam, data):
         from .posteriors import SamplePosterior

@@ -22,7 +22,7 @@ import pytest
 
 from ebib.cli import EXPERIMENTS
 from ebib.marginal import _cluster_log_marginal
-from ebib.mmle import RestrictedDomain, mmle_continuous
+from ebib.mmle import mmle_continuous
 from ebib.models import (
     BayesLasso,
     Dataset,
@@ -119,8 +119,7 @@ def test_criterion_03_gprior_closed_form_mmle(capsys):
         theta0 = GPriorParams(sigma=1.0, alpha=0.5, beta=beta)
         data = simulate(fam, theta0, 60, seed)
         closed = fam.closed_form_mmle(data)
-        res = mmle_continuous(fam, data, RestrictedDomain(box=((0.0, 100.0),)),
-                              tol=1e-9)
+        res = mmle_continuous(fam, data, 0.0, 100.0, tol=1e-9)
         worst = max(worst, abs(res.lam - closed))
         hit_zero += closed == 0.0
     ok = worst <= 1e-6 and hit_zero >= 1

@@ -276,6 +276,35 @@ def test_run_runtime_failure_exit_3(tmp_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+TABLE1_TINY = {"experiment": "table1-lasso", "n_grid": [30], "seeds": 1,
+               "gibbs_iters": 60, "gibbs_burnin": 20, "em_steps": 2}
+
+
+def test_table1_oracle_is_the_laplace_oracle_rate(tmp_path):
+    # d sigma / sum |beta0|: twice the sigma = 1 value at sigma2 = 4
+    one = run_experiment(validate_config(TABLE1_TINY), str(tmp_path / "a"))
+    four = run_experiment(validate_config({**TABLE1_TINY, "sigma2": 4.0}),
+                          str(tmp_path / "b"))
+    assert one["details"]["oracle"] == 2.3076923076923075
+    assert four["details"]["oracle"] == 2.0 * one["details"]["oracle"]
+
+
+def test_table1_all_zero_beta0_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
+    # the oracle rate is undefined; it used to divide by zero after the Gibbs
+    # work and write Infinity into summary.json
+    import ebib.cli
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("the replicates ran")
+
+    monkeypatch.setattr(ebib.cli, "lasso_mmle_em", sampled)
+    out = tmp_path / "out"
+    doc = {**TABLE1_TINY, "beta0": [0.0] * 15, "output_dir": str(out)}
+    assert main(["run", _write(tmp_path, doc)]) == 3
+    assert "runtime failure" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def _fig1_doc(out_dir):
     return {"experiment": "fig1-densities", "n": 25, "grid_points": 101,
             "output_dir": str(out_dir)}
