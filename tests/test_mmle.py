@@ -33,14 +33,9 @@ def test_mmle_rejects_an_empty_interval_or_grid():
         mmle_continuous(fam, data, 2.0, 1.0)
     with pytest.raises(DomainError, match="nonempty grid"):
         mmle_grid(fam, data, ())
-    # M4 searches every cell over the one interval
-    m4 = MarkovDirichlet(K=2)
-    counts = Dataset(counts=np.array([[5, 0], [3, 4]]))
+    # M4 takes the same one interval for every cell (run on *BOX below)
     with pytest.raises(DomainError, match="lo <= hi"):
-        mmle_continuous(m4, counts, 2.0, 1.0)
-    alpha = np.asarray(mmle_continuous(m4, counts, *m4.BOX).lam)
-    assert alpha.shape == (2, 2)
-    assert np.all((alpha >= m4.BOX[0]) & (alpha <= m4.BOX[1]))
+        mmle_continuous(MarkovDirichlet(K=2), Dataset(counts=np.eye(2)), 2.0, 1.0)
 
 
 def test_m1_grid_mmle_near_analytic_stationary_point():
