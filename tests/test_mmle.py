@@ -26,13 +26,22 @@ from ebib.models import (
 from ebib.samplers import GibbsConfig, orthogonal_design, simulate
 
 
-def test_mmle_rejects_an_empty_interval_or_grid():
+def test_restricted_domain_invariants():
+    # the restricted set is an interval lo <= hi or a nonempty grid
     fam = NormalMean(sigma2=1.0)
     data = Dataset(y=np.full(10, 2.0))
     with pytest.raises(DomainError, match="lo <= hi"):
         mmle_continuous(fam, data, 2.0, 1.0)
     with pytest.raises(DomainError, match="nonempty grid"):
         mmle_grid(fam, data, ())
+
+
+def test_mmle_continuous_searches_one_interval_outside_m4():
+    fam = NormalMean(sigma2=1.0)
+    data = Dataset(y=np.full(10, 2.0))
+    res = mmle_continuous(fam, data, 0.1, 5.0)
+    assert isinstance(res.lam, float) and 0.1 <= res.lam <= 5.0
+    assert len(res.at_boundary) == 1
     # M4 takes the same one interval for every cell (run on *BOX below)
     with pytest.raises(DomainError, match="lo <= hi"):
         mmle_continuous(MarkovDirichlet(K=2), Dataset(counts=np.eye(2)), 2.0, 1.0)
