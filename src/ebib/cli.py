@@ -33,7 +33,7 @@ from .marginal import (  # noqa: F401  (log_marginal: perfbench traces this bind
     profile_argmax,
 )
 from .merging import credible_discrepancy, l1_distance, predicted_l1_posterior
-from .mmle import GibbsConfig, lasso_mmle_em, mmle_continuous, mmle_grid
+from .mmle import lasso_mmle_em, mmle_continuous, mmle_grid
 from .models import (
     BayesLasso,
     Dataset,
@@ -44,7 +44,7 @@ from .models import (
     RegressionParams,
 )
 from .posteriors import GaussianPosterior, PointMassPosterior
-from .samplers import orthogonal_design, simulate
+from .samplers import GibbsConfig, orthogonal_design, simulate
 from . import rng as rngmod
 
 OUTPUT_ROOT_ENV = "EBIB_OUTPUT_ROOT"

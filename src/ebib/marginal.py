@@ -11,12 +11,16 @@ across a concentration grid for mixtures at realistic n
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, EstimationError
-from .models import Dataset
 from .numerics import log_gamma
+from .samplers import GibbsConfig, effective_sample_size, gibbs_mixture_weights
+
+if TYPE_CHECKING:
+    from .models import Dataset
 
 ENUMERATION_CAP = 1 << 20
 MIN_RELIABLE_ESS = 50.0
@@ -198,8 +202,6 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
     ``family`` is the OverfittedMixture whose weight prior lam indexes.
     Returns one record per grid value with ESS-based reliability flags.
     """
-    from .samplers import GibbsConfig, effective_sample_size, gibbs_mixture_weights
-
     lam_grid = [float(v) for v in lam_grid]
     if lam_ref <= 0 or any(v <= 0 for v in lam_grid):
         raise DomainError("concentrations must be positive")

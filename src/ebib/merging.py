@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng as rngmod
 from .errors import CapabilityError, DomainError, ReliabilityError
 from .models import Dataset
 from .numerics import integrate, norm_cdf
@@ -35,9 +36,9 @@ def predicted_l1_posterior(family, theta0, lam1, lam2, n: int) -> float:
     return math.sqrt(2.0 / math.pi) * math.sqrt(quad / n)
 
 
-def _support_interval(p, q, width: float = 10.0):
-    lo = min(p.mean - width * max(p.sd, 1e-12), q.mean - width * max(q.sd, 1e-12))
-    hi = max(p.mean + width * max(p.sd, 1e-12), q.mean + width * max(q.sd, 1e-12))
+def _support_interval(p, q):
+    lo = min(p.mean - 10.0 * max(p.sd, 1e-12), q.mean - 10.0 * max(q.sd, 1e-12))
+    hi = max(p.mean + 10.0 * max(p.sd, 1e-12), q.mean + 10.0 * max(q.sd, 1e-12))
     return lo, hi
 
 
@@ -70,8 +71,6 @@ def l1_gaussian_equal_var(mean1: float, mean2: float, var: float) -> float:
 
 def l1_distance_mc(p, q, draws: int = 20000, seed: int = 0) -> float:
     """Monte Carlo L1 using the equal mixture of p and q as proposal."""
-    from . import rng as rngmod
-
     g = rngmod.stream(seed, "l1-mc")
     half = draws // 2
     xs = np.concatenate([p.sample(g, half), q.sample(g, draws - half)])

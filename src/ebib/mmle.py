@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import marginal  # read at call time: a patched markov_log_marginal is seen
 from . import rng as rngmod
 from .errors import DomainError
 from .marginal import log_marginal
@@ -135,8 +136,6 @@ def mmle_continuous(family, data: Dataset, lo, hi,
 
 def _mmle_m4(family, data, lo, hi, seed):
     """Row-wise Nelder-Mead: Dirichlet rows enter the marginal independently."""
-    from .marginal import markov_log_marginal
-
     K = family.K
     counts = data.counts
     alpha_hat = np.empty((K, K))
@@ -146,7 +145,7 @@ def _mmle_m4(family, data, lo, hi, seed):
         row_counts = counts[i : i + 1]
 
         def row_obj(a):
-            return -markov_log_marginal(row_counts, a[None, :])
+            return -marginal.markov_log_marginal(row_counts, a[None, :])
 
         g = rngmod.stream(seed, "mmle-m4-row", i)
         alpha_hat[i], iters, ok = box_argmin(row_obj, np.full(K, lo), np.full(K, hi),
@@ -156,7 +155,7 @@ def _mmle_m4(family, data, lo, hi, seed):
     near_lo = alpha_hat - lo <= 1e-6
     near_hi = hi - alpha_hat <= 1e-6
     alpha_hat = np.where(near_lo, lo, np.where(near_hi, hi, alpha_hat))
-    obj = markov_log_marginal(counts, alpha_hat)
+    obj = marginal.markov_log_marginal(counts, alpha_hat)
     return MmleResult(lam=alpha_hat, objective=obj, converged=conv,
                       iterations=total_iters,
                       at_boundary=tuple((near_lo | near_hi).ravel().tolist()))

@@ -32,6 +32,7 @@ from .errors import (
     InsufficientDataError,
     NonDifferentiableError,
 )
+from .marginal import markov_log_marginal
 from .numerics import (log_gamma, low_rank_gaussian_logpdf, nelder_mead, norm_logcdf,
                        norm_logpdf)
 from .posteriors import (
@@ -40,7 +41,10 @@ from .posteriors import (
     NormalInverseGammaPosterior,
     PointMassPosterior,
     ProductPosterior,
+    SamplePosterior,
 )
+from .samplers import (GibbsConfig, gibbs_gauss_mixture, gibbs_lasso, gibbs_mixture_weights,
+                       uniform_design)
 
 _SIMPLEX_TOL = 1e-12
 
@@ -72,8 +76,8 @@ class Dataset:
             c = np.asarray(self.counts)
             if c.ndim != 2 or c.shape[0] != c.shape[1]:
                 raise DomainError("transition counts must form a square matrix")
-            if np.any(c < 0) or np.any(c != np.floor(c)):
-                raise DomainError("transition counts must be nonnegative integers")
+            if not np.all(np.isfinite(c)) or np.any(c < 0) or np.any(c != np.floor(c)):
+                raise DomainError("transition counts must be finite nonnegative integers")
             object.__setattr__(self, "counts", c.astype(np.int64))
 
     @property
@@ -91,11 +95,14 @@ def load_dataset_csv(path) -> Dataset:
     names = table.dtype.names
     if names is None or "y" not in names:
         raise DomainError("dataset CSV must have a header with a 'y' column")
-    y = np.atleast_1d(table["y"])
     xcols = sorted(
         (c for c in names if c.startswith("x") and c[1:].isdigit()),
         key=lambda c: int(c[1:]),
     )
+    for c in ["y", *xcols]:
+        if not np.all(np.isfinite(table[c])):
+            raise DomainError(f"dataset CSV column '{c}' has an empty or non-finite cell")
+    y = np.atleast_1d(table["y"])
     X = None
     if xcols:
         X = np.column_stack([np.atleast_1d(table[c]) for c in xcols])
@@ -210,8 +217,6 @@ def _normal_loglik(r, s2):
 
 
 def _simulate_regression(beta, s2, n, g, seed) -> Dataset:
-    from .samplers import uniform_design
-
     X = uniform_design(n, beta.size, seed)
     return Dataset(y=X @ beta + g.normal(0.0, math.sqrt(s2), size=n), X=X)
 
@@ -600,8 +605,6 @@ class GPriorRegression(ModelFamily):
         )
 
     def simulate(self, theta0, n, g, seed):
-        from .samplers import uniform_design
-
         X = uniform_design(n, theta0.beta.size, seed)
         if n:
             X = X - X.mean(axis=0)  # the g-prior family requires 1^t X = 0
@@ -690,8 +693,6 @@ class MarkovDirichlet(ModelFamily):
         return DirichletRowsPosterior(alpha=alpha + data.counts)
 
     def log_marginal(self, lam, data):
-        from .marginal import markov_log_marginal
-
         return markov_log_marginal(data.counts, self.validate_hyperparam(lam))
 
     def simulate(self, theta0, n, g, seed):
@@ -776,12 +777,6 @@ class BayesLasso(ModelFamily):
     def sigma_known(self) -> bool:
         return self.sigma2 is not None
 
-    def validate_hyperparam(self, lam, allow_boundary=False):
-        lam = float(lam)
-        if lam <= 0:
-            raise DomainError("lam must be positive")
-        return lam
-
     def _unpack(self, theta):
         if isinstance(theta, RegressionParams):
             s2 = self.sigma2 if self.sigma_known else theta.sigma2
@@ -839,8 +834,9 @@ class BayesLasso(ModelFamily):
             raise CapabilityError("closed-form path requires orthogonal design columns")
         return np.sqrt(np.diag(G))
 
-    def coordinate_posterior(self, lam, data, j: int, grid_points: int = 2001):
-        """Closed-form marginal posterior of beta_j (orthogonal X, known sigma)."""
+    def coordinate_posterior(self, lam, data, j: int):
+        """Closed-form marginal posterior of beta_j (orthogonal X, known sigma),
+        tabulated at 2,001 points."""
         lam = self.validate_hyperparam(lam)
         if not self.sigma_known:
             raise CapabilityError("closed-form path requires known sigma2")
@@ -849,7 +845,7 @@ class BayesLasso(ModelFamily):
         sj = norms[j]
         bj = float(data.X[:, j] @ data.y) / sj**2
         sd = s / sj
-        x = np.linspace(bj - 10.0 * sd - 2.0 * lam * sd**2 / s, bj + 10.0 * sd + 2.0 * lam * sd**2 / s, grid_points)
+        x = np.linspace(bj - 10.0 * sd - 2.0 * lam * sd**2 / s, bj + 10.0 * sd + 2.0 * lam * sd**2 / s, 2001)
         logd = -0.5 * (x - bj) ** 2 / sd**2 - lam * np.abs(x) / s
         logd -= logd.max()
         return GridPosterior(x, np.exp(logd))
@@ -862,9 +858,6 @@ class BayesLasso(ModelFamily):
                 return ProductPosterior(marginals=marginals)
             except CapabilityError:
                 pass
-        from .samplers import GibbsConfig, gibbs_lasso
-        from .posteriors import SamplePosterior
-
         chain = gibbs_lasso(data, self.validate_hyperparam(lam),
                             sigma2=self.sigma2, cfg=GibbsConfig())
         d = data.X.shape[1]
@@ -907,6 +900,13 @@ class BayesLasso(ModelFamily):
 # M6, M7: Gaussian mixtures
 
 
+def _component_logpdf(y, t: MixtureParams):
+    """log N(y_i; mu_j, v_j) for each point i (rows) and component j (columns)."""
+    mu, v = t.means, t.variances
+    return (-0.5 * np.log(2.0 * np.pi * v)[None, :]
+            - 0.5 * (y[:, None] - mu[None, :]) ** 2 / v[None, :])
+
+
 class _GaussianMixture(ModelFamily):
     """The parameter check, likelihood and simulation shared by M6 and M7."""
 
@@ -919,11 +919,9 @@ class _GaussianMixture(ModelFamily):
 
     def log_likelihood(self, theta, data):
         t = self._params(theta)
-        y, w, mu, v = np.atleast_1d(data.y), t.weights, t.means, t.variances
-        comp = (-0.5 * np.log(2.0 * np.pi * v)[None, :]
-                - 0.5 * (y[:, None] - mu[None, :]) ** 2 / v[None, :])
+        w = t.weights
         lw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
-        m = comp + lw[None, :]
+        m = _component_logpdf(np.atleast_1d(data.y), t) + lw[None, :]
         mx = m.max(axis=1, keepdims=True)
         return float(np.sum(mx[:, 0] + np.log(np.sum(np.exp(m - mx), axis=1))))
 
@@ -993,10 +991,7 @@ class GaussMixtureKnownK(_GaussianMixture):
         """Score of log f_theta(y) in the free coordinates, vectorized in y."""
         y = np.atleast_1d(np.asarray(y, float))
         w, mu, v = t.weights, t.means, t.variances
-        phi = np.exp(
-            -0.5 * np.log(2.0 * np.pi * v)[None, :]
-            - 0.5 * (y[:, None] - mu[None, :]) ** 2 / v[None, :]
-        )
+        phi = np.exp(_component_logpdf(y, t))
         f = phi @ w
         dw = (phi[:, : self.K - 1] - phi[:, self.K - 1 :]) / f[:, None]
         dmu = w[None, :] * phi * (y[:, None] - mu[None, :]) / v[None, :] / f[:, None]
@@ -1008,30 +1003,26 @@ class GaussMixtureKnownK(_GaussianMixture):
         )
         return np.concatenate([dw, dmu, dv], axis=1), f
 
-    def fisher_information(self, theta0):
-        # E[score score^t], dense trapezoid over a wide support interval
+    def _score_grid(self, theta0, width: float):
+        """20,001 points y spanning every component's mean +- width sd, with the
+        score and the density of p_theta0 at each."""
         t = self._params(theta0)
         sd = np.sqrt(t.variances)
-        lo = float(np.min(t.means - 12.0 * sd))
-        hi = float(np.max(t.means + 12.0 * sd))
-        y = np.linspace(lo, hi, 20001)
-        S, f = self._score(y, t)
+        y = np.linspace(float(np.min(t.means - width * sd)),
+                        float(np.max(t.means + width * sd)), 20001)
+        return (y, *self._score(y, t))
+
+    def fisher_information(self, theta0):
+        # E[score score^t], dense trapezoid over a wide support interval
+        y, S, f = self._score_grid(theta0, 12.0)
         W = f * (y[1] - y[0])
         return (S.T * W) @ S
 
     def predictive_score_l1(self, theta0, w):
-        t = self._params(theta0)
-        sd = np.sqrt(t.variances)
-        lo = float(np.min(t.means - 10.0 * sd))
-        hi = float(np.max(t.means + 10.0 * sd))
-        ys = np.linspace(lo, hi, 20001)
-        S, fdens = self._score(ys, t)
-        return float(np.trapezoid(np.abs(S @ w) * fdens, ys))
+        y, S, f = self._score_grid(theta0, 10.0)
+        return float(np.trapezoid(np.abs(S @ w) * f, y))
 
     def posterior(self, lam, data):
-        from .posteriors import SamplePosterior
-        from .samplers import GibbsConfig, gibbs_gauss_mixture
-
         return SamplePosterior(gibbs_gauss_mixture(data, self, lam, GibbsConfig()).draws)
 
 
@@ -1091,9 +1082,6 @@ class OverfittedMixture(_GaussianMixture):
         return 0.0
 
     def posterior(self, lam, data):
-        from .posteriors import SamplePosterior
-        from .samplers import GibbsConfig, gibbs_mixture_weights
-
         chain = gibbs_mixture_weights(data, self.validate_hyperparam(lam), self,
                                       GibbsConfig())
         return SamplePosterior(chain.draws[:, : self.K])

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import DomainError, SamplerError
-from .models import Dataset
+
+if TYPE_CHECKING:
+    from .models import Dataset
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,9 @@ def _stream(seed, *roles):
     return rngmod.stream(*rngmod.flatten(seed), *roles)
 
 
-def uniform_design(n: int, d: int, seed, low: float = -10.0, high: float = 10.0):
-    g = _stream(seed, "design")
-    return g.uniform(low, high, size=(n, d))
+def uniform_design(n: int, d: int, seed):
+    """n x d design with entries uniform on [-10, 10]."""
+    return _stream(seed, "design").uniform(-10.0, 10.0, size=(n, d))
 
 
 def orthogonal_design(n: int, d: int, seed, scale: float = 1.0):

@@ -73,6 +73,29 @@ def test_load_counts_csv(tmp_path):
     assert d.n == 10
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_counts_are_rejected(tmp_path, bad):
+    # an infinite count used to be cast to the smallest int64, giving a negative n
+    with pytest.raises(DomainError, match="finite"):
+        Dataset(counts=np.array([[bad, 1.0], [1.0, 1.0]]))
+    path = tmp_path / "c.csv"
+    path.write_text(f"{bad},1\n1,1\n")
+    with pytest.raises(DomainError, match="finite"):
+        load_counts_csv(path)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("y,x1\n1.0,0.5\n,1.5\n", "y"),
+    ("y,x1\n1.0,nan\n2.0,1.5\n", "x1"),
+    ("y,x1,x2\n1.0,0.5,2.0\n2.0,1.5,\n", "x2"),
+], ids=["empty-y", "nan-x1", "empty-last-x2"])
+def test_load_dataset_csv_rejects_empty_and_nan_cells(tmp_path, text, column):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=f"'{column}'"):
+        load_dataset_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # log-likelihood and log-prior checkpoints
 
