@@ -477,6 +477,12 @@ def _check_values(cfg, defaults):
         raise ValueError(f"theta0**2 must be finite, got theta0 = {cfg['theta0']!r}")
     if lam_star == 0 and cfg["experiment"] in ("kl-oracle", "merging-rates"):
         raise ValueError(f"{cfg['experiment']} needs theta0**2 > 0, got {cfg['theta0']!r}")
+    # the LASSO rate enters squared (the Gibbs sampler's inverse-Gaussian shape,
+    # the marginal's kappa**2), so lam**2 must be finite and > 0
+    if cfg["experiment"] in ("table1-lasso", "fig2-lasso-marginals"):
+        for key in ("init_lam", "lam_lo", "lam_hi"):
+            if key in cfg and not 0 < cfg[key] * cfg[key] < math.inf:
+                raise ValueError(f"{key}**2 must be finite and > 0, got {key} = {cfg[key]!r}")
     if "lam_pair" in cfg and cfg["lam_pair"][0] == cfg["lam_pair"][1]:
         raise ValueError("lam_pair must hold two different values")
     if "coords" in cfg and max(cfg["coords"]) >= len(cfg["beta0"]):

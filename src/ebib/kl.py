@@ -5,11 +5,12 @@ the grid minimizer uses; Monte Carlo over replicate datasets as their check.
 
 The Monte Carlo estimate runs its replicates in blocks.  Replicate r draws
 from the stream keyed (*seed, "kl-rep", r, "data"), as ``samplers.simulate``
-would give it, but a block's generators come from one ``rng.streams`` call and
-its replicates fill the rows of one (rows, n) array, which the family scores
-with one ``log_likelihood`` and one ``log_marginal`` call.  A block holds at
-most ``_BLOCK_ELEMENTS`` draws, so memory does not grow with the replicate
-count, and the output is the same bit for bit as one replicate at a time.
+would give it.  A block's generators come from one ``rng.streams`` call, the
+family's ``simulate_rows`` fills one row of a (rows, n) array per replicate,
+and the family scores the block with one ``log_likelihood`` and one
+``log_marginal`` call.  A block holds at most ``_BLOCK_ELEMENTS`` draws, so
+memory does not grow with the replicate count, and the output is the same
+bit for bit as one replicate at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .marginal import log_marginal
 from .models import Dataset
 
@@ -58,24 +59,18 @@ def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed):
     """Monte Carlo KL: mean of log p_theta0(Y) - log m_lam(Y) over replicates.
 
     Returns (estimate, std_error); the standard error is NaN when reps == 1.
-    Only families that evaluate one dataset per row (``rowwise_eval``) are
-    supported.
+    Only families with ``simulate_rows`` (M1) are supported; the others raise
+    ``CapabilityError``.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    if not family.rowwise_eval:
-        raise CapabilityError(f"{family.id}: Monte Carlo KL needs row-wise evaluation")
-    keys = (*rng.flatten(seed), "kl-rep")
+    prefix = (*rng.flatten(seed), "kl-rep")
     rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
     vals = np.empty(reps)
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
-        y = np.empty((stop - start, n))
-        gens = rng.streams([(*keys, r, "data") for r in range(start, stop)])
-        for r, (row, g) in enumerate(zip(y, gens), start):
-            if n > 0:
-                row[:] = family.simulate(theta0, n, g, (seed, "kl-rep", r)).y
-        data = Dataset(y=y)
+        gens = rng.streams(prefix, range(start, stop), ("data",))
+        data = Dataset(y=family.simulate_rows(theta0, gens, np.empty((stop - start, n))))
         vals[start:stop] = (family.log_likelihood(theta0, data)
                             - log_marginal(family, lam, data))
     est = float(np.mean(vals))

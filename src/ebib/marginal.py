@@ -73,12 +73,17 @@ def markov_log_marginal(counts, alpha) -> float:
     convention for this family.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    alpha = np.asarray(alpha, dtype=float)
+    # C order: a row-major axis-1 sum adds each row as its own 1-d sum does
+    alpha = np.ascontiguousarray(alpha, dtype=float)
     total = 0.0
-    for i in range(counts.shape[0]):
-        a, c = alpha[i], counts[i]
-        total += log_gamma(a.sum()) - log_gamma(a.sum() + c.sum())
-        total += sum(log_gamma(aj + cj) - log_gamma(aj) for aj, cj in zip(a, c))
+    for a_sum, c_sum, a, c in zip(alpha.sum(axis=1).tolist(), counts.sum(axis=1).tolist(),
+                                  alpha.tolist(), counts.tolist()):
+        total += log_gamma(a_sum) - log_gamma(a_sum + c_sum)
+        # left to right: the builtin sum compensates from Python 3.12 on
+        row = 0.0
+        for aj, cj in zip(a, c):
+            row += log_gamma(aj + cj) - log_gamma(aj)
+        total += row
     return total
 
 

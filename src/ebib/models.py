@@ -57,7 +57,7 @@ _SIMPLEX_TOL = 1e-12
 class Dataset:
     """Observed data: response y, optional design X, optional transition counts.
 
-    A 2-d y holds one dataset per row, for families with ``rowwise_eval``.
+    A 2-d y holds one dataset per row, for families with ``simulate_rows``.
     """
 
     y: np.ndarray | None = None
@@ -91,10 +91,15 @@ class Dataset:
 
 def load_dataset_csv(path) -> Dataset:
     """Read a CSV with a named ``y`` column and optional ``x1..xd`` columns."""
-    table = np.genfromtxt(path, delimiter=",", names=True)
+    try:
+        table = np.genfromtxt(path, delimiter=",", names=True)
+    except ValueError as exc:  # a row with more or fewer cells than the header
+        raise DomainError(f"dataset CSV is malformed: {exc}") from exc
     names = table.dtype.names
     if names is None or "y" not in names:
         raise DomainError("dataset CSV must have a header with a 'y' column")
+    if table.size == 0:
+        raise DomainError("dataset CSV has a header but no rows")
     xcols = sorted(
         (c for c in names if c.startswith("x") and c[1:].isdigit()),
         key=lambda c: int(c[1:]),
@@ -111,7 +116,10 @@ def load_dataset_csv(path) -> Dataset:
 
 def load_counts_csv(path) -> Dataset:
     """Read a square integer transition-count matrix from a headerless CSV."""
-    counts = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    try:
+        counts = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    except ValueError as exc:  # ragged rows or a non-numeric cell
+        raise DomainError(f"transition-count CSV is malformed: {exc}") from exc
     return Dataset(counts=counts)
 
 
@@ -229,8 +237,6 @@ class ModelFamily:
     """
 
     id = "base"
-    # log_likelihood and log_marginal take one dataset per row of a 2-d y
-    rowwise_eval = False
 
     def validate_hyperparam(self, lam, allow_boundary=False):
         """A scalar lam > 0, or 0 where ``allow_boundary``; families indexed
@@ -269,6 +275,13 @@ class ModelFamily:
         """n >= 0 draws from p_theta0: noise from ``g``, any design from ``seed``."""
         raise CapabilityError(f"{self.id}: simulation not supported")
 
+    def simulate_rows(self, theta0, gens, out):
+        """Fill each row of the (rows, n) array ``out`` with n draws from
+        p_theta0, row r from ``gens[r]``, and return ``out``.  A family with
+        this method also takes one dataset per row of a 2-d y in
+        ``log_likelihood`` and ``log_marginal``."""
+        raise CapabilityError(f"{self.id}: row-wise simulation not supported")
+
     def kl_exact(self, theta0, lam, n: int, data: Dataset | None = None) -> float:
         """Closed-form KL(p_theta0 || m_lam) for n observations."""
         raise CapabilityError(f"{self.id}: exact Gaussian KL not available")
@@ -290,7 +303,6 @@ class NormalMean(ModelFamily):
     """y_i iid N(theta, sigma2) with prior theta ~ N(0, lam)."""
 
     id = "M1"
-    rowwise_eval = True
 
     def __init__(self, sigma2: float = 1.0):
         if not sigma2 > 0:
@@ -340,7 +352,15 @@ class NormalMean(ModelFamily):
         return low_rank_gaussian_logpdf(data.y, 0.0, self.sigma2, lam)
 
     def simulate(self, theta0, n, g, seed):
-        return Dataset(y=g.normal(float(theta0), math.sqrt(self.sigma2), size=n))
+        return Dataset(y=self.simulate_rows(theta0, [g], np.empty((1, n)))[0])
+
+    def simulate_rows(self, theta0, gens, out):
+        # g.normal(theta0, sigma, n) draw for draw: theta0 + sigma * z
+        for row, g in zip(out, gens):
+            g.standard_normal(out=row)
+        out *= math.sqrt(self.sigma2)
+        out += float(theta0)
+        return out
 
     def kl_exact(self, theta0, lam, n, data=None):
         lam = self.validate_hyperparam(lam, allow_boundary=True)
@@ -696,14 +716,23 @@ class MarkovDirichlet(ModelFamily):
         return markov_log_marginal(data.counts, self.validate_hyperparam(lam))
 
     def simulate(self, theta0, n, g, seed):
+        # g.choice(K, p=P[state]) step by step, draw for draw: each step
+        # searches one uniform in the row's normalised cdf
         P = self._rows(theta0)
         K = P.shape[0]
-        path = np.empty(n + 1, dtype=np.int64)
-        path[0] = g.integers(K)
+        state = int(g.integers(K))
+        u = g.random(n)
+        nxt = []
+        for p in P:
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            nxt.append(cdf.searchsorted(u, side="right").tolist())
+        path = [state]
         for t in range(n):
-            path[t + 1] = g.choice(K, p=P[path[t]])
-        counts = np.zeros((K, K), dtype=np.int64)
-        np.add.at(counts, (path[:-1], path[1:]), 1)
+            state = nxt[state][t]
+            path.append(state)
+        path = np.array(path, dtype=np.int64)
+        counts = np.bincount(path[:-1] * K + path[1:], minlength=K * K).reshape(K, K)
         return Dataset(y=path.astype(float), counts=counts)
 
 
@@ -873,27 +902,27 @@ class BayesLasso(ModelFamily):
         bhat = (X.T @ y) / norms**2
         sse = float(np.sum((y - X @ bhat) ** 2))
         out = -0.5 * n * math.log(2.0 * math.pi * s * s) - sse / (2.0 * s * s)
-        for sj, bj in zip(norms, bhat):
+        # per coordinate j, log C(lam): the normalizer of
+        # exp(-sj^2 (b - bj)^2 / (2 s^2) - lam |b| / s), so that the integral
+        # is sqrt(2 pi) (s / sj) C; kappa^2, exp and log stay float operations,
+        # whose last bit numpy's array forms need not share
+        norms, bhat = norms.tolist(), bhat.tolist()
+        kappa = [lam / sj for sj in norms]
+        u = [sj * bj / s for sj, bj in zip(norms, bhat)]
+        lower = norm_logcdf([uj - kj for uj, kj in zip(u, kappa)]
+                            + [-uj - kj for uj, kj in zip(u, kappa)]).tolist()
+        d = len(norms)
+        for j, sj in enumerate(norms):
             out += 0.5 * math.log(2.0 * math.pi) + math.log(s / sj)
             out += math.log(lam / (2.0 * s))
-            out += self.laplace_gauss_log_normalizer(float(bj), float(sj), s, lam)
+            t1 = 0.5 * kappa[j]**2 - kappa[j] * u[j] + lower[j]
+            t2 = 0.5 * kappa[j]**2 + kappa[j] * u[j] + lower[d + j]
+            hi = max(t1, t2)
+            out += hi + math.log(math.exp(t1 - hi) + math.exp(t2 - hi))
         return float(out)
 
     def simulate(self, theta0, n, g, seed):
         return _simulate_regression(*self._unpack(theta0), n, g, seed)
-
-    @staticmethod
-    def laplace_gauss_log_normalizer(bhat: float, colnorm: float, sigma: float, lam: float) -> float:
-        """log C(lam): normalizer of exp(-colnorm^2 (b-bhat)^2/(2 sigma^2) - lam|b|/sigma).
-
-        C is defined so the integral equals sqrt(2 pi) (sigma/colnorm) C.
-        """
-        kappa = lam / colnorm
-        u = colnorm * bhat / sigma
-        t1 = 0.5 * kappa**2 - kappa * u + norm_logcdf(u - kappa)
-        t2 = 0.5 * kappa**2 + kappa * u + norm_logcdf(-u - kappa)
-        hi = max(t1, t2)
-        return hi + math.log(math.exp(t1 - hi) + math.exp(t2 - hi))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ stable 32-bit integers with CRC-32.  The resulting tuple feeds a
 ``numpy.random.SeedSequence``, so independent keys give statistically
 independent, reproducible streams.
 
-``streams(keys)`` builds many such generators at once.  It runs the
-SeedSequence hash (O'Neill's ``seed_seq_fe`` mixer, plain uint32 arithmetic)
-on arrays with one lane per key tuple, and gives for each tuple ``k`` the
-generator ``stream(*k)`` gives, draw for draw.
+``streams(prefix, indices, suffix)`` builds many such generators at once,
+one per index: the generator ``stream(*prefix, i, *suffix)`` gives, draw for
+draw.  It converts the shared keys once, fills the uint32 entropy words of
+all indices as one array, and runs the SeedSequence hash (O'Neill's
+``seed_seq_fe`` mixer, plain uint32 arithmetic) on it with one lane per
+index.
 """
 
 from __future__ import annotations
@@ -65,18 +67,9 @@ def _key_words(key) -> list:
     return out
 
 
-def _words(keys, memo) -> list:
-    """The entropy words of a key tuple, each distinct key converted once
-    per ``memo``; keyed by type too, so a float 1.0 is still refused after
-    the int 1 was converted."""
-    out = []
-    for key in keys:
-        tag = (type(key), key)
-        words = memo.get(tag)
-        if words is None:
-            words = memo[tag] = _key_words(key)
-        out += words
-    return out
+def _words(keys) -> list:
+    """The entropy words of a key tuple."""
+    return [w for key in keys for w in _key_words(key)]
 
 
 def _hash_constants(init, mult, steps):
@@ -139,14 +132,18 @@ class _Expanded(ISeedSequence):
         return self.state
 
 
-def streams(keys) -> list:
-    """``[stream(*k) for k in keys]``, hashed for all key tuples at once."""
-    memo = {}
-    words = [_words(k, memo) for k in keys]
-    gens = [None] * len(words)
-    for size in set(map(len, words)):
-        rows = [i for i, w in enumerate(words) if len(w) == size]
-        block = np.array([words[i] for i in rows], np.uint32)
-        for i, state in zip(rows, _pcg64_states(block)):
-            gens[i] = np.random.Generator(np.random.PCG64(_Expanded(state)))
-    return gens
+def streams(prefix, indices, suffix=()) -> list:
+    """``[stream(*prefix, i, *suffix) for i in indices]``, hashed for all
+    indices at once.  An index must be an integer in [0, 2**32): one entropy
+    word, so that every lane has the same word count."""
+    head, tail = _words(prefix), _words(suffix)
+    idx = np.asarray(indices)
+    if not idx.size:
+        return []
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() > _MASK32:
+        raise ValueError("stream indices must be a sequence of integers in [0, 2**32)")
+    words = np.empty((idx.size, len(head) + 1 + len(tail)), np.uint32)
+    words[:] = head + [0] + tail
+    words[:, len(head)] = idx
+    return [np.random.Generator(np.random.PCG64(_Expanded(state)))
+            for state in _pcg64_states(words)]

@@ -1,7 +1,8 @@
 """Shared test helpers: the references that library kernels are checked
-against (the dense Gaussian log-density, the recursive adaptive Simpson rule
-and a central-difference gradient) and the environment of a child
-interpreter."""
+against (the dense Gaussian log-density, the recursive adaptive Simpson rule,
+a central-difference gradient, and the one-call-per-draw or one-call-per-
+coordinate forms of the M1 and M4 simulations and the M4 and M5 marginals)
+and the environment of a child interpreter."""
 
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ebib.errors import AccuracyError, DomainError
-from ebib.numerics import QUAD_ABS_TOL, QUAD_MAX_DEPTH
+from ebib.numerics import QUAD_ABS_TOL, QUAD_MAX_DEPTH, log_gamma, norm_logcdf
 
 
 def gaussian_logpdf(y, mean, cov) -> float:
@@ -79,6 +80,69 @@ def finite_diff_gradient(f, x, h: float = 1e-5):
         e[i] = h
         grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return grad
+
+
+def normal_mean_rows(theta0, sigma2, gens, n):
+    """One M1 dataset of n draws per generator, one ``g.normal`` call each."""
+    rows = [g.normal(float(theta0), math.sqrt(sigma2), size=n) for g in gens]
+    return np.array(rows, dtype=float).reshape(len(rows), n)
+
+
+def markov_path(P, n, g):
+    """An n-step path of the chain with transition rows P, one ``g.choice``
+    call per step from a ``g.integers`` start, and its transition counts."""
+    P = np.asarray(P, dtype=float)
+    K = P.shape[0]
+    path = np.empty(n + 1, dtype=np.int64)
+    path[0] = g.integers(K)
+    for t in range(n):
+        path[t + 1] = g.choice(K, p=P[path[t]])
+    counts = np.zeros((K, K), dtype=np.int64)
+    np.add.at(counts, (path[:-1], path[1:]), 1)
+    return path, counts
+
+
+def markov_log_marginal(counts, alpha) -> float:
+    """The Dirichlet-multinomial log marginal of M4 on numpy rows and scalars,
+    each row's cell terms added by the builtin ``sum``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    alpha = np.asarray(alpha, dtype=float)
+    total = 0.0
+    for i in range(counts.shape[0]):
+        a, c = alpha[i], counts[i]
+        total += log_gamma(a.sum()) - log_gamma(a.sum() + c.sum())
+        total += sum(log_gamma(aj + cj) - log_gamma(aj) for aj, cj in zip(a, c))
+    return total
+
+
+def laplace_gauss_log_normalizer(bhat: float, colnorm: float, sigma: float, lam: float) -> float:
+    """log C(lam): normalizer of exp(-colnorm^2 (b-bhat)^2/(2 sigma^2) - lam|b|/sigma),
+    one scalar ``norm_logcdf`` call per term.
+
+    C is defined so the integral equals sqrt(2 pi) (sigma/colnorm) C.
+    """
+    kappa = lam / colnorm
+    u = colnorm * bhat / sigma
+    t1 = 0.5 * kappa**2 - kappa * u + norm_logcdf(u - kappa)
+    t2 = 0.5 * kappa**2 + kappa * u + norm_logcdf(-u - kappa)
+    hi = max(t1, t2)
+    return hi + math.log(math.exp(t1 - hi) + math.exp(t2 - hi))
+
+
+def lasso_log_marginal(lam: float, sigma2: float, X, y) -> float:
+    """The closed-form M5 log marginal (orthogonal X, known sigma2), one
+    `laplace_gauss_log_normalizer` call per coordinate."""
+    norms = np.sqrt(np.diag(X.T @ X))
+    s = math.sqrt(sigma2)
+    n = y.shape[0]
+    bhat = (X.T @ y) / norms**2
+    sse = float(np.sum((y - X @ bhat) ** 2))
+    out = -0.5 * n * math.log(2.0 * math.pi * s * s) - sse / (2.0 * s * s)
+    for sj, bj in zip(norms, bhat):
+        out += 0.5 * math.log(2.0 * math.pi) + math.log(s / sj)
+        out += math.log(lam / (2.0 * s))
+        out += laplace_gauss_log_normalizer(float(bj), float(sj), s, lam)
+    return float(out)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

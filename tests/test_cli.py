@@ -150,6 +150,12 @@ BAD_VALUES = [
     {"experiment": "merging-rates", "lam_pair": [1.0, 1.0]},
     # lam* = theta0^2 overflowed (OverflowError, exit 1)
     {"experiment": "mmle-consistency", "theta0": 1e160},
+    # the LASSO rate's square underflowed to 0 (ValueError from g.wald, exit 1)
+    # or overflowed (OverflowError, exit 1)
+    {"experiment": "table1-lasso", "init_lam": 1e-300},
+    {"experiment": "table1-lasso", "init_lam": 1e300},
+    {"experiment": "fig2-lasso-marginals", "lam_lo": 1e300},
+    {"experiment": "fig2-lasso-marginals", "lam_hi": 1e300},
 ]
 
 
@@ -171,7 +177,11 @@ BAD_VALUES = [
                                                   "mixture_draws_below_ess",
                                                   "mixture_K_past_enumeration_cap",
                                                   "kl_theta0_zero", "merging_theta0_zero",
-                                                  "lam_pair_equal", "theta0_overflow"])
+                                                  "lam_pair_equal", "theta0_overflow",
+                                                  "init_lam_square_zero",
+                                                  "init_lam_square_overflow",
+                                                  "fig2_lam_lo_square_overflow",
+                                                  "fig2_lam_hi_square_overflow"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, verb, doc):
     path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
     assert main([verb, path]) == 2

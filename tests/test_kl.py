@@ -145,10 +145,9 @@ def test_kl_monte_carlo_blocks_stay_under_budget(monkeypatch):
     sizes = []
     streams = rngmod.streams
 
-    def recording(keys):
-        keys = list(keys)
-        sizes.append(len(keys))
-        return streams(keys)
+    def recording(prefix, indices, suffix=()):
+        sizes.append(len(indices))
+        return streams(prefix, indices, suffix)
 
     monkeypatch.setattr(rngmod, "streams", recording)
     monkeypatch.setattr(klmod, "_BLOCK_ELEMENTS", 100)

@@ -27,6 +27,7 @@ from ebib.models import (
 )
 from ebib.samplers import orthogonal_design, simulate
 from helpers import gaussian_logpdf
+from helpers import markov_log_marginal as markov_log_marginal_ref
 
 
 def test_m1_closed_two_point_checkpoint():
@@ -129,6 +130,20 @@ def test_markov_marginal_matches_factorial_form():
         a = markov_log_marginal(counts, alpha)
         b = markov_log_marginal_factorials(counts, alpha)
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_markov_marginal_equals_the_numpy_scalar_form():
+    # the row sums, the cell terms and their left-to-right order as in the
+    # form on numpy rows, bit for bit; also for strided and Fortran-ordered
+    # concentrations and counts
+    g = np.random.default_rng(11)
+    for K in (2, 3, 4, 9, 17):
+        for top in [7, 3000] * 40:  # small counts make the row sums count
+            counts = g.integers(0, top, size=(K, K)) * (g.random((K, K)) < 0.7)
+            alpha = np.exp(g.uniform(np.log(1e-3), np.log(50.0), size=(K, K)))
+            for a in (alpha, alpha.T, np.asfortranarray(alpha), np.repeat(alpha, 2, axis=1)[:, ::2]):
+                for c in (counts, np.asfortranarray(counts)):
+                    assert markov_log_marginal(c, a) == markov_log_marginal_ref(c, a)
 
 
 def test_markov_ray_derivative_matches_finite_difference():

@@ -28,8 +28,10 @@ from ebib.models import (
 )
 from ebib.marginal import log_marginal
 from ebib.posteriors import PointMassPosterior
+from ebib import rng as rngmod
 from ebib.samplers import orthogonal_design, simulate
-from helpers import finite_diff_gradient
+from helpers import (finite_diff_gradient, lasso_log_marginal, markov_path,
+                     normal_mean_rows)
 
 LOG_SQRT_2PI = 0.9189385332046727
 
@@ -71,6 +73,24 @@ def test_load_counts_csv(tmp_path):
     d = load_counts_csv(path)
     assert d.counts.shape == (2, 2)
     assert d.n == 10
+
+
+@pytest.mark.parametrize("loader, text, match", [
+    (load_dataset_csv, "y,x1\n1,2\n3,4,5\n", "malformed"),
+    (load_dataset_csv, "y,x1\n1,2\n3\n", "malformed"),
+    (load_counts_csv, "1,2\n3\n", "malformed"),
+    (load_counts_csv, "1,2\n3,x\n", "malformed"),
+    (load_dataset_csv, "y\n", "no rows"),
+    (load_dataset_csv, "y,x1\n", "no rows"),
+], ids=["dataset-long-row", "dataset-short-row", "counts-short-row", "counts-text-cell",
+        "dataset-header-only", "dataset-header-only-x1"])
+def test_malformed_csv_raises_domain_error(tmp_path, loader, text, match):
+    # numpy's ValueError used to escape the loaders, and a header-only
+    # dataset loaded as n = 0
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=match):
+        loader(path)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -551,4 +571,81 @@ def test_only_normal_mean_evaluates_rowwise():
     fams = [NormalMean(), IndepNormalRegression(), GPriorRegression(V=np.eye(3)),
             MarkovDirichlet(K=2), BayesLasso(sigma2=1.0), GaussMixtureKnownK(K=2),
             OverfittedMixture(K=2)]
-    assert [f.id for f in fams if f.rowwise_eval] == ["M1"]
+    rowwise = []
+    for f in fams:
+        try:
+            f.simulate_rows(0.0, [], np.empty((0, 3)))
+        except CapabilityError:
+            continue
+        rowwise.append(f.id)
+    assert rowwise == ["M1"]
+
+
+# ---------------------------------------------------------------------------
+# array forms against the one-call-per-draw and per-coordinate references
+
+
+def _random_transition(g, K, zeros):
+    """A K x K transition matrix with ``zeros`` cells of row 0 set to 0."""
+    P = g.dirichlet(np.ones(K), size=K)
+    P[0, g.choice(K, size=zeros, replace=False)] = 0.0
+    return P / P.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_markov_simulate_equals_the_choice_path(K):
+    # the path, the counts and the generator's next draw, for rows with
+    # zero cells (down to a single positive cell) and the shipped transition
+    g = np.random.default_rng(K)
+    fam = MarkovDirichlet(K=K)
+    mats = [_random_transition(g, K, z) for z in range(K)]
+    if K == 3:
+        mats.append(np.array([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6], [0.5, 0.25, 0.25]]))
+    for P in mats:
+        for n in (0, 1, 2000):
+            for seed in range(4):
+                g1 = rngmod.stream(seed, "markov", K, n)
+                g2 = rngmod.stream(seed, "markov", K, n)
+                data = fam.simulate(P, n, g1, seed)
+                path, counts = markov_path(P, n, g2)
+                assert data.y.dtype == float and np.array_equal(data.y, path)
+                assert data.counts.dtype == np.int64 and np.array_equal(data.counts, counts)
+                assert g1.random() == g2.random()
+
+
+def test_lasso_log_marginal_equals_the_per_coordinate_form():
+    # orthogonal designs of several scales and sizes; large coefficients put
+    # |u| far beyond 10, where log_ndtr is in its tail, and the rates span
+    # six decades
+    g = np.random.default_rng(5)
+    lams = np.geomspace(1e-3, 1e3, 25).tolist()
+    for n, d, scale, sigma2 in [(40, 15, 1.0, 1.0), (300, 15, 0.3, 2.5),
+                                (20, 3, 4.0, 0.2), (7, 7, 1.0, 1.0)]:
+        fam = BayesLasso(sigma2=sigma2)
+        X = orthogonal_design(n, d, (n, d, "lasso-oracle"), scale=scale)
+        beta = g.normal(0.0, 3.0, size=d) * (g.random(d) < 0.6)
+        y = X @ beta + g.normal(0.0, math.sqrt(sigma2), size=n)
+        data = Dataset(y=y, X=X)
+        u = np.sqrt(np.diag(X.T @ X)) * (X.T @ y) / np.diag(X.T @ X) / math.sqrt(sigma2)
+        assert np.max(np.abs(u)) > 10  # the tail of log_ndtr
+        for lam in lams:
+            got = fam.log_marginal(lam, data)
+            assert type(got) is float
+            assert got == lasso_log_marginal(lam, sigma2, X, y), (n, d, lam)
+
+
+@pytest.mark.parametrize("sigma2,theta0", [(1.0, 0.0), (2.5, -1.7), (0.3, -0.05), (4.0, 3.2)])
+def test_normal_mean_simulate_rows_equals_one_normal_call_per_row(sigma2, theta0):
+    fam = NormalMean(sigma2=sigma2)
+    for rows, n in [(1, 0), (3, 0), (1, 1), (5, 1), (6, 137)]:
+        gens = rngmod.streams((rows, n), range(rows), ("data",))
+        ref_gens = rngmod.streams((rows, n), range(rows), ("data",))
+        out = np.empty((rows, n))
+        assert fam.simulate_rows(theta0, gens, out) is out
+        assert np.array_equal(out, normal_mean_rows(theta0, sigma2, ref_gens, n))
+        assert [g.random() for g in gens] == [g.random() for g in ref_gens]
+        # the one-row case
+        g1, g2 = rngmod.stream(rows, n, "one"), rngmod.stream(rows, n, "one")
+        assert np.array_equal(fam.simulate(theta0, n, g1, None).y,
+                              normal_mean_rows(theta0, sigma2, [g2], n)[0])
+        assert g1.random() == g2.random()

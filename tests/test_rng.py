@@ -41,9 +41,10 @@ def test_numpy_integer_keys_accepted():
     assert np.array_equal(a, b)
 
 
-# one call mixing word counts: 0 and 2**32 - 1 are one word, 2**32 two,
+# key tuples of every word count: 0 and 2**32 - 1 are one word, 2**32 two,
 # 2**64 + 5 three; strings are their CRC-32
 STREAM_KEYS = [
+    (),
     (0,),
     (2**32 - 1,),
     (2**32,),
@@ -57,15 +58,64 @@ STREAM_KEYS = [
     (1, 2, 3, 4, 5, 6, 7, 8, 9, 2**40),
     (7, "role", 3),
 ]
+INDICES = [0, 1, 149, 2**32 - 1]
+
+
+def _assert_same_draws(g, ref, key):
+    assert np.array_equal(g.normal(size=7), ref.normal(size=7)), key
+    assert g.random() == ref.random(), key
 
 
 def test_streams_match_stream_draw_for_draw():
-    gens = rngmod.streams(STREAM_KEYS)
-    assert len(gens) == len(STREAM_KEYS)
-    for key, g in zip(STREAM_KEYS, gens):
-        ref = rngmod.stream(*key)
-        assert np.array_equal(g.normal(size=7), ref.normal(size=7)), key
-        assert g.random() == ref.random(), key
+    for key in STREAM_KEYS:
+        # the tuple itself, split around each of its one-word integer keys
+        for j, k in enumerate(key):
+            if isinstance(k, (int, np.integer)) and 0 <= k < 2**32:
+                (g,) = rngmod.streams(key[:j], [k], key[j + 1:])
+                _assert_same_draws(g, rngmod.stream(*key), (key, j))
+        # the tuple as the shared prefix, as the shared suffix, and split
+        # around an added index
+        for prefix, suffix in [(key, ()), ((), key), (key[:1], key[1:])]:
+            gens = rngmod.streams(prefix, INDICES, suffix)
+            assert len(gens) == len(INDICES)
+            for i, g in zip(INDICES, gens):
+                _assert_same_draws(g, rngmod.stream(*prefix, i, *suffix), (prefix, i, suffix))
+
+
+def test_streams_take_ranges_and_integer_arrays():
+    want = [rngmod.stream(3, "kl-rep", i, "data").random() for i in range(5, 9)]
+    for indices in (range(5, 9), [5, 6, 7, 8], np.arange(5, 9, dtype=np.uint32),
+                    np.arange(5, 9, dtype=np.int64)):
+        gens = rngmod.streams((3, "kl-rep"), indices, ("data",))
+        assert [g.random() for g in gens] == want, indices
+
+
+def test_streams_index_bounds():
+    # the first and the last one-word index; with no prefix or suffix the
+    # index is the base seed
+    for i in (0, 2**32 - 1):
+        (g,) = rngmod.streams((), [i])
+        _assert_same_draws(g, rngmod.stream(i), i)
+
+
+def test_streams_of_no_keys_is_empty():
+    # an empty index sequence builds no generator
+    assert rngmod.streams((0,), []) == []
+    assert rngmod.streams((0, "a"), range(4, 4), ("b",)) == []
+
+
+def test_streams_refuse_negative_and_two_word_indices():
+    # a two-word index would give its lane a different word count from the
+    # others; replicate indices never need one, so it is refused
+    for indices in ([-1], [0, -3], range(-2, 1), [2**32], [0, 2**32 + 7], [2**64 + 5]):
+        with pytest.raises(ValueError):
+            rngmod.streams((0,), indices)
+
+
+def test_streams_refuse_non_integer_indices():
+    for indices in ([1.0], [True], [[1, 2]], ["a"]):
+        with pytest.raises(ValueError):
+            rngmod.streams((0,), indices)
 
 
 def test_streams_states_match_seed_sequence():
@@ -79,22 +129,24 @@ def test_streams_states_match_seed_sequence():
             assert np.array_equal(state, want), (size, row)
 
 
-def test_streams_of_no_keys_is_empty():
-    assert rngmod.streams([]) == []
-
-
 def test_streams_key_errors_match_stream():
-    with pytest.raises(ValueError):
-        rngmod.streams([(0, 1), (0, -3)])
-    with pytest.raises(TypeError):
-        rngmod.streams([(0, 1), (0, 1.5)])
+    # as stream: a negative key is a ValueError, a float key a TypeError,
+    # in the prefix or the suffix, even with no index to build
+    for prefix, suffix in (((0, -3), ()), ((0,), (-1,))):
+        for indices in ([1], []):
+            with pytest.raises(ValueError):
+                rngmod.streams(prefix, indices, suffix)
+    for prefix, suffix in (((0, 1.5), ()), ((0,), (1.0,))):
+        for indices in ([1], []):
+            with pytest.raises(TypeError):
+                rngmod.streams(prefix, indices, suffix)
 
 
 def test_streams_convert_equal_keys_of_each_type_on_their_own():
-    # a key is converted once per call and reused, but only for keys of the
-    # same type: 1.0 equals the cached 1 and must still be refused
+    # keys equal to 1 convert by their own type: bool and numpy integers are
+    # integers, and 1.0 is still refused next to 1
     with pytest.raises(TypeError):
-        rngmod.streams([(0, 1), (0, 1.0)])
-    keys = [(0, True), (0, 1), (0, np.int64(1)), (2**32, 2**32), (2**32,), ("a", "a")]
-    for key, g in zip(keys, rngmod.streams(keys)):
-        assert g.random() == rngmod.stream(*key).random(), key
+        rngmod.streams((0, 1, 1.0), [0])
+    prefix = (0, True, 1, np.int64(1), 2**32, 2**32, "a", "a")
+    (g,) = rngmod.streams(prefix, [2], prefix)
+    assert g.random() == rngmod.stream(*prefix, 2, *prefix).random()

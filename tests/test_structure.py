@@ -4,6 +4,9 @@ Every ebib import sits at module level, so a module's header lists what it
 depends on, and those imports form a DAG (names needed only by annotations
 are imported under ``if TYPE_CHECKING:``).  Deferred ``scipy`` imports inside
 functions stay allowed: they keep ``import ebib.cli`` free of scipy.
+
+The model families of ``models.py`` are read the same way: a capability is a
+method that answers or raises ``CapabilityError``, never a class-level flag.
 """
 
 import ast
@@ -69,3 +72,34 @@ def test_module_level_ebib_imports_form_a_dag():
     except CycleError as err:
         raise AssertionError(f"import cycle: {' -> '.join(err.args[1])}") from None
     assert set(order) == MODULES
+
+
+def _family_classes(tree):
+    """The class definitions of ``ModelFamily`` and of its subclasses, direct
+    or indirect, in one module."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    family = {"ModelFamily"}
+    grown = True
+    while grown:
+        found = {name for name, node in classes.items()
+                 if any(isinstance(b, ast.Name) and b.id in family for b in node.bases)}
+        grown = not found <= family
+        family |= found
+    return [classes[name] for name in sorted(family) if name in classes]
+
+
+def _class_level_booleans(cls):
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            if isinstance(stmt.value, ast.Constant) and type(stmt.value.value) is bool:
+                yield stmt
+
+
+def test_model_families_set_no_class_level_flag():
+    tree = ast.parse((SRC / "models.py").read_text())
+    families = _family_classes(tree)
+    assert {"ModelFamily", "NormalMean", "OverfittedMixture"} <= {c.name for c in families}
+    flags = [f"{cls.name}: {ast.unparse(stmt)}" for cls in families
+             for stmt in _class_level_booleans(cls)]
+    assert flags == []
+
