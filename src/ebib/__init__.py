@@ -11,7 +11,6 @@ from .errors import (
     EstimationError,
     InsufficientDataError,
     NonDifferentiableError,
-    ReliabilityError,
     SamplerError,
 )
 from .models import (

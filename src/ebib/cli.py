@@ -22,7 +22,6 @@ from . import __version__
 from .errors import CapabilityError, EbibError
 from .kl import kl_exact_gaussian, kl_minimizer, kl_monte_carlo
 from .marginal import (  # noqa: F401  (log_marginal: perfbench traces this binding)
-    ENUMERATION_CAP,
     MIN_RELIABLE_ESS,
     log_marginal,
     markov_log_marginal,
@@ -435,82 +434,79 @@ def _check_type(key, value, default):
         raise ValueError(f"{key} must be finite, got {value!r}")
 
 
-# integer keys that may be 0; every other integer key is a count or a size
-_NONNEGATIVE_INTS = ("seed_base", "coords", "gibbs_burnin")
-# variances and hyperparameters at which no density exists at 0; the geometric
-# grids cannot reach 0 either
-_POSITIVE_FLOATS = ("sigma2", "comp_var", "loc_var", "init_lam", "lambdas",
-                    "lam_pair", "lam_lo", "lam_hi", "lam_ref")
+# The largest float whose square is finite and the smallest whose square is
+# > 0: lam* = theta0**2, and the LASSO rate enters squared (the Gibbs
+# sampler's inverse-Gaussian shape, the marginal's kappa**2).
+_SQUARE_FINITE, _SQUARE_POSITIVE = 1.3407807929942596e154, 1.5717277847026288e-162
+_LASSO_RATE = (_SQUARE_POSITIVE, _SQUARE_FINITE, "[]")
+# Variances and hyperparameters at which no density exists at 0, and the ends
+# of geometric grids.  A subnormal value has lost precision and its reciprocal
+# overflows (a merging-rates L1 quadrature at sigma2 = 5e-324 ran past 40 s).
+_POSITIVE = (sys.float_info.min, math.inf, "[)")
+_COUNT, _INDEX = (1, math.inf, "[)"), (0, math.inf, "[)")
 
-
-def _values(value):
-    return value if isinstance(value, list) else [value]
+# The range of each numeric config key, as (lowest, highest, ends): "[" or "]"
+# keeps an end, "(" or ")" leaves it out, and each entry of a list value must
+# be in range.  An (experiment, key) entry overrides the shared key, and None
+# marks a key with no bound.  Rules that tie keys together are in _check_values.
+BOUNDS = {
+    "n": _COUNT, "seeds": _COUNT, "grid_points": _COUNT, "lam_points": _COUNT,
+    "em_steps": _COUNT, "gibbs_iters": _COUNT, "mc_configs": _COUNT, "n_grid": _COUNT,
+    "seed_base": _INDEX, "coords": _INDEX, "gibbs_burnin": _INDEX,
+    "sigma2": _POSITIVE, "comp_var": _POSITIVE, "loc_var": _POSITIVE, "lambdas": _POSITIVE,
+    "lam_pair": _POSITIVE, "lam_lo": _POSITIVE, "lam_hi": _POSITIVE, "lam_ref": _POSITIVE,
+    "init_lam": _LASSO_RATE, ("fig2-lasso-marginals", "lam_lo"): _LASSO_RATE,
+    ("fig2-lasso-marginals", "lam_hi"): _LASSO_RATE,
+    "theta0": (-_SQUARE_FINITE, _SQUARE_FINITE, "[]"),
+    # 0 is the point-mass prior, which the credible discrepancy allows
+    "lam_far": (0.0, math.inf, "[)"),
+    "alpha": (0.0, 1.0, "()"),
+    # the 3-standard-error check needs a standard error
+    "mc_reps": (2, math.inf, "[)"),
+    # the rate statistic divides by log log n, which is positive only from n = 3
+    ("mixture-rate", "n_grid"): (3, math.inf, "[)"),
+    # 5**8 <= ENUMERATION_CAP < 6**8 allocations in the n = 8 enumeration check
+    "K": (2, 5, "[]"),
+    # a profile point's effective sample size is at most draws
+    "draws": (MIN_RELIABLE_ESS, math.inf, "[)"),
+    # more rows than coefficients for the sampler, and len(beta0) >= 1
+    ("table1-lasso", "n_grid"): (2, math.inf, "[)"),
+    # any finite location; beta0 and transition are checked whole below
+    "loc_mean": None, "true_mean": None, "beta0": None, "transition": None,
+}
 
 
 def _check_values(cfg, defaults):
     """Reject well-typed values that no experiment can run with."""
-    for key, default in defaults.items():
-        kind = default[0] if isinstance(default, list) else default
-        if type(kind) is not int:
+    name = cfg["experiment"]
+    for key in defaults:
+        bound = BOUNDS.get((name, key), BOUNDS[key])
+        if bound is None:
             continue
-        low = 0 if key in _NONNEGATIVE_INTS else 1
-        if min(_values(cfg[key])) < low:
-            raise ValueError(f"{key} must be >= {low}, got {cfg[key]!r}")
-    for key in _POSITIVE_FLOATS:
-        if key in cfg and not min(_values(cfg[key])) > 0:
-            raise ValueError(f"{key} must be > 0, got {cfg[key]!r}")
-    # 0 is the point-mass prior, which the credible discrepancy allows
-    if "lam_far" in cfg and cfg["lam_far"] < 0:
-        raise ValueError(f"lam_far must be >= 0, got {cfg['lam_far']!r}")
-    if "alpha" in cfg and not 0 < cfg["alpha"] < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {cfg['alpha']!r}")
-    # the 3-standard-error check needs a standard error
-    if "mc_reps" in cfg and cfg["mc_reps"] < 2:
-        raise ValueError(f"mc_reps must be >= 2, got {cfg['mc_reps']!r}")
-    if "lam_pair" in cfg and len(cfg["lam_pair"]) != 2:
-        raise ValueError("lam_pair must hold exactly two values")
-    # lam* = theta0^2 must be finite; kl-oracle takes log lam*, and the
-    # first-order prediction that merging-rates divides by is 0 at lam* = 0 or
-    # lam1 = lam2
-    lam_star = cfg.get("theta0", 1.0) * cfg.get("theta0", 1.0)
-    if not math.isfinite(lam_star):
-        raise ValueError(f"theta0**2 must be finite, got theta0 = {cfg['theta0']!r}")
-    if lam_star == 0 and cfg["experiment"] in ("kl-oracle", "merging-rates"):
-        raise ValueError(f"{cfg['experiment']} needs theta0**2 > 0, got {cfg['theta0']!r}")
-    # the LASSO rate enters squared (the Gibbs sampler's inverse-Gaussian shape,
-    # the marginal's kappa**2), so lam**2 must be finite and > 0
-    if cfg["experiment"] in ("table1-lasso", "fig2-lasso-marginals"):
-        for key in ("init_lam", "lam_lo", "lam_hi"):
-            if key in cfg and not 0 < cfg[key] * cfg[key] < math.inf:
-                raise ValueError(f"{key}**2 must be finite and > 0, got {key} = {cfg[key]!r}")
-    if "lam_pair" in cfg and cfg["lam_pair"][0] == cfg["lam_pair"][1]:
+        lo, hi, ends = bound
+        for v in cfg[key] if isinstance(cfg[key], list) else [cfg[key]]:
+            if not ((lo < v if ends[0] == "(" else lo <= v)
+                    and (v < hi if ends[1] == ")" else v <= hi)):
+                raise ValueError(f"{key} must lie in {ends[0]}{lo!r}, {hi!r}{ends[1]}, "
+                                 f"got {cfg[key]!r}")
+    # the first-order prediction, a divisor, is 0 at lam1 = lam2
+    if "lam_pair" in cfg and len(set(cfg["lam_pair"])) != 2:
         raise ValueError("lam_pair must hold two different values")
+    # kl-oracle takes log lam*, and the first-order prediction that
+    # merging-rates divides by is 0 at lam* = theta0**2 = 0
+    if name in ("kl-oracle", "merging-rates") and not cfg["theta0"] ** 2 > 0:
+        raise ValueError(f"{name} needs theta0**2 > 0, got {cfg['theta0']!r}")
     if "coords" in cfg and max(cfg["coords"]) >= len(cfg["beta0"]):
         raise ValueError("coords must index beta0")
     if "transition" in cfg:
         if [len(r) for r in cfg["transition"]] != [3, 3, 3]:
             raise ValueError("transition must be a 3x3 matrix")
         MarkovDirichlet._rows(cfg["transition"])
-    if cfg["experiment"] == "mixture-rate":
-        # the rate statistic divides by log log n, which is positive only from n = 3
-        if min(cfg["n_grid"]) < 3:
-            raise ValueError("mixture-rate needs every n_grid entry >= 3")
-        if cfg["K"] < 2:
-            raise ValueError("mixture-rate needs K >= 2 components")
-        if cfg["K"] ** 8 > ENUMERATION_CAP:
-            raise ValueError(f"mixture-rate needs K^8 <= {ENUMERATION_CAP} "
-                             "for its n = 8 enumeration")
-        # a profile point's effective sample size is at most draws
-        if cfg["draws"] < MIN_RELIABLE_ESS:
-            raise ValueError(f"mixture-rate needs draws >= {MIN_RELIABLE_ESS:g}")
     # the LASSO sampler needs more rows than coefficients, an orthogonal design
     # at least as many
-    d = len(cfg.get("beta0", ()))
-    if cfg["experiment"] == "table1-lasso" and min(cfg["n_grid"]) <= d:
-        raise ValueError(f"table1-lasso needs every n_grid entry > {d} (len(beta0))")
-    if cfg["experiment"] == "fig2-lasso-marginals" and min(cfg["n_grid"]) < d:
-        raise ValueError(f"fig2-lasso-marginals needs every n_grid entry >= {d} "
-                         "(len(beta0))")
+    d = len(cfg.get("beta0", ())) + (name == "table1-lasso")
+    if "beta0" in cfg and min(cfg["n_grid"]) < d:
+        raise ValueError(f"{name} needs every n_grid entry >= {d} for this beta0")
     if "gibbs_iters" in cfg and not cfg["gibbs_burnin"] < cfg["gibbs_iters"]:
         raise ValueError("gibbs_burnin must be below gibbs_iters")
 
@@ -604,8 +600,11 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        summary = run_experiment(cfg, _resolve_out_dir(cfg))
-    except (EbibError, OSError, np.linalg.LinAlgError) as exc:
+        # an overflow, a division by zero or a NaN from numpy ends the run, as
+        # OverflowError and ZeroDivisionError from Python floats do
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            summary = run_experiment(cfg, _resolve_out_dir(cfg))
+    except (EbibError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
     print(json.dumps({k: summary[k] for k in ("experiment", "passed",

@@ -25,14 +25,6 @@ class AccuracyError(EbibError):
         self.estimate = estimate
 
 
-class ReliabilityError(EbibError):
-    """Stochastic estimate too noisy to trust; carries the effective sample size."""
-
-    def __init__(self, message, ess=None):
-        super().__init__(message)
-        self.ess = ess
-
-
 class EstimationError(EbibError):
     """An estimator could not produce a usable result."""
 

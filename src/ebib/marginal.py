@@ -1,10 +1,9 @@
 """Marginal likelihood m_lam(y) evaluation.
 
 ``log_marginal`` is the closed form, the family's own ``log_marginal`` (M1,
-M2, M3, M4 and M5 with known sigma).  Reference computations check it and
-the families without one: Gauss-Hermite quadrature for M1, exact allocation
-enumeration for mixtures at tiny n, and posterior importance reweighting
-across a concentration grid for mixtures at realistic n
+M2, M3, M4 and M5 with known sigma).  For the mixtures, which have none,
+exact allocation enumeration serves at tiny n, and posterior importance
+reweighting across a concentration grid at realistic n
 (``mixture_marginal_profile``, which returns estimates with standard errors).
 """
 
@@ -29,37 +28,6 @@ MIN_RELIABLE_ESS = 50.0
 def log_marginal(family, lam, data: Dataset) -> float:
     """log m_lam(y) in closed form."""
     return family.log_marginal(lam, data)
-
-
-def m1_quadrature_log_marginal(family, lam, data) -> float:
-    """log m_lam(y) of the normal-mean family (M1) by quadrature."""
-    # Gauss-Hermite against a Gaussian weight adapted to the integrand: nodes
-    # are placed where likelihood * prior concentrates, not on the prior scale
-    lam = family.validate_hyperparam(lam)
-    y = data.y
-    s2 = family.sigma2
-    n = y.size
-    mode = n * lam * float(np.mean(y)) / (n * lam + s2)
-    v = lam * s2 / (n * lam + s2)
-    scale = math.sqrt(2.0 * v)
-
-    def log_g(theta):
-        return (
-            -0.5 * n * math.log(2.0 * math.pi * s2)
-            - 0.5 * float(np.sum((y - theta) ** 2)) / s2
-            - 0.5 * math.log(2.0 * math.pi * lam)
-            - 0.5 * theta * theta / lam
-        )
-
-    log_g0 = log_g(mode)
-    # 64 nodes; the Gaussian weight is factored back in, so the sum is of the
-    # plain integrand
-    nodes, weights = np.polynomial.hermite.hermgauss(64)
-    vals = np.array([math.exp(log_g(mode + scale * x) - log_g0) for x in nodes])
-    val = float(np.sum(weights * np.exp(nodes**2) * vals))
-    if not val > 0:
-        raise EstimationError("quadrature marginal underflowed; use closed form")
-    return math.log(val) + math.log(scale) + log_g0
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +63,10 @@ def markov_ray_derivative(counts, top) -> np.ndarray:
     drop out of the row.  A positive value at the upper box edge means the
     row marginal still rises there, so a box-constrained maximizer parks the
     dominant cell on that edge.  Rows with fewer than two positive cells are
-    flat along the ray and give 0.
+    flat along the ray and give 0.  For an integer count c, the digamma
+    difference psi(a + c) - psi(a) is the sum of 1/(a + j) over j < c.
     """
-    from scipy.special import digamma
-
-    counts = np.asarray(counts, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
     out = np.zeros(counts.shape[0])
     for i, c in enumerate(counts):
         c = c[c > 0]
@@ -107,8 +74,9 @@ def markov_ray_derivative(counts, top) -> np.ndarray:
             continue
         scale = c / c.max()  # d alpha_j / dt
         a, a_sum = top * scale, top * scale.sum()
-        out[i] = (np.sum(scale * (digamma(a + c) - digamma(a)))
-                  - scale.sum() * (digamma(a_sum + c.sum()) - digamma(a_sum)))
+        rise = [np.sum(1.0 / (aj + np.arange(cj))) for aj, cj in zip(a, c)]
+        out[i] = (np.sum(scale * rise)
+                  - scale.sum() * np.sum(1.0 / (a_sum + np.arange(c.sum()))))
     return out
 
 

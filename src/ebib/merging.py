@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng as rngmod
-from .errors import CapabilityError, DomainError, ReliabilityError
+from .errors import CapabilityError, DomainError
 from .models import Dataset
 from .numerics import integrate, norm_cdf
 from .posteriors import PointMassPosterior
@@ -67,19 +66,6 @@ def l1_gaussian_equal_var(mean1: float, mean2: float, var: float) -> float:
         raise DomainError("var must be positive")
     z = abs(mean1 - mean2) / (2.0 * math.sqrt(var))
     return 2.0 * (2.0 * norm_cdf(z) - 1.0)
-
-
-def l1_distance_mc(p, q, draws: int = 20000, seed: int = 0) -> float:
-    """Monte Carlo L1 using the equal mixture of p and q as proposal."""
-    g = rngmod.stream(seed, "l1-mc")
-    half = draws // 2
-    xs = np.concatenate([p.sample(g, half), q.sample(g, draws - half)])
-    fp, fq = p.pdf(xs), q.pdf(xs)
-    mix = 0.5 * (fp + fq)
-    ok = mix > 0
-    if np.sum(ok) < 100:
-        raise ReliabilityError("too few usable proposal draws", ess=float(np.sum(ok)))
-    return float(np.mean(np.abs(fp[ok] - fq[ok]) / mix[ok]))
 
 
 def predicted_l1_predictive(family, theta0, lam1, lam2, n: int) -> float:

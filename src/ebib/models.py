@@ -150,14 +150,6 @@ class GPriorParams:
         if not self.sigma > 0:
             raise DomainError("sigma must be positive")
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([[self.sigma, self.alpha], self.beta])
-
-    @classmethod
-    def from_vector(cls, v):
-        v = np.asarray(v, float)
-        return cls(sigma=float(v[0]), alpha=float(v[1]), beta=v[2:])
-
 
 @dataclass(frozen=True, eq=False)
 class MixtureParams:

@@ -117,29 +117,6 @@ class SamplePosterior:
     def ess(self) -> float:
         return float(1.0 / np.sum(self.weights**2))
 
-    def marginal_grid(self, coord: int) -> GridPosterior:
-        """Gaussian-KDE estimate of one marginal (Silverman's bandwidth),
-        tabulated at 512 points from 4 bandwidths below the smallest draw to
-        4 above the largest."""
-        z = self.draws[:, coord]
-        sd = float(np.std(z))
-        if sd == 0:
-            raise DomainError("degenerate sample marginal")
-        bandwidth = 1.06 * sd * len(z) ** -0.2
-        grid = np.linspace(z.min() - 4 * bandwidth, z.max() + 4 * bandwidth, 512)
-        dens = np.zeros_like(grid)
-        # weighted KDE; chunked to bound memory
-        for start in range(0, len(z), 4096):
-            zz = z[start : start + 4096]
-            ww = self.weights[start : start + 4096]
-            dens += np.sum(
-                ww[None, :]
-                * np.exp(-0.5 * ((grid[:, None] - zz[None, :]) / bandwidth) ** 2),
-                axis=1,
-            )
-        dens /= bandwidth * math.sqrt(2.0 * math.pi)
-        return GridPosterior(grid, dens)
-
 
 @dataclass
 class ProductPosterior:

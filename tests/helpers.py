@@ -1,6 +1,7 @@
 """Shared test helpers: the references that library kernels are checked
 against (the dense Gaussian log-density, the recursive adaptive Simpson rule,
-a central-difference gradient, and the one-call-per-draw or one-call-per-
+a central-difference gradient, a Monte Carlo L1 distance, Gauss-Hermite
+quadrature of the M1 marginal, and the one-call-per-draw or one-call-per-
 coordinate forms of the M1 and M4 simulations and the M4 and M5 marginals)
 and the environment of a child interpreter."""
 
@@ -13,6 +14,7 @@ from scipy.linalg import solve_triangular
 
 from ebib.errors import AccuracyError, DomainError
 from ebib.numerics import QUAD_ABS_TOL, QUAD_MAX_DEPTH, log_gamma, norm_logcdf
+from ebib.rng import stream
 
 
 def gaussian_logpdf(y, mean, cov) -> float:
@@ -80,6 +82,44 @@ def finite_diff_gradient(f, x, h: float = 1e-5):
         e[i] = h
         grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return grad
+
+
+def l1_distance_mc(p, q, draws: int = 20000, seed: int = 0) -> float:
+    """Monte Carlo L1 using the equal mixture of p and q as proposal."""
+    g = stream(seed, "l1-mc")
+    half = draws // 2
+    xs = np.concatenate([p.sample(g, half), q.sample(g, draws - half)])
+    fp, fq = p.pdf(xs), q.pdf(xs)
+    mix = 0.5 * (fp + fq)
+    ok = mix > 0
+    assert np.sum(ok) >= 100, "too few usable proposal draws"
+    return float(np.mean(np.abs(fp[ok] - fq[ok]) / mix[ok]))
+
+
+def m1_quadrature_log_marginal(family, lam, data) -> float:
+    """log m_lam(y) of the normal-mean family (M1) by 64-node Gauss-Hermite
+    quadrature against a Gaussian weight placed where likelihood * prior
+    concentrates, not on the prior scale."""
+    y = data.y
+    s2 = family.sigma2
+    n = y.size
+    mode = n * lam * float(np.mean(y)) / (n * lam + s2)
+    scale = math.sqrt(2.0 * lam * s2 / (n * lam + s2))
+
+    def log_g(theta):
+        return (
+            -0.5 * n * math.log(2.0 * math.pi * s2)
+            - 0.5 * float(np.sum((y - theta) ** 2)) / s2
+            - 0.5 * math.log(2.0 * math.pi * lam)
+            - 0.5 * theta * theta / lam
+        )
+
+    log_g0 = log_g(mode)
+    # the Gaussian weight is factored back in, so the sum is of the plain integrand
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
+    vals = np.array([math.exp(log_g(mode + scale * x) - log_g0) for x in nodes])
+    val = float(np.sum(weights * np.exp(nodes**2) * vals))
+    return math.log(val) + math.log(scale) + log_g0
 
 
 def normal_mean_rows(theta0, sigma2, gens, n):

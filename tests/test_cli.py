@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from ebib.cli import EXPERIMENTS, main, run_experiment, validate_config
+from ebib.cli import BOUNDS, EXPERIMENTS, main, run_experiment, validate_config
+from ebib.marginal import ENUMERATION_CAP
 from helpers import child_env
 
 
@@ -419,8 +420,7 @@ IMPORT_BUDGET = [
     ({"experiment": "table1-lasso", "n_grid": [30], "seeds": 1, "gibbs_iters": 60,
       "gibbs_burnin": 20, "em_steps": 2},
      ("scipy.optimize", "scipy.special")),
-    ({"experiment": "markov-sparsity"},
-     ("scipy.optimize", "scipy.linalg", "scipy.stats")),
+    ({"experiment": "markov-sparsity"}, ("scipy",)),
     ({"experiment": "fig2-lasso-marginals", "n_grid": [20], "lam_points": 5,
       "grid_points": 51},
      ("scipy.optimize", "scipy.linalg", "scipy.stats")),
@@ -487,3 +487,112 @@ def test_replicate_experiment_results_are_pinned(tmp_path, doc, sha256):
         flags = [int(ln.split(",")[4]) for ln in data.decode().splitlines()[2:]
                  if int(ln.split(",")[0]) == n_max]
         assert summary["details"]["em_converged_frac"] == sum(flags) / len(flags)
+
+
+# a small run of each experiment, into which the edge values below are set
+SMALL = {
+    "fig1-densities": {"n": 25, "grid_points": 101},
+    "table1-lasso": {"n_grid": [30], "seeds": 1, "gibbs_iters": 60, "gibbs_burnin": 20,
+                     "em_steps": 2},
+    "fig2-lasso-marginals": {"n_grid": [20], "lam_points": 5, "grid_points": 51},
+    "mmle-consistency": {"n_grid": [20], "seeds": 1},
+    "kl-oracle": {"n": 100, "lam_points": 5, "mc_configs": 2, "mc_reps": 10},
+    "merging-rates": {"n_grid": [20], "seeds": 1},
+    "predictive-rates": {"n_grid": [20], "seeds": 1},
+    "credible-discrepancy": {"n_grid": [20], "seeds": 1},
+    "mixture-rate": {"n_grid": [20], "seeds": 1, "draws": 200},
+    "markov-sparsity": {"n": 200},
+}
+# values set alongside an edge so that the rules tying keys together hold
+COMPANIONS = {
+    ("table1-lasso", "n_grid"): {"beta0": [1.0]},
+    ("table1-lasso", "gibbs_iters"): {"gibbs_burnin": 0},
+    ("fig2-lasso-marginals", "n_grid"): {"beta0": [1.0], "coords": [0]},
+}
+
+
+def _step(kind, v, toward):
+    """The value next to v toward +inf or -inf, among ints or floats."""
+    return v + int(math.copysign(1, toward)) if kind is int else math.nextafter(v, toward)
+
+
+def _edges():
+    """(experiment, key, end, outside, inside): for every finite bound of every
+    key of every experiment, a value just outside it and the edge itself, or
+    the nearest value inside an open edge."""
+    for name, (_, defaults) in sorted(EXPERIMENTS.items()):
+        for key, default in defaults.items():
+            bound = BOUNDS.get((name, key), BOUNDS[key])
+            if bound is None:
+                continue
+            lo, hi, ends = bound
+            kind = type(default[0] if isinstance(default, list) else default)
+            for end, edge, is_open, out in (("lo", lo, ends[0] == "(", -math.inf),
+                                            ("hi", hi, ends[1] == ")", math.inf)):
+                if math.isfinite(edge):
+                    edge = kind(edge)
+                    yield (name, key, end, edge if is_open else _step(kind, edge, out),
+                           _step(kind, edge, -out) if is_open else edge)
+
+
+EDGES = list(_edges())
+
+
+def _edge_doc(name, key, value):
+    doc = {"experiment": name, **SMALL[name], **COMPANIONS.get((name, key), {})}
+    base = doc.get(key, EXPERIMENTS[name][1][key])
+    doc[key] = [value] + base[1:] if isinstance(base, list) else value
+    return doc
+
+
+def test_every_numeric_key_has_a_bound_entry():
+    shared = {k for k in BOUNDS if isinstance(k, str)}
+    used = set()
+    for name, (_, defaults) in EXPERIMENTS.items():
+        for key in defaults:
+            assert (name, key) in BOUNDS or key in BOUNDS, (name, key)
+            used.add(key)
+    assert shared == used
+    assert all(k[0] in EXPERIMENTS and k[1] in EXPERIMENTS[k[0]][1]
+               for k in BOUNDS if isinstance(k, tuple))
+    assert {k for k, v in BOUNDS.items() if v is None} == {
+        "loc_mean", "true_mean", "beta0", "transition"}
+    # the n = 8 enumeration check of mixture-rate walks K**8 allocations
+    assert BOUNDS["K"][1] ** 8 <= ENUMERATION_CAP < (BOUNDS["K"][1] + 1) ** 8
+
+
+@pytest.mark.parametrize("name,key,end,outside,inside", EDGES,
+                         ids=[f"{n}-{k}-{e}" for n, k, e, _, _ in EDGES])
+def test_value_just_outside_a_bound_exits_2_and_the_edge_validates(
+        tmp_path, capsys, name, key, end, outside, inside):
+    assert main(["validate", _write(tmp_path, _edge_doc(name, key, outside), "out.json")]) == 2
+    assert key in capsys.readouterr().err
+    assert main(["validate", _write(tmp_path, _edge_doc(name, key, inside), "in.json")]) == 0
+
+
+# inside edges that are only validated, not run
+VALIDATE_ONLY = {
+    # the n = 8 enumeration check walks 5**8 = 390,625 allocations at each of
+    # its 5 grid points: 33 s on a 2-core x86-64 machine
+    ("mixture-rate", "K", "hi"),
+}
+
+
+def _edge_runs():
+    """The distinct small-run documents of the inside edges, with their ids."""
+    seen = {}
+    for name, key, end, _, inside in EDGES:
+        if (name, key, end) not in VALIDATE_ONLY:
+            doc = _edge_doc(name, key, inside)
+            cfg = json.dumps({**EXPERIMENTS[name][1], **doc}, sort_keys=True)
+            seen.setdefault(cfg, (doc, f"{name}-{key}-{end}"))
+    return list(seen.values())
+
+
+EDGE_RUNS = _edge_runs()
+
+
+@pytest.mark.parametrize("doc", [d for d, _ in EDGE_RUNS], ids=[i for _, i in EDGE_RUNS])
+def test_small_run_at_an_inside_edge_exits_0_or_3(tmp_path, capsys, doc):
+    path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
+    assert main(["run", path]) in (0, 3)

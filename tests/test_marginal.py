@@ -6,7 +6,6 @@ import pytest
 from ebib.errors import CapabilityError, CapacityError, DomainError
 from ebib.marginal import (
     log_marginal,
-    m1_quadrature_log_marginal,
     markov_log_marginal,
     markov_log_marginal_factorials,
     markov_ray_derivative,
@@ -26,7 +25,7 @@ from ebib.models import (
     RegressionParams,
 )
 from ebib.samplers import orthogonal_design, simulate
-from helpers import gaussian_logpdf
+from helpers import gaussian_logpdf, m1_quadrature_log_marginal
 from helpers import markov_log_marginal as markov_log_marginal_ref
 
 

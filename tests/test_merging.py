@@ -10,7 +10,6 @@ from ebib.merging import (
     credible_discrepancy,
     delta_theta0,
     l1_distance,
-    l1_distance_mc,
     l1_gaussian_equal_var,
     predicted_l1_posterior,
     predicted_l1_predictive,
@@ -26,7 +25,7 @@ from ebib.models import (
 from ebib.numerics import QUAD_MAX_DEPTH
 from ebib.posteriors import GaussianPosterior, PointMassPosterior
 from ebib.samplers import simulate
-from helpers import recursive_simpson
+from helpers import l1_distance_mc, recursive_simpson
 
 
 def test_delta_theta0_m1_checkpoint():

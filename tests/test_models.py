@@ -270,6 +270,15 @@ def test_m1_m5_m2_gradients_match_finite_differences():
         assert np.allclose(m5.prior_gradient(beta, lam), fd, atol=1e-6)
 
 
+def _as_vector(theta):
+    """A g-prior parameter point as the vector (sigma, alpha, beta)."""
+    return np.concatenate([[theta.sigma, theta.alpha], theta.beta])
+
+
+def _from_vector(v):
+    return GPriorParams(sigma=float(v[0]), alpha=float(v[1]), beta=np.asarray(v[2:], float))
+
+
 def test_m3_gradient_matches_finite_differences():
     g = np.random.default_rng(6)
     V = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -279,9 +288,7 @@ def test_m3_gradient_matches_finite_differences():
                              alpha=float(g.normal()), beta=g.normal(size=2))
         lam = float(g.uniform(0.5, 5.0))
         fd = finite_diff_gradient(
-            lambda v: fam.log_prior(GPriorParams.from_vector(v), lam),
-            theta.as_vector(),
-        )
+            lambda v: fam.log_prior(_from_vector(v), lam), _as_vector(theta))
         assert np.allclose(fam.prior_gradient(theta, lam), fd, atol=1e-5)
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -57,13 +55,6 @@ def test_sample_posterior_ess():
     assert p.ess == pytest.approx(1000.0)
     q = SamplePosterior(draws, weights=np.r_[np.ones(999), 1000.0])
     assert q.ess < 5.0
-
-
-def test_sample_posterior_marginal_grid_matches_gaussian():
-    draws = np.random.default_rng(2).normal(0.5, 1.0, size=(20000, 1))
-    grid = SamplePosterior(draws).marginal_grid(0)
-    assert grid.mean == pytest.approx(0.5, abs=0.03)
-    assert math.sqrt(grid.var) == pytest.approx(1.0, abs=0.05)
 
 
 def test_product_posterior_marginal_access():

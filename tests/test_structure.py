@@ -7,6 +7,8 @@ functions stay allowed: they keep ``import ebib.cli`` free of scipy.
 
 The model families of ``models.py`` are read the same way: a capability is a
 method that answers or raises ``CapabilityError``, never a class-level flag.
+And every function, method and class that ebib defines is used by ebib
+itself, or is public API named in ``PUBLIC``.
 """
 
 import ast
@@ -103,3 +105,51 @@ def test_model_families_set_no_class_level_flag():
              for stmt in _class_level_booleans(cls)]
     assert flags == []
 
+
+# defined in src/ebib, used by no code there, and kept as public API
+PUBLIC = {
+    # family and posterior evaluators
+    "log_prior": "the prior log-density of the family interface",
+    "logpdf": "GaussianPosterior's log-density, beside pdf",
+    "beta_marginal": "a coefficient marginal of the M3 posterior",
+    "sigma2_mean": "the posterior mean of the M3 noise variance",
+    "sample": "posterior draws, beside pdf, cdf and ppf",
+    # README's CSV contracts
+    "to_csv": "the KL profile, merging report and chain dump writers",
+    "MergingReport": "the merging report rows",
+    "load_dataset_csv": "the regression dataset loader",
+    "load_counts_csv": "the Markov transition counts loader",
+    # the paper's quantities that no experiment prints yet
+    "predicted_l1_predictive": "the first-order L1 between posterior predictives",
+    "l1_gaussian_equal_var": "the closed-form Gaussian L1, until it replaces "
+                             "the quadrature of l1_distance",
+    # called by numpy, not by ebib
+    "generate_state": "numpy's ISeedSequence protocol, which PCG64 calls",
+    # the north star's seven families, though no experiment runs M2 or M6
+    "IndepNormalRegression": "the M2 family",
+    "GaussMixtureKnownK": "the M6 family",
+}
+
+
+def _unused_definitions():
+    """Functions, methods and classes that src/ebib defines and nowhere uses:
+    a name counts as used wherever it appears as a name or an attribute in
+    code (not in an import), so the check errs toward passing."""
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.stem}.py:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return {name: where for name, where in defined.items()
+            if name not in used and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_definition_is_used_or_public():
+    unused = _unused_definitions()
+    assert {k: v for k, v in unused.items() if k not in PUBLIC} == {}
+    # an entry for a name that ebib uses or no longer defines is stale
+    assert set(PUBLIC) == set(unused)
