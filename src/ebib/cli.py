@@ -319,7 +319,7 @@ def _exp_mixture_rate(cfg):
     # of the fine grid sit below Monte Carlo resolution)
     grid8 = list(np.geomspace(lam_ref / 20.0, lam_ref, 5))
     data8 = simulate(fam, theta0, 8, (cfg["seed_base"], "mix8"))
-    enum_vals = [mixture_marginal_exact(data8, lam, fam) for lam in grid8]
+    enum_vals = mixture_marginal_exact(data8, grid8, fam)
     enum_arg = grid8[int(np.argmax(enum_vals))]
     prof8 = mixture_marginal_profile(
         data8, grid8, lam_ref, draws=max(cfg["draws"], 32000),
@@ -444,14 +444,21 @@ _LASSO_RATE = (_SQUARE_POSITIVE, _SQUARE_FINITE, "[]")
 # overflows (a merging-rates L1 quadrature at sigma2 = 5e-324 ran past 40 s).
 _POSITIVE = (sys.float_info.min, math.inf, "[)")
 _COUNT, _INDEX = (1, math.inf, "[)"), (0, math.inf, "[)")
+# A size: the length of an array of float64 values.  2**53 of them are 64 PiB,
+# more than a 64-bit machine can address, and at 2**62 numpy refuses the size
+# outright (mmle-consistency n_grid [2**62] ended in its "array is too big"
+# ValueError); a size within the bound that does not fit in memory raises
+# MemoryError, which `main` maps to exit 3.
+MAX_SIZE = 2**53
+_SIZE = (1, MAX_SIZE, "[]")
 
 # The range of each numeric config key, as (lowest, highest, ends): "[" or "]"
 # keeps an end, "(" or ")" leaves it out, and each entry of a list value must
 # be in range.  An (experiment, key) entry overrides the shared key, and None
 # marks a key with no bound.  Rules that tie keys together are in _check_values.
 BOUNDS = {
-    "n": _COUNT, "seeds": _COUNT, "grid_points": _COUNT, "lam_points": _COUNT,
-    "em_steps": _COUNT, "gibbs_iters": _COUNT, "mc_configs": _COUNT, "n_grid": _COUNT,
+    "n": _SIZE, "seeds": _COUNT, "grid_points": _SIZE, "lam_points": _SIZE,
+    "em_steps": _COUNT, "gibbs_iters": _SIZE, "mc_configs": _COUNT, "n_grid": _SIZE,
     "seed_base": _INDEX, "coords": _INDEX, "gibbs_burnin": _INDEX,
     "sigma2": _POSITIVE, "comp_var": _POSITIVE, "loc_var": _POSITIVE, "lambdas": _POSITIVE,
     "lam_pair": _POSITIVE, "lam_lo": _POSITIVE, "lam_hi": _POSITIVE, "lam_ref": _POSITIVE,
@@ -462,15 +469,15 @@ BOUNDS = {
     "lam_far": (0.0, math.inf, "[)"),
     "alpha": (0.0, 1.0, "()"),
     # the 3-standard-error check needs a standard error
-    "mc_reps": (2, math.inf, "[)"),
+    "mc_reps": (2, MAX_SIZE, "[]"),
     # the rate statistic divides by log log n, which is positive only from n = 3
-    ("mixture-rate", "n_grid"): (3, math.inf, "[)"),
+    ("mixture-rate", "n_grid"): (3, MAX_SIZE, "[]"),
     # 5**8 <= ENUMERATION_CAP < 6**8 allocations in the n = 8 enumeration check
     "K": (2, 5, "[]"),
     # a profile point's effective sample size is at most draws
-    "draws": (MIN_RELIABLE_ESS, math.inf, "[)"),
+    "draws": (MIN_RELIABLE_ESS, MAX_SIZE, "[]"),
     # more rows than coefficients for the sampler, and len(beta0) >= 1
-    ("table1-lasso", "n_grid"): (2, math.inf, "[)"),
+    ("table1-lasso", "n_grid"): (2, MAX_SIZE, "[]"),
     # any finite location; beta0 and transition are checked whole below
     "loc_mean": None, "true_mean": None, "beta0": None, "transition": None,
 }
@@ -604,8 +611,8 @@ def main(argv=None) -> int:
         # OverflowError and ZeroDivisionError from Python floats do
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             summary = run_experiment(cfg, _resolve_out_dir(cfg))
-    except (EbibError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except (EbibError, OSError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
+        print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     print(json.dumps({k: summary[k] for k in ("experiment", "passed",
                                               "config_hash")}))

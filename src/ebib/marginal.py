@@ -44,13 +44,15 @@ def markov_log_marginal(counts, alpha) -> float:
     # C order: a row-major axis-1 sum adds each row as its own 1-d sum does
     alpha = np.ascontiguousarray(alpha, dtype=float)
     total = 0.0
-    for a_sum, c_sum, a, c in zip(alpha.sum(axis=1).tolist(), counts.sum(axis=1).tolist(),
-                                  alpha.tolist(), counts.tolist()):
-        total += log_gamma(a_sum) - log_gamma(a_sum + c_sum)
+    for a_sum, a, c in zip(np.add.reduce(alpha, 1).tolist(), alpha.tolist(), counts.tolist()):
+        # every argument is positive when these are, so math.lgamma needs no
+        # check; otherwise log_gamma raises on the first bad one
+        lg = math.lgamma if a_sum > 0 and min(a) > 0 and min(c) >= 0 else log_gamma
+        total += lg(a_sum) - lg(a_sum + sum(c))
         # left to right: the builtin sum compensates from Python 3.12 on
         row = 0.0
         for aj, cj in zip(a, c):
-            row += log_gamma(aj + cj) - log_gamma(aj)
+            row += lg(aj + cj) - lg(aj)
         total += row
     return total
 
@@ -85,12 +87,12 @@ def markov_log_marginal_factorials(counts, alpha) -> float:
     counts = np.asarray(counts, dtype=np.int64)
     alpha = np.asarray(alpha, dtype=float)
     total = 0.0
-    for i in range(counts.shape[0]):
-        for j in range(counts.shape[1]):
-            for k in range(counts[i, j]):
-                total += math.log(alpha[i, j] + k)
+    for i, (a, c) in enumerate(zip(alpha.tolist(), counts.tolist())):
+        for aj, cj in zip(a, c):
+            for k in range(cj):
+                total += math.log(aj + k)
         row_total = float(alpha[i].sum())
-        for k in range(int(counts[i].sum())):
+        for k in range(sum(c)):
             total -= math.log(row_total + k)
     return total
 
@@ -112,38 +114,37 @@ def _cluster_log_marginal(m, S, Q, comp_var, loc_var) -> float:
     return -0.5 * (m * math.log(2.0 * math.pi) + logdet + quad)
 
 
-def mixture_marginal_exact(data: Dataset, lam: float, family) -> float:
+def mixture_marginal_exact(data: Dataset, lam, family):
     """Exact log m_lam by summation over all K^n allocations.
 
     ``family`` (an OverfittedMixture) supplies K, comp_var, loc_mean and
     loc_var (Normal-known-variance components with a Normal prior on their
-    locations).  Allocations are walked depth-first with per-cluster
-    sufficient statistics updated incrementally.
+    locations).  ``lam`` is one concentration, which gives a float, or a
+    sequence of them, which gives a list.  Allocations are walked once,
+    depth-first with per-cluster sufficient statistics updated
+    incrementally; their location terms do not depend on lam, and their
+    weight terms depend on it only through the cluster counts, so each lam
+    costs one weight term per distinct count vector.
     """
-    if lam <= 0:
+    lams = [float(v) for v in np.atleast_1d(lam)]
+    if any(not v > 0 for v in lams):
         raise DomainError("lam must be positive")
     y = np.asarray(data.y, float)
     n, K = y.size, family.K
     if K**n > ENUMERATION_CAP:
         raise CapacityError(f"K^n = {K**n} exceeds the enumeration cap")
     cv, lm, lv = family.comp_var, family.loc_mean, family.loc_var
-    yc = y - lm
+    yc = (y - lm).tolist()
 
-    lg_lam = log_gamma(lam)
-    alloc_const = log_gamma(K * lam) - log_gamma(K * lam + n)
-
-    counts = np.zeros(K, dtype=np.int64)
-    sums = np.zeros(K)
-    sqs = np.zeros(K)
-    cluster_lm = np.zeros(K)  # running per-cluster log-marginals
-    terms = []
+    counts, sums, sqs = [0] * K, [0.0] * K, [0.0] * K
+    cluster_lm = [0.0] * K  # running per-cluster log-marginals
+    index = {}  # count vector -> its position in first-seen order
+    leaf_counts, leaf_lm = [], []  # per allocation, in walk order
 
     def recurse(i, running):
         if i == n:
-            alloc = alloc_const + sum(
-                log_gamma(lam + c) - lg_lam for c in counts
-            )
-            terms.append(alloc + running)
+            leaf_counts.append(index.setdefault(tuple(counts), len(index)))
+            leaf_lm.append(running)
             return
         for j in range(K):
             prev = cluster_lm[j]
@@ -158,9 +159,17 @@ def mixture_marginal_exact(data: Dataset, lam: float, family) -> float:
             cluster_lm[j] = prev
 
     recurse(0, 0.0)
-    terms = np.asarray(terms)
-    mx = terms.max()
-    return float(mx + math.log(np.sum(np.exp(terms - mx))))
+    leaf_counts, leaf_lm = np.asarray(leaf_counts), np.asarray(leaf_lm)
+    out = []
+    for v in lams:
+        lg_lam = log_gamma(v)
+        alloc_const = log_gamma(K * v) - log_gamma(K * v + n)
+        alloc = np.array([alloc_const + sum(log_gamma(v + c) - lg_lam for c in vec)
+                          for vec in index])
+        terms = alloc[leaf_counts] + leaf_lm
+        mx = terms.max()
+        out.append(float(mx + math.log(np.sum(np.exp(terms - mx)))))
+    return out[0] if np.ndim(lam) == 0 else out
 
 
 def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,

@@ -87,9 +87,8 @@ def credible_discrepancy(family, data: Dataset, lam_build, lam_eval,
         raise DomainError("alpha must lie in (0, 1)")
     build = family.posterior(lam_build, data)
     evalp = family.posterior(lam_eval, data)
-    lo = build.ppf(alpha / 2.0)
-    hi = build.ppf(1.0 - alpha / 2.0)
-    mass = float(evalp.cdf(hi) - evalp.cdf(lo))
+    lo, hi = evalp.cdf(build.ppf(np.array([alpha / 2.0, 1.0 - alpha / 2.0])))
+    mass = float(hi - lo)
     return mass - (1.0 - alpha)
 
 

@@ -8,6 +8,8 @@ All routines are pure functions; nothing here holds mutable state.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add, lt
 
 import numpy as np
 
@@ -45,8 +47,16 @@ def _operands(x, loc, scale):
 
     scipy's argsreduce hands its kernels 1-d arrays.  On numpy scalars the
     same arithmetic is not the same: -z**2 then goes through the C pow(), and
-    the last bit of the density can differ.
+    the last bit of the density can differ.  Float ``loc`` and ``scale``
+    stay floats when ``x`` is a float or a float64 array: each kernel's
+    arithmetic with them gives the same bits as with 1-element arrays.
     """
+    if isinstance(loc, float) and isinstance(scale, float):
+        scale = scale if scale > 0 else math.nan
+        if isinstance(x, float):
+            return np.array([x]), loc, scale, True
+        if isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64:
+            return x, loc, scale, False
     x = np.asarray(x, dtype=float)
     loc = np.asarray(loc, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -105,14 +115,15 @@ def integrate(f, a: float, b: float) -> float:
     new midpoints of all its open panels.  The panel values are then summed
     bottom-up, left half + right half at every split, so the result, and the
     estimate an `AccuracyError` carries, equal those of the depth-first
-    recursive rule bit for bit.
+    recursive rule bit for bit.  A value of ``f`` that is not finite raises
+    `AccuracyError` at once.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("integrate requires finite endpoints")
     if not a < b:
         raise DomainError("integrate requires a < b")
     x = np.array([a, 0.5 * (a + b), b])
-    fx = f(x)
+    fx = _finite(f(x))
     whole = (b - a) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
     panels = np.concatenate([x, fx, [whole]])[:, None]
     val, ok = _panel_values(f, panels, QUAD_ABS_TOL, QUAD_MAX_DEPTH)
@@ -122,6 +133,15 @@ def integrate(f, a: float, b: float) -> float:
             estimate=float(val[0]),
         )
     return float(val[0])
+
+
+def _finite(fx):
+    """``fx``, if every value is finite.  A panel with a NaN or an infinite
+    value never passes the error test, so its bisection would not stop."""
+    if not np.isfinite(fx).all():
+        raise AccuracyError("adaptive Simpson: the integrand is not finite",
+                            estimate=math.nan)
+    return fx
 
 
 # The most panels one level of `_panel_values` holds.  A wider level is split
@@ -141,7 +161,7 @@ def _panel_values(f, panels, tol, depth):
     while True:
         x, fx, whole = panels[:3], panels[3:6], panels[6]
         mids = 0.5 * (x[:2] + x[1:])  # the midpoints of the two halves
-        fmids = f(mids.ravel()).reshape(mids.shape)
+        fmids = _finite(f(mids.ravel())).reshape(mids.shape)
         halves = (x[1:] - x[:2]) / 6.0 * (fx[:2] + 4.0 * fmids + fx[1:])
         both = halves[0] + halves[1]
         err = both - whole
@@ -181,57 +201,80 @@ def nelder_mead(f, x0, lo, hi, maxiter: int, xatol: float):
     the same order, so its result equals scipy's bit for bit.  The
     coefficients are fixed (reflection 1, expansion 2, contraction and shrink
     1/2); every vertex and trial point is clipped to the box, and ``f`` gets a
-    copy of it.
+    fresh float64 array of it.
+
+    The simplex is held as lists of Python floats, whose arithmetic is
+    numpy's float64 arithmetic without a numpy call per step; each formula
+    keeps scipy's operation order.
 
     Returns (x, fun, nit, success): the best vertex, the least simplex value,
     the iterations (counted from 1) and whether the stopping test passed
     before ``maxiter``.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    N = x0.size
+    lo, hi = (np.broadcast_to(np.asarray(edge, dtype=float), (N,)).tolist()
+              for edge in (lo, hi))
 
     def box(x):
-        return np.clip(x, lo, hi)
+        # np.clip's rule: m = v if v > lo else lo, then m if m < hi else hi,
+        # where a NaN v stays NaN
+        return [h if (m := l if v <= l else v) >= h else m for v, l, h in zip(x, lo, hi)]
 
-    x0 = box(np.asarray(x0, dtype=float))
-    N = x0.size
+    x0 = box(x0.tolist())
     # x0, and x0 with one coordinate 5 % larger (0.00025 if it is 0); a
     # vertex above hi is reflected back below it
-    sim = np.tile(x0, (N + 1, 1))
+    sim = [x0]
     for k in range(N):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    sim = box(np.where(sim > hi, 2 * hi - sim, sim))
-    fsim = np.array([f(v.copy()) for v in sim], dtype=float)
+        v = list(x0)
+        v[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        sim.append(box([2 * h - u if u > h else u for u, h in zip(v, hi)]))
+    fsim = [float(f(np.array(v))) for v in sim]
     for _ in range(2):  # scipy sorts twice before the first iteration
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        sim, fsim = _ordered(sim, fsim)
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL):
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(u - b) <= xatol for v in sim[1:] for u, b in zip(v, best))
+                and all(abs(fbest - fv) <= NM_FATOL for fv in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = box(2 * xbar - sim[-1])
-        fxr = f(xr.copy())
-        if fxr < fsim[0]:  # reflected past the best: try expanding
-            xe = box(3 * xbar - 2 * sim[-1])
-            fxe = f(xe.copy())
+        # the centroid of all but the worst vertex, summed vertex by vertex
+        xbar = [reduce(add, col) / N for col in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = box([2 * b - w for b, w in zip(xbar, worst)])
+        fxr = float(f(np.array(xr)))
+        if fxr < fbest:  # reflected past the best: try expanding
+            xe = box([3 * b - 2 * w for b, w in zip(xbar, worst)])
+            fxe = float(f(np.array(xe)))
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:  # contract outside if the reflection beat the worst, else inside
             out = fxr < fsim[-1]
-            xc = box(1.5 * xbar - 0.5 * sim[-1] if out else 0.5 * xbar + 0.5 * sim[-1])
-            fxc = f(xc.copy())
+            xc = box([1.5 * b - 0.5 * w for b, w in zip(xbar, worst)] if out
+                     else [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)])
+            fxc = float(f(np.array(xc)))
             if (fxc <= fxr) if out else (fxc < fsim[-1]):
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink towards the best vertex
                 for j in range(1, N + 1):
-                    sim[j] = box(sim[0] + 0.5 * (sim[j] - sim[0]))
-                    fsim[j] = f(sim[j].copy())
+                    sim[j] = box([b + 0.5 * (u - b) for u, b in zip(sim[j], best)])
+                    fsim[j] = float(f(np.array(sim[j])))
         iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), iterations, iterations < maxiter
+        sim, fsim = _ordered(sim, fsim)
+    return np.array(sim[0]), np.min(fsim), iterations, iterations < maxiter
+
+
+def _ordered(sim, fsim):
+    """The simplex in scipy's order: by ``np.argsort`` of its values, which
+    need not keep tied values in place.  Distinct values that are not NaN
+    have one order, which ``sorted`` finds without a numpy call."""
+    ind = sorted(range(len(fsim)), key=fsim.__getitem__)
+    ordered = [fsim[i] for i in ind]
+    if not all(map(lt, ordered, ordered[1:])):  # a tie or a NaN
+        ind = np.argsort(fsim).tolist()
+        ordered = [fsim[i] for i in ind]
+    return [sim[i] for i in ind], ordered
 
 
 def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):

@@ -1,9 +1,10 @@
 """Shared test helpers: the references that library kernels are checked
 against (the dense Gaussian log-density, the recursive adaptive Simpson rule,
 a central-difference gradient, a Monte Carlo L1 distance, Gauss-Hermite
-quadrature of the M1 marginal, and the one-call-per-draw or one-call-per-
-coordinate forms of the M1 and M4 simulations and the M4 and M5 marginals)
-and the environment of a child interpreter."""
+quadrature of the M1 marginal, the one-call-per-draw or one-call-per-
+coordinate forms of the M1 and M4 simulations and the M4 and M5 marginals,
+and the array forms of the M4 marginal, the Normal kernels' operands and the
+one-lam mixture enumeration) and the environment of a child interpreter."""
 
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ebib.errors import AccuracyError, DomainError
+from ebib.marginal import _cluster_log_marginal
 from ebib.numerics import QUAD_ABS_TOL, QUAD_MAX_DEPTH, log_gamma, norm_logcdf
 from ebib.rng import stream
 
@@ -153,6 +155,76 @@ def markov_log_marginal(counts, alpha) -> float:
         total += log_gamma(a.sum()) - log_gamma(a.sum() + c.sum())
         total += sum(log_gamma(aj + cj) - log_gamma(aj) for aj, cj in zip(a, c))
     return total
+
+
+def markov_log_marginal_on_arrays(counts, alpha) -> float:
+    """The M4 log marginal with numpy row sums and a checked ``log_gamma``
+    call per term: the form that `ebib.marginal.markov_log_marginal` equals
+    with one reduction per call and unchecked ``math.lgamma``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    alpha = np.ascontiguousarray(alpha, dtype=float)
+    total = 0.0
+    for a_sum, c_sum, a, c in zip(alpha.sum(axis=1).tolist(), counts.sum(axis=1).tolist(),
+                                  alpha.tolist(), counts.tolist()):
+        total += log_gamma(a_sum) - log_gamma(a_sum + c_sum)
+        row = 0.0
+        for aj, cj in zip(a, c):
+            row += log_gamma(aj + cj) - log_gamma(aj)
+        total += row
+    return total
+
+
+def norm_operands(x, loc, scale):
+    """x, loc and scale of a Normal kernel as float arrays of at least one
+    dimension, nan for every scale <= 0, and whether all three were scalars:
+    the general path of `ebib.numerics._operands`, for every input."""
+    x = np.asarray(x, dtype=float)
+    loc = np.asarray(loc, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    if x.ndim or loc.ndim or scale.ndim:
+        return *np.atleast_1d(x, loc, np.where(scale > 0, scale, np.nan)), False
+    scale = scale.reshape(1) if scale > 0 else np.full(1, np.nan)
+    return x.reshape(1), loc.reshape(1), scale, True
+
+
+def mixture_marginal_exact_one_lam(data, lam: float, family) -> float:
+    """Exact log m_lam of the overfitted mixture for one lam, by a walk of
+    all K^n allocations that forms each one's weight term as it reaches it:
+    the per-lam form that `ebib.marginal.mixture_marginal_exact` equals on a
+    grid of lams with one walk."""
+    y = np.asarray(data.y, float)
+    n, K = y.size, family.K
+    cv, lm, lv = family.comp_var, family.loc_mean, family.loc_var
+    yc = y - lm
+    lg_lam = log_gamma(lam)
+    alloc_const = log_gamma(K * lam) - log_gamma(K * lam + n)
+    counts = np.zeros(K, dtype=np.int64)
+    sums = np.zeros(K)
+    sqs = np.zeros(K)
+    cluster_lm = np.zeros(K)
+    terms = []
+
+    def recurse(i, running):
+        if i == n:
+            alloc = alloc_const + sum(log_gamma(lam + c) - lg_lam for c in counts)
+            terms.append(alloc + running)
+            return
+        for j in range(K):
+            prev = cluster_lm[j]
+            counts[j] += 1
+            sums[j] += yc[i]
+            sqs[j] += yc[i] ** 2
+            cluster_lm[j] = _cluster_log_marginal(counts[j], sums[j], sqs[j], cv, lv)
+            recurse(i + 1, running - prev + cluster_lm[j])
+            counts[j] -= 1
+            sums[j] -= yc[i]
+            sqs[j] -= yc[i] ** 2
+            cluster_lm[j] = prev
+
+    recurse(0, 0.0)
+    terms = np.asarray(terms)
+    mx = terms.max()
+    return float(mx + math.log(np.sum(np.exp(terms - mx))))
 
 
 def laplace_gauss_log_normalizer(bhat: float, colnorm: float, sigma: float, lam: float) -> float:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from ebib.cli import BOUNDS, EXPERIMENTS, main, run_experiment, validate_config
+from ebib import cli
+from ebib.cli import BOUNDS, EXPERIMENTS, MAX_SIZE, main, run_experiment, validate_config
 from ebib.marginal import ENUMERATION_CAP
 from helpers import child_env
 
@@ -570,19 +571,17 @@ def test_value_just_outside_a_bound_exits_2_and_the_edge_validates(
     assert main(["validate", _write(tmp_path, _edge_doc(name, key, inside), "in.json")]) == 0
 
 
-# inside edges that are only validated, not run
-VALIDATE_ONLY = {
-    # the n = 8 enumeration check walks 5**8 = 390,625 allocations at each of
-    # its 5 grid points: 33 s on a 2-core x86-64 machine
-    ("mixture-rate", "K", "hi"),
-}
+def _validate_only(end, inside):
+    """Whether an inside edge is only validated, not run: a size at MAX_SIZE,
+    whose run would ask for 64 PiB or more."""
+    return end == "hi" and inside == MAX_SIZE
 
 
 def _edge_runs():
     """The distinct small-run documents of the inside edges, with their ids."""
     seen = {}
     for name, key, end, _, inside in EDGES:
-        if (name, key, end) not in VALIDATE_ONLY:
+        if not _validate_only(end, inside):
             doc = _edge_doc(name, key, inside)
             cfg = json.dumps({**EXPERIMENTS[name][1], **doc}, sort_keys=True)
             seen.setdefault(cfg, (doc, f"{name}-{key}-{end}"))
@@ -590,6 +589,26 @@ def _edge_runs():
 
 
 EDGE_RUNS = _edge_runs()
+
+
+def test_an_unallocatable_size_exits_2(tmp_path, capsys):
+    # numpy refuses 2**62 float64 values before it allocates ("array is too
+    # big"), which ended in a traceback; validation now refuses the size
+    doc = {"experiment": "mmle-consistency", "n_grid": [2**62], "seeds": 1,
+           "output_dir": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    assert "n_grid must lie in [1, 9007199254740992]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_memory_error_in_a_run_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, out_dir):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    doc = {"experiment": "mmle-consistency", "n_grid": [20], "seeds": 1}
+    assert main(["run", _write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err == "runtime failure: MemoryError\n"
 
 
 @pytest.mark.parametrize("doc", [d for d, _ in EDGE_RUNS], ids=[i for _, i in EDGE_RUNS])

@@ -27,6 +27,7 @@ from ebib.models import (
 from ebib.samplers import orthogonal_design, simulate
 from helpers import gaussian_logpdf, m1_quadrature_log_marginal
 from helpers import markov_log_marginal as markov_log_marginal_ref
+from helpers import markov_log_marginal_on_arrays, mixture_marginal_exact_one_lam
 
 
 def test_m1_closed_two_point_checkpoint():
@@ -145,6 +146,34 @@ def test_markov_marginal_equals_the_numpy_scalar_form():
                     assert markov_log_marginal(c, a) == markov_log_marginal_ref(c, a)
 
 
+def test_markov_marginal_equals_the_array_form():
+    # one reduction per call and unchecked lgamma against numpy row sums and
+    # checked log_gamma: rows of 1 to 12 cells (from 8 on numpy's pairwise
+    # sum differs from adding left to right), bit for bit
+    g = np.random.default_rng(19)
+    for _ in range(600):
+        K, width = int(g.integers(1, 4)), int(g.integers(1, 13))
+        counts = g.integers(0, int(g.choice([5, 3000])), size=(K, width))
+        counts *= g.random((K, width)) < 0.7
+        alpha = np.exp(g.uniform(np.log(1e-3), np.log(50.0), size=(K, width)))
+        for a in (alpha, np.asfortranarray(alpha)):
+            assert markov_log_marginal(counts, a) == markov_log_marginal_on_arrays(counts, a)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -2.5, math.nan, -math.inf])
+def test_markov_marginal_raises_as_log_gamma_does(bad):
+    # the same DomainError as the checked form, at the same argument
+    counts = np.array([[3, 0, 5], [1, 1, 1]])
+    for i, j in [(0, 0), (0, 1), (1, 2)]:
+        alpha = np.full((2, 3), 1.5)
+        alpha[i, j] = bad
+        with pytest.raises(DomainError) as want:
+            markov_log_marginal_on_arrays(counts, alpha)
+        with pytest.raises(DomainError) as got:
+            markov_log_marginal(counts, alpha)
+        assert str(got.value) == str(want.value)
+
+
 def test_markov_ray_derivative_matches_finite_difference():
     counts = np.array([[556, 269, 0], [0, 0, 7], [0, 0, 0], [3, 5, 2]])
     got = markov_ray_derivative(counts, 50.0)
@@ -204,6 +233,22 @@ def test_m7_enumeration_matches_direct_quadrature_n3():
     vals = like * prior
     integral = np.trapezoid(np.trapezoid(np.trapezoid(vals, gs, axis=2), gs, axis=1), ps)
     assert math.exp(got) == pytest.approx(float(integral), abs=1e-4)
+
+
+def test_m7_enumeration_on_a_grid_equals_one_walk_per_lam():
+    # one walk of the allocations for the whole grid, each value == the walk
+    # for that lam alone
+    g = np.random.default_rng(8)
+    for K, n in [(2, 1), (2, 8), (3, 6), (4, 5), (5, 3)]:
+        fam = OverfittedMixture(K=K, comp_var=float(g.uniform(0.3, 2.0)),
+                                loc_mean=float(g.normal()), loc_var=float(g.uniform(0.5, 6.0)))
+        data = Dataset(y=g.normal(0.0, 2.0, n))
+        grid = list(np.geomspace(0.025, 0.5, 5)) + [1.0, 7.3]
+        got = mixture_marginal_exact(data, grid, fam)
+        assert got == [mixture_marginal_exact_one_lam(data, lam, fam) for lam in grid]
+        assert mixture_marginal_exact(data, grid[2], fam) == got[2]
+    with pytest.raises(DomainError):
+        mixture_marginal_exact(data, [0.5, 0.0], fam)
 
 
 def test_m7_enumeration_permutation_invariant():

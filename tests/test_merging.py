@@ -1,9 +1,10 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 
-from ebib.errors import DomainError
+from ebib.errors import AccuracyError, DomainError
 from ebib.merging import (
     MergingReport,
     _support_interval,
@@ -209,6 +210,39 @@ def test_credible_discrepancy_zero_when_lambdas_match():
     assert credible_discrepancy(fam, data, 4.0, 4.0, 0.1) == pytest.approx(
         0.0, abs=1e-9
     )
+
+
+def test_credible_discrepancy_equals_one_quantile_and_cdf_call_each():
+    # both quantiles in one ppf call and both masses in one cdf call give the
+    # bits of one call per end; lam 0 is the point-mass posterior
+    fam = NormalMean(sigma2=1.3)
+    g = np.random.default_rng(4)
+    for s in range(30):
+        data = simulate(fam, float(g.normal(0.0, 2.0)), int(g.integers(5, 500)), s)
+        lam_build, lam_eval = (float(v) for v in 10.0 ** g.uniform(-2.0, 2.0, 2))
+        for lb, le in ((lam_build, lam_eval), (0.0, lam_eval), (lam_build, 0.0)):
+            alpha = float(g.uniform(0.01, 0.5))
+            build, evalp = fam.posterior(lb, data), fam.posterior(le, data)
+            lo, hi = build.ppf(alpha / 2.0), build.ppf(1.0 - alpha / 2.0)
+            want = float(evalp.cdf(hi) - evalp.cdf(lo)) - (1.0 - alpha)
+            assert credible_discrepancy(fam, data, lb, le, alpha) == want
+
+
+def test_l1_distance_of_zero_variance_gaussians_raises_instead_of_hanging():
+    # M1's posteriors at sigma2 = 5e-324 and n = 20: their density is NaN
+    # everywhere, which no panel's error test passes; an alarm turns a
+    # bisection that does not stop into a failure
+    def expire(signum, frame):
+        raise TimeoutError("l1_distance did not return within 8 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(8)
+    try:
+        with pytest.raises(AccuracyError, match="not finite"):
+            l1_distance(GaussianPosterior(2.0, 0.0), GaussianPosterior(2.0, 0.0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_credible_discrepancy_alpha_validation():

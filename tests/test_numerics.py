@@ -27,7 +27,8 @@ from ebib.numerics import (
 from ebib.marginal import markov_log_marginal
 from ebib.models import _log_dirichlet
 from ebib.posteriors import GaussianPosterior
-from helpers import child_env, finite_diff_gradient, gaussian_logpdf, recursive_simpson
+from helpers import (child_env, finite_diff_gradient, gaussian_logpdf, norm_operands,
+                     recursive_simpson)
 
 
 def test_log_gamma_against_high_precision_oracle():
@@ -261,6 +262,45 @@ def test_nelder_mead_equals_scipy_through_a_shrink_step():
     assert _shrunk(x0, got[2], points)
 
 
+def _staircase(a):
+    # a bowl of flat steps around (2, 2, 2); from (2, 1, 1) or (3, 1, 1) the
+    # search meets ties that np.argsort does not keep in place
+    return float(np.floor(np.sum((a - 2.0) ** 2)))
+
+
+def _flat_cube(a):
+    # 0 on the cube |a - 3| <= 1 and rising outside it
+    return float(max(np.max(np.abs(a - 3.0)) - 1.0, 0.0))
+
+
+def _rounded_m4_row(a):
+    # the M4 row objective to one decimal: ties wherever the search is flat
+    return round(_m4_row_objective([12, 0, 30])(a), 1)
+
+
+def _nan_beyond_ten(a):
+    # NaN, which orders against nothing, where any concentration passes 10
+    return math.nan if np.max(a) > 10.0 else _m4_row_objective([4, 9])(a)
+
+
+# Simplex values that tie or are NaN have more than one order; nelder_mead
+# then orders them as scipy does, by np.argsort, which need not keep ties in
+# place.
+@pytest.mark.parametrize("f,x0", [
+    (_staircase, [2.0, 1.0, 1.0]),
+    (_staircase, [3.0, 1.0, 1.0]),
+    (_flat_cube, [2.5, 3.0, 3.2]),
+    (_rounded_m4_row, [7.0, 0.5, 2.0]),
+    (_nan_beyond_ten, [9.8, 9.9]),
+], ids=["staircase-211", "staircase-311", "flat-cube", "rounded-m4-row", "nan-region"])
+def test_nelder_mead_equals_scipy_where_simplex_values_tie(f, x0):
+    x0 = np.array(x0)
+    lo, hi = np.full(x0.size, 1e-3), np.full(x0.size, 50.0)
+    got, points = _nelder_mead_and_scipy(f, x0, lo, hi, 2000, 1e-9)
+    values = [f(x) for x in points]
+    assert len(set(values)) < len(values) or any(math.isnan(v) for v in values)
+
+
 def test_low_rank_gaussian_two_point_case():
     # N_2(0, I + J) at y = (0, 0)
     cov = np.eye(2) + np.ones((2, 2))
@@ -424,6 +464,40 @@ def test_norm_kernels_edge_values():
     q = [0.0, 1.0, -0.1, 1.1, 0.3]
     _identical(norm_ppf(q, 1.0, 2.0), norm.ppf(q, 1.0, 2.0))
     _identical(norm_pdf(np.empty(0)), norm.pdf(np.empty(0)))
+
+
+# With float loc and scale, `_operands` hands a float64 array x to the kernels
+# as it is and keeps loc and scale as floats; every kernel value must equal
+# the one from the all-array operands, bit for bit.
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_norm_kernels_on_float_parameters_equal_the_array_operands(name, monkeypatch):
+    g = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(300):
+        loc = float(g.normal(0.0, 10.0))
+        scale = float(10.0 ** g.uniform(-4.0, 3.0)) if g.uniform() > 0.1 else \
+            float(g.choice([0.0, -0.0, -1.5, math.nan]))
+        u = g.uniform(size=7) if name == "ppf" else loc + g.uniform(-40.0, 40.0, 7) * abs(scale)
+        for x in (float(u[0]), np.float64(u[0]), np.array(u[0]), u[:3].tolist(), u,
+                  u.reshape(7, 1), u[::2]):
+            cases.append((x, loc, scale))
+    kernel = KERNELS[name]
+    got = [kernel(*c) for c in cases]
+    monkeypatch.setattr(numerics, "_operands", norm_operands)
+    want = [kernel(*c) for c in cases]
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_operands_pass_a_float64_array_through_with_float_parameters():
+    x = np.linspace(-1.0, 1.0, 5)
+    got = numerics._operands(x, 0.5, 2.0)
+    assert got[0] is x and got[1:] == (0.5, 2.0, False)
+    for bad in (0.0, -2.0):
+        assert math.isnan(numerics._operands(x, 0.5, bad)[2])
+    got = numerics._operands(0.25, 0.5, 2.0)
+    assert got[0].tolist() == [0.25] and got[1:] == (0.5, 2.0, True)
 
 
 def test_degenerate_gaussian_posterior_is_nan_like_scipy():
