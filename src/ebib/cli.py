@@ -444,12 +444,15 @@ _LASSO_RATE = (_SQUARE_POSITIVE, _SQUARE_FINITE, "[]")
 # overflows (a merging-rates L1 quadrature at sigma2 = 5e-324 ran past 40 s).
 _POSITIVE = (sys.float_info.min, math.inf, "[)")
 _COUNT, _INDEX = (1, math.inf, "[)"), (0, math.inf, "[)")
-# A size: the length of an array of float64 values.  2**53 of them are 64 PiB,
-# more than a 64-bit machine can address, and at 2**62 numpy refuses the size
-# outright (mmle-consistency n_grid [2**62] ended in its "array is too big"
-# ValueError); a size within the bound that does not fit in memory raises
-# MemoryError, which `main` maps to exit 3.
-MAX_SIZE = 2**53
+# A size: the length of an array of float64 values, and a count that the
+# experiments also compute with as a float (sigma2 / n, log log n), which is
+# exact up to 2**53.  An array whose length is a product of sizes holds at
+# most MAX_ELEMENTS values (_check_values): 2**59 float64 values take 2**62
+# bytes, a byte count numpy can still express, while a shape of 2**63 bytes
+# or more it refuses with an "array is too big" ValueError (mmle-consistency
+# n_grid [2**62] ended in that traceback).  An array within these bounds that
+# does not fit in memory raises MemoryError, which `main` maps to exit 3.
+MAX_SIZE, MAX_ELEMENTS = 2**53, 2**59
 _SIZE = (1, MAX_SIZE, "[]")
 
 # The range of each numeric config key, as (lowest, highest, ends): "[" or "]"
@@ -516,6 +519,21 @@ def _check_values(cfg, defaults):
         raise ValueError(f"{name} needs every n_grid entry >= {d} for this beta0")
     if "gibbs_iters" in cfg and not cfg["gibbs_burnin"] < cfg["gibbs_iters"]:
         raise ValueError("gibbs_burnin must be below gibbs_iters")
+    # arrays whose length is a product of sizes: the n x d design of the LASSO
+    # experiments, the LASSO sampler's draws of beta, tau2 and sigma2 after
+    # burn-in, and fig1's table of x and one density per posterior
+    arrays = []
+    if "beta0" in cfg:
+        arrays.append(("max(n_grid) * len(beta0)", max(cfg["n_grid"]) * len(cfg["beta0"])))
+    if "gibbs_iters" in cfg:
+        arrays.append(("(gibbs_iters - gibbs_burnin) * (2 * len(beta0) + 1)",
+                       (cfg["gibbs_iters"] - cfg["gibbs_burnin"]) * (2 * len(cfg["beta0"]) + 1)))
+    if "lambdas" in cfg:
+        arrays.append(("grid_points * (len(lambdas) + 3)",
+                       cfg["grid_points"] * (len(cfg["lambdas"]) + 3)))
+    for what, size in arrays:
+        if size > MAX_ELEMENTS:
+            raise ValueError(f"{name}: {what} must be at most {MAX_ELEMENTS}, got {size}")
 
 
 def validate_config(doc) -> dict:

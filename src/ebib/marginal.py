@@ -87,12 +87,12 @@ def markov_log_marginal_factorials(counts, alpha) -> float:
     counts = np.asarray(counts, dtype=np.int64)
     alpha = np.asarray(alpha, dtype=float)
     total = 0.0
-    for i, (a, c) in enumerate(zip(alpha.tolist(), counts.tolist())):
-        for aj, cj in zip(a, c):
-            for k in range(cj):
-                total += math.log(aj + k)
+    for i in range(counts.shape[0]):
+        for j in range(counts.shape[1]):
+            for k in range(counts[i, j]):
+                total += math.log(alpha[i, j] + k)
         row_total = float(alpha[i].sum())
-        for k in range(sum(c)):
+        for k in range(int(counts[i].sum())):
             total -= math.log(row_total + k)
     return total
 
@@ -114,19 +114,19 @@ def _cluster_log_marginal(m, S, Q, comp_var, loc_var) -> float:
     return -0.5 * (m * math.log(2.0 * math.pi) + logdet + quad)
 
 
-def mixture_marginal_exact(data: Dataset, lam, family):
-    """Exact log m_lam by summation over all K^n allocations.
+def mixture_marginal_exact(data: Dataset, lams, family) -> list:
+    """Exact log m_lam for each lam of the sequence ``lams``, by summation
+    over all K^n allocations.
 
     ``family`` (an OverfittedMixture) supplies K, comp_var, loc_mean and
     loc_var (Normal-known-variance components with a Normal prior on their
-    locations).  ``lam`` is one concentration, which gives a float, or a
-    sequence of them, which gives a list.  Allocations are walked once,
-    depth-first with per-cluster sufficient statistics updated
-    incrementally; their location terms do not depend on lam, and their
-    weight terms depend on it only through the cluster counts, so each lam
-    costs one weight term per distinct count vector.
+    locations).  Allocations are walked once, depth-first with per-cluster
+    sufficient statistics updated incrementally; their location terms do not
+    depend on lam, and their weight terms depend on it only through the
+    cluster counts, so each lam costs one weight term per distinct count
+    vector.
     """
-    lams = [float(v) for v in np.atleast_1d(lam)]
+    lams = [float(v) for v in lams]
     if any(not v > 0 for v in lams):
         raise DomainError("lam must be positive")
     y = np.asarray(data.y, float)
@@ -169,7 +169,7 @@ def mixture_marginal_exact(data: Dataset, lam, family):
         terms = alloc[leaf_counts] + leaf_lm
         mx = terms.max()
         out.append(float(mx + math.log(np.sum(np.exp(terms - mx)))))
-    return out[0] if np.ndim(lam) == 0 else out
+    return out
 
 
 def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,

@@ -208,12 +208,6 @@ def _log_inv_gamma(x, a, b) -> float:
     return a * math.log(b) - log_gamma(a) - (a + 1.0) * math.log(x) - b / x
 
 
-def _mean(y) -> float:
-    """np.mean of a float array: its pairwise sum over all elements divided by
-    their count, without its Python-level argument handling."""
-    return float(np.add.reduce(y, axis=None) / y.size)
-
-
 def _normal_loglik(r, s2):
     """Sum of the N(0, s2) log-densities of the residuals r over the last axis:
     a float for a 1-d r, one value per row of a 2-d r."""
@@ -326,16 +320,16 @@ class NormalMean(ModelFamily):
         return np.array([[1.0 / self.sigma2]])
 
     def mle(self, data):
-        return _mean(data.y)
+        return float(np.mean(data.y))
 
     def closed_form_mmle(self, data: Dataset) -> float:
         """Stationary point of the exact marginal, truncated at 0."""
-        ybar = _mean(data.y)
+        ybar = float(np.mean(data.y))
         return max(0.0, ybar**2 - self.sigma2 / data.n)
 
     def posterior(self, lam, data):
         n = data.n
-        ybar = _mean(data.y)
+        ybar = float(np.mean(data.y))
         if lam == math.inf:
             # flat-prior limit
             return GaussianPosterior(ybar, self.sigma2 / n)
@@ -907,8 +901,8 @@ class BayesLasso(ModelFamily):
         norms, bhat = norms.tolist(), bhat.tolist()
         kappa = [lam / sj for sj in norms]
         u = [sj * bj / s for sj, bj in zip(norms, bhat)]
-        lower = norm_logcdf(np.array([uj - kj for uj, kj in zip(u, kappa)]
-                                     + [-uj - kj for uj, kj in zip(u, kappa)])).tolist()
+        lower = norm_logcdf([uj - kj for uj, kj in zip(u, kappa)]
+                            + [-uj - kj for uj, kj in zip(u, kappa)]).tolist()
         d = len(norms)
         for j, sj in enumerate(norms):
             out += 0.5 * math.log(2.0 * math.pi) + math.log(s / sj)

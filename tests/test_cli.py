@@ -591,14 +591,52 @@ def _edge_runs():
 EDGE_RUNS = _edge_runs()
 
 
-def test_an_unallocatable_size_exits_2(tmp_path, capsys):
-    # numpy refuses 2**62 float64 values before it allocates ("array is too
-    # big"), which ended in a traceback; validation now refuses the size
-    doc = {"experiment": "mmle-consistency", "n_grid": [2**62], "seeds": 1,
-           "output_dir": str(tmp_path / "out")}
-    assert main(["run", _write(tmp_path, doc)]) == 2
-    assert "n_grid must lie in [1, 9007199254740992]" in capsys.readouterr().err
+# configs one of whose arrays would hold 2**62 float64 values, a shape numpy
+# refuses before it allocates ("array is too big"), which ended in a
+# traceback, and the message validation now refuses each with: one size key,
+# then sizes each within their bounds whose product is over MAX_ELEMENTS
+# (2**53 * 513 for the sampler's odd width)
+UNALLOCATABLE = [
+    ({"experiment": "mmle-consistency", "n_grid": [2**62], "seeds": 1},
+     "n_grid must lie in [1, 9007199254740992]"),
+    ({"experiment": "fig2-lasso-marginals", "n_grid": [2**53], "beta0": [1.0] * 512,
+      "coords": [0]}, "max(n_grid) * len(beta0) must be at most"),
+    ({"experiment": "table1-lasso", "n_grid": [2**53], "beta0": [1.0] * 512},
+     "max(n_grid) * len(beta0) must be at most"),
+    ({"experiment": "table1-lasso", "gibbs_iters": 2**53, "gibbs_burnin": 0,
+      "beta0": [1.0] * 256}, "(gibbs_iters - gibbs_burnin) * (2 * len(beta0) + 1) must be at most"),
+    ({"experiment": "fig1-densities", "grid_points": 2**53, "lambdas": [1.0] * 509},
+     "grid_points * (len(lambdas) + 3) must be at most"),
+]
+PRODUCT_IDS = ["fig2-design", "table1-design", "table1-draws", "fig1-table"]
+
+
+@pytest.mark.parametrize("doc,message", UNALLOCATABLE, ids=["n_grid", *PRODUCT_IDS])
+def test_an_unallocatable_size_exits_2(tmp_path, capsys, doc, message):
+    # the run exits before it writes anything
+    assert main(["run", _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# the same products at MAX_ELEMENTS (or, for the sampler's odd width, the
+# most whole rows under it), and the one-step change that takes each over
+AT_THE_BOUND = [
+    ({"experiment": "fig2-lasso-marginals", "n_grid": [2**53], "beta0": [1.0] * 64,
+      "coords": [0]}, {"beta0": [1.0] * 65}),
+    ({"experiment": "table1-lasso", "n_grid": [2**53], "beta0": [1.0] * 64},
+     {"beta0": [1.0] * 65}),
+    ({"experiment": "table1-lasso", "gibbs_iters": 2**59 // 65, "gibbs_burnin": 0,
+      "beta0": [1.0] * 32}, {"gibbs_iters": 2**59 // 65 + 1}),
+    ({"experiment": "fig1-densities", "grid_points": 2**53, "lambdas": [1.0] * 61},
+     {"lambdas": [1.0] * 62}),
+]
+
+
+@pytest.mark.parametrize("doc,step", AT_THE_BOUND, ids=PRODUCT_IDS)
+def test_a_product_of_sizes_at_the_bound_validates(tmp_path, doc, step):
+    assert main(["validate", _write(tmp_path, doc, "at.json")]) == 0
+    assert main(["validate", _write(tmp_path, {**doc, **step}, "over.json")]) == 2
 
 
 def test_memory_error_in_a_run_exits_3(tmp_path, capsys, monkeypatch):

@@ -205,7 +205,7 @@ def test_m7_single_observation_checkpoint():
     fam = _mix_family()
     data = Dataset(y=[0.3])
     want = gaussian_logpdf([0.3], [0.0], np.array([[5.0]]))
-    got = mixture_marginal_exact(data, 0.7, fam)
+    got, = mixture_marginal_exact(data, [0.7], fam)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -213,7 +213,7 @@ def test_m7_enumeration_matches_direct_quadrature_n3():
     fam = _mix_family()
     y = np.array([-0.4, 0.9, 0.1])
     lam = 1.0
-    got = mixture_marginal_exact(Dataset(y=y), lam, fam)
+    got, = mixture_marginal_exact(Dataset(y=y), [lam], fam)
 
     # dense trapezoid over (p, gamma1, gamma2)
     ps = np.linspace(1e-4, 1 - 1e-4, 201)
@@ -246,7 +246,7 @@ def test_m7_enumeration_on_a_grid_equals_one_walk_per_lam():
         grid = list(np.geomspace(0.025, 0.5, 5)) + [1.0, 7.3]
         got = mixture_marginal_exact(data, grid, fam)
         assert got == [mixture_marginal_exact_one_lam(data, lam, fam) for lam in grid]
-        assert mixture_marginal_exact(data, grid[2], fam) == got[2]
+        assert mixture_marginal_exact(data, [grid[2]], fam) == [got[2]]
     with pytest.raises(DomainError):
         mixture_marginal_exact(data, [0.5, 0.0], fam)
 
@@ -254,15 +254,15 @@ def test_m7_enumeration_on_a_grid_equals_one_walk_per_lam():
 def test_m7_enumeration_permutation_invariant():
     fam = _mix_family()
     y = np.array([0.2, -1.1, 0.8, 1.9, -0.3])
-    a = mixture_marginal_exact(Dataset(y=y), 0.5, fam)
-    b = mixture_marginal_exact(Dataset(y=y[::-1].copy()), 0.5, fam)
+    a, = mixture_marginal_exact(Dataset(y=y), [0.5], fam)
+    b, = mixture_marginal_exact(Dataset(y=y[::-1].copy()), [0.5], fam)
     assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_m7_enumeration_capacity_guard():
     fam = _mix_family()
     with pytest.raises(CapacityError):
-        mixture_marginal_exact(Dataset(y=np.zeros(25)), 0.5, fam)
+        mixture_marginal_exact(Dataset(y=np.zeros(25)), [0.5], fam)
 
 
 def test_m7_reweighting_matches_enumeration_within_3se():
@@ -273,9 +273,9 @@ def test_m7_reweighting_matches_enumeration_within_3se():
     grid = [0.1, 0.25, 0.5]
     rows = mixture_marginal_profile(data, grid, lam_ref, draws=20000, seed=11,
                                     family=fam)
-    ref = mixture_marginal_exact(data, lam_ref, fam)
+    ref, = mixture_marginal_exact(data, [lam_ref], fam)
     for r in rows:
-        exact_delta = mixture_marginal_exact(data, r["lam"], fam) - ref
+        exact_delta = mixture_marginal_exact(data, [r["lam"]], fam)[0] - ref
         assert abs(r["delta_logm"] - exact_delta) <= 3.0 * max(r["stderr"], 1e-12)
 
 
@@ -284,8 +284,7 @@ def test_m7_profile_argmax_matches_enumeration_argmax_n8():
     t0 = MixtureParams(weights=[1.0, 0.0], means=[0.0, 0.0], variances=[1.0, 1.0])
     data = simulate(fam, t0, 8, 42)
     grid = list(np.geomspace(0.025, 0.5, 5))
-    enum_arg = grid[int(np.argmax([mixture_marginal_exact(data, l, fam)
-                                   for l in grid]))]
+    enum_arg = grid[int(np.argmax(mixture_marginal_exact(data, grid, fam)))]
     rows = mixture_marginal_profile(data, grid, 0.5, draws=32000, seed=12,
                                     family=fam)
     assert profile_argmax(rows) == enum_arg

@@ -23,7 +23,6 @@ from ebib.models import (
     NormalMean,
     OverfittedMixture,
     RegressionParams,
-    _mean,
     load_counts_csv,
     load_dataset_csv,
 )
@@ -126,20 +125,6 @@ def test_m1_loglik_standard_normal_point():
     assert fam.log_likelihood(0.0, Dataset(y=[0.0])) == pytest.approx(
         -LOG_SQRT_2PI, abs=1e-10
     )
-
-
-def test_m1_mean_equals_np_mean():
-    # the sample mean behind the M1 MLE, closed-form MMLE and posterior, bit
-    # for bit: sizes below and above numpy's 8-element pairwise blocks,
-    # strided and 2-d
-    g = np.random.default_rng(21)
-    for size in [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 1000, 3001]:
-        y = g.normal(g.uniform(-5.0, 5.0), 10.0 ** g.uniform(-3.0, 3.0), size)
-        for v in (y, y[::3], y[: size - size % 3].reshape(-1, 3) if size >= 3 else y):
-            data = Dataset(y=v)
-            assert _mean(v) == float(np.mean(v))
-            if v.ndim == 1:
-                assert NormalMean(1.7).mle(data) == float(np.mean(v))
 
 
 def test_m1_log_prior_standard_normal_point():
