@@ -51,10 +51,6 @@ OUTPUT_ROOT_ENV = "EBIB_OUTPUT_ROOT"
 _TABLE1_BETA0 = [0.5, -2.0, 1.0, 3.0] + [0.0] * 11
 
 
-def _median(xs):
-    return float(np.median(np.asarray(xs, dtype=float)))
-
-
 def _replicates(cfg, tag, cell):
     """Rows (n, s, *cell(n, key)) for every n of ``n_grid`` and seed s.
 
@@ -67,7 +63,16 @@ def _replicates(cfg, tag, cell):
 
 def _medians(rows, ns, f):
     """Per n of ``ns``, the median of f(row) over the rows of that n."""
-    return [_median([f(r) for r in rows if r[0] == n]) for n in ns]
+    return [float(np.median(np.asarray([f(r) for r in rows if r[0] == n], dtype=float)))
+            for n in ns]
+
+
+def _strictly_decreasing(xs):
+    return all(a > b for a, b in zip(xs, xs[1:]))
+
+
+def _by_n(cfg, values):
+    return dict(zip(map(str, cfg["n_grid"]), values))
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +124,7 @@ def _exp_table1_lasso(cfg):
 
     rows = _replicates(cfg, "table1", cell)
     n_max = max(cfg["n_grid"])
-    [em_med] = _medians(rows, [n_max], lambda r: r[2])
-    [ps_med] = _medians(rows, [n_max], lambda r: r[3])
+    [em_med], [ps_med] = (_medians(rows, [n_max], lambda r, i=i: r[i]) for i in (2, 3))
     passed = 2.0 <= em_med <= 2.6 and 2.1 <= ps_med <= 2.6
     details = {"n": n_max, "median_em": em_med, "median_pseudo": ps_med,
                "em_converged_frac":
@@ -170,9 +174,9 @@ def _exp_mmle_consistency(cfg):
 
     rows = _replicates(cfg, "cons", cell)
     med = _medians(rows, cfg["n_grid"], lambda r: r[3])
-    passed = all(a > b for a, b in zip(med, med[1:])) and med[-1] < 0.3
+    passed = _strictly_decreasing(med) and med[-1] < 0.3
     return (["n", "seed", "lam_hat", "abs_err"], rows, passed,
-            {"median_abs_err_by_n": dict(zip(map(str, cfg["n_grid"]), med))})
+            {"median_abs_err_by_n": _by_n(cfg, med)})
 
 
 def _exp_kl_oracle(cfg):
@@ -229,15 +233,11 @@ def _exp_merging_rates(cfg):
     gap = _medians(rows, n_grid, lambda r: math.sqrt(r[0]) * abs(r[2] - r[3]))
     eb = _medians(rows, n_grid, lambda r: math.sqrt(r[0]) * r[4])
     pred_max = pred[n_max]
-    passed = (
-        0.9 <= ratio <= 1.1
-        and all(a > b for a, b in zip(gap, gap[1:]))
-        and all(a > b for a, b in zip(eb, eb[1:]))
-        and 0.5 * pred_max <= sandwich_lo <= 2.0 * pred_max
-    )
+    passed = (0.9 <= ratio <= 1.1 and _strictly_decreasing(gap) and _strictly_decreasing(eb)
+              and 0.5 * pred_max <= sandwich_lo <= 2.0 * pred_max)
     details = {"median_ratio_at_nmax": ratio,
-               "sqrt_n_gap_by_n": dict(zip(map(str, n_grid), gap)),
-               "sqrt_n_eb_oracle_l1_by_n": dict(zip(map(str, n_grid), eb)),
+               "sqrt_n_gap_by_n": _by_n(cfg, gap),
+               "sqrt_n_eb_oracle_l1_by_n": _by_n(cfg, eb),
                "sandwich": {"median_l1": sandwich_lo, "pred": pred_max}}
     return ["n", "seed", "l1_exact", "l1_pred", "l1_eb_oracle"], rows, passed, details
 
@@ -258,9 +258,8 @@ def _exp_predictive_rates(cfg):
 
     rows = _replicates(cfg, "pred", cell)
     med = _medians(rows, cfg["n_grid"], lambda r: r[0] * r[2])
-    passed = all(a > b for a, b in zip(med, med[1:]))
-    return (["n", "seed", "l1_predictive"], rows, passed,
-            {"n_times_l1_by_n": dict(zip(map(str, cfg["n_grid"]), med))})
+    return (["n", "seed", "l1_predictive"], rows, _strictly_decreasing(med),
+            {"n_times_l1_by_n": _by_n(cfg, med)})
 
 
 def _exp_credible_discrepancy(cfg):
@@ -278,10 +277,8 @@ def _exp_credible_discrepancy(cfg):
     oracle_curve = _medians(rows, cfg["n_grid"], lambda r: math.sqrt(r[0]) * abs(r[2]))
     [far_at_max] = _medians(rows, [max(cfg["n_grid"])],
                             lambda r: math.sqrt(r[0]) * abs(r[3]))
-    passed = (all(a > b for a, b in zip(oracle_curve, oracle_curve[1:]))
-              and far_at_max > oracle_curve[-1])
-    details = {"sqrt_n_abs_disc_oracle_by_n":
-               dict(zip(map(str, cfg["n_grid"]), oracle_curve)),
+    passed = _strictly_decreasing(oracle_curve) and far_at_max > oracle_curve[-1]
+    details = {"sqrt_n_abs_disc_oracle_by_n": _by_n(cfg, oracle_curve),
                "sqrt_n_abs_disc_far_at_nmax": far_at_max}
     return ["n", "seed", "disc_oracle", "disc_far"], rows, passed, details
 
@@ -327,9 +324,9 @@ def _exp_mixture_rate(cfg):
     rw_arg = profile_argmax(prof8)
     match8 = rw_arg == enum_arg
     passed = monotone and band_ok and match8
-    details = {"median_lam_hat_by_n": dict(zip(map(str, cfg["n_grid"]), med)),
-               "rate_stat_by_n": dict(zip(map(str, cfg["n_grid"]), stat)),
-               "argmax_at_grid_edge_by_n": dict(zip(map(str, cfg["n_grid"]), at_edge)),
+    details = {"median_lam_hat_by_n": _by_n(cfg, med),
+               "rate_stat_by_n": _by_n(cfg, stat),
+               "argmax_at_grid_edge_by_n": _by_n(cfg, at_edge),
                "band_ok": band_ok, "enum_argmax_n8": enum_arg,
                "reweight_argmax_n8": rw_arg}
     return ["n", "seed", "lam_hat"], rows, passed, details
@@ -344,19 +341,10 @@ def _exp_markov_sparsity(cfg):
     res = mmle_continuous(fam, data, lo, hi, seed=cfg["seed_base"])
     alpha_hat = np.asarray(res.lam)
     counts = data.counts
-    rows = []
-    ok_zero, ok_pos = True, True
-    for i in range(K):
-        for j in range(K):
-            at_lo = alpha_hat[i, j] <= lo
-            at_hi = alpha_hat[i, j] >= hi
-            interior = not (at_lo or at_hi)
-            if counts[i, j] == 0:
-                ok_zero = ok_zero and at_lo
-            else:
-                ok_pos = ok_pos and interior
-            rows.append((i, j, int(counts[i, j]), alpha_hat[i, j],
-                         int(at_lo), int(at_hi)))
+    at_lo, at_hi, zero = alpha_hat <= lo, alpha_hat >= hi, counts == 0
+    ok_zero, ok_pos = at_lo[zero].all(), not (at_lo | at_hi)[~zero].any()
+    rows = [(i, j, int(counts[i, j]), alpha_hat[i, j], int(at_lo[i, j]), int(at_hi[i, j]))
+            for i in range(K) for j in range(K)]
     # independent Dirichlet-multinomial formula cross-check
     g = rngmod.stream(cfg["seed_base"], "markov-xcheck")
     xcheck = 0.0
@@ -584,7 +572,8 @@ def run_experiment(cfg: dict, out_dir: str) -> dict:
                "config_hash": chash, "version": __version__,
                "details": details}
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        # a numpy scalar as its Python value: a bool stays a bool
+        json.dump(summary, fh, indent=2, default=lambda v: v.item())
     return summary
 
 

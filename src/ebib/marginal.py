@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, DomainError, EstimationError
-from .numerics import log_gamma
+from .numerics import log_gamma, rank_one_gaussian_logpdf
 from .samplers import GibbsConfig, effective_sample_size, gibbs_mixture_weights
 
 if TYPE_CHECKING:
@@ -108,10 +108,19 @@ def _cluster_log_marginal(m, S, Q, comp_var, loc_var) -> float:
     y - loc_mean; the joint is N(loc_mean 1, comp_var I + loc_var J).
     """
     if m == 0:
-        return 0.0
-    quad = (Q - loc_var * S * S / (comp_var + m * loc_var)) / comp_var
-    logdet = m * math.log(comp_var) + math.log1p(m * loc_var / comp_var)
-    return -0.5 * (m * math.log(2.0 * math.pi) + logdet + quad)
+        return 0.0  # the kernel gives -0.0
+    return rank_one_gaussian_logpdf(m, S, Q, comp_var, loc_var)
+
+
+def _log_alloc_mass(counts, lam, n):
+    """Dirichlet-multinomial log mass of each row of ``counts``, the K cluster
+    counts of an allocation of n observations, at symmetric concentration lam.
+    The log rising factorials log Gamma(lam + c) - log Gamma(lam) of c = 0..n
+    are tabulated once; numpy sums a row of fewer than 8 left to right."""
+    K = counts.shape[1]
+    lg_lam = log_gamma(lam)
+    table = np.array([log_gamma(lam + c) - lg_lam for c in range(n + 1)])
+    return log_gamma(K * lam) - log_gamma(K * lam + n) + np.sum(table[counts], axis=1)
 
 
 def mixture_marginal_exact(data: Dataset, lams, family) -> list:
@@ -123,8 +132,8 @@ def mixture_marginal_exact(data: Dataset, lams, family) -> list:
     locations).  Allocations are walked once, depth-first with per-cluster
     sufficient statistics updated incrementally; their location terms do not
     depend on lam, and their weight terms depend on it only through the
-    cluster counts, so each lam costs one weight term per distinct count
-    vector.
+    cluster counts, so each lam costs one `_log_alloc_mass` of the distinct
+    count vectors.
     """
     lams = [float(v) for v in lams]
     if any(not v > 0 for v in lams):
@@ -160,13 +169,10 @@ def mixture_marginal_exact(data: Dataset, lams, family) -> list:
 
     recurse(0, 0.0)
     leaf_counts, leaf_lm = np.asarray(leaf_counts), np.asarray(leaf_lm)
+    vecs = np.array(list(index))
     out = []
     for v in lams:
-        lg_lam = log_gamma(v)
-        alloc_const = log_gamma(K * v) - log_gamma(K * v + n)
-        alloc = np.array([alloc_const + sum(log_gamma(v + c) - lg_lam for c in vec)
-                          for vec in index])
-        terms = alloc[leaf_counts] + leaf_lm
+        terms = _log_alloc_mass(vecs, v, n)[leaf_counts] + leaf_lm
         mx = terms.max()
         out.append(float(mx + math.log(np.sum(np.exp(terms - mx)))))
     return out
@@ -194,23 +200,10 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
     chain = gibbs_mixture_weights(data, lam_ref, family, cfg)
     K = family.K
     counts = chain.draws[:, K : 2 * K].astype(np.intp)
-    T = counts.shape[0]
-    n = data.n
-
-    def log_alloc_mass(lam):
-        # counts take the values 0..n: tabulate the log rising factorials
-        # log Gamma(lam + c) - log Gamma(lam) once and index them
-        lg_lam = log_gamma(lam)
-        table = np.array([log_gamma(lam + c) - lg_lam for c in range(n + 1)])
-        return (
-            log_gamma(K * lam) - log_gamma(K * lam + n)
-            + np.sum(table[counts], axis=1)
-        )
-
-    ref_mass = log_alloc_mass(lam_ref)
+    ref_mass = _log_alloc_mass(counts, lam_ref, data.n)
     rows = []
     for lam in lam_grid:
-        logw = log_alloc_mass(lam) - ref_mass
+        logw = _log_alloc_mass(counts, lam, data.n) - ref_mass
         mx = logw.max()
         w = np.exp(logw - mx)
         mean_w = float(np.mean(w))
@@ -218,7 +211,7 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
         ess = float(np.sum(w)) ** 2 / float(np.sum(w**2))
         # the weights come from a Gibbs chain: deflate the sample size by the
         # autocorrelation time of the weight series
-        t_eff = min(effective_sample_size(w), float(T))
+        t_eff = min(effective_sample_size(w), float(len(counts)))
         stderr = float(np.std(w, ddof=1)) / (mean_w * math.sqrt(max(t_eff, 1.0)))
         rows.append(
             {

@@ -48,15 +48,12 @@ def _operands(x, loc, scale):
     scipy's argsreduce hands its kernels 1-d arrays.  On numpy scalars the
     same arithmetic is not the same: -z**2 then goes through the C pow(), and
     the last bit of the density can differ.  Float ``loc`` and ``scale``
-    stay floats when ``x`` is a float or a float64 array: each kernel's
-    arithmetic with them gives the same bits as with 1-element arrays.
+    stay floats when ``x`` is a float64 array: each kernel's arithmetic with
+    them gives the same bits as with 1-element arrays.
     """
-    if isinstance(loc, float) and isinstance(scale, float):
-        scale = scale if scale > 0 else math.nan
-        if isinstance(x, float):
-            return np.array([x]), loc, scale, True
-        if isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64:
-            return x, loc, scale, False
+    if (isinstance(loc, float) and isinstance(scale, float)
+            and isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64):
+        return x, loc, scale if scale > 0 else math.nan, False
     x = np.asarray(x, dtype=float)
     loc = np.asarray(loc, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -274,13 +271,21 @@ def _ordered(sim, fsim):
     return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
-def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):
-    """Log-density of N(mean, sigma2*I + lam*11^t) at y.
+def rank_one_gaussian_logpdf(n, s, ss, sigma2, lam):
+    """Log-density of N(0, sigma2*I + lam*11^t) at n values whose sum is
+    ``s`` and sum of squares ``ss``, by the rank-one determinant lemma and
+    Sherman-Morrison.  Python floats and float64 scalars or arrays of
+    ``s`` and ``ss`` give the same bits."""
+    quad = (ss - lam * s * s / (sigma2 + n * lam)) / sigma2
+    logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
+    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
 
-    Uses the rank-one determinant lemma and Sherman-Morrison, so the cost is
-    O(n) instead of O(n^3).  The last axis of ``y`` is the n observations:
-    a 1-d ``y`` gives a float, an (rows, n) ``y`` one value per row, each
-    equal to the 1-d call on that row bit for bit.
+
+def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):
+    """Log-density of N(mean, sigma2*I + lam*11^t) at y, in O(n) by
+    `rank_one_gaussian_logpdf`.  The last axis of ``y`` is the n
+    observations: a 1-d ``y`` gives a float, an (rows, n) ``y`` one value per
+    row, each equal to the 1-d call on that row bit for bit.
     """
     if not sigma2 > 0:
         raise DomainError("sigma2 must be positive")
@@ -289,10 +294,6 @@ def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):
     # C order keeps each row's sum and dot product in the 1-d reduction order
     r = np.subtract(np.asarray(y, dtype=float), np.asarray(mean, dtype=float),
                     order="C")
-    n = r.shape[-1]
-    s = np.sum(r, axis=-1)
     rr = (r[..., None, :] @ r[..., :, None])[..., 0, 0]
-    quad = (rr - lam * s * s / (sigma2 + n * lam)) / sigma2
-    logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
-    out = -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+    out = rank_one_gaussian_logpdf(r.shape[-1], np.sum(r, axis=-1), rr, sigma2, lam)
     return float(out) if r.ndim == 1 else out

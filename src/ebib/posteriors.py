@@ -1,7 +1,7 @@
 """Evaluable posterior representations.
 
 Four kinds are used across the package: closed-form 1-D Gaussians, point
-masses (degenerate boundary priors), grid densities and weighted sample
+masses (degenerate boundary priors), grid densities and Monte Carlo sample
 sets.  Products of independent 1-D representations cover the regression
 families with orthogonal designs.
 """
@@ -102,20 +102,10 @@ class GridPosterior:
 
 
 class SamplePosterior:
-    """Posterior represented by (weighted) Monte Carlo draws."""
+    """Posterior represented by Monte Carlo draws, one row per draw."""
 
-    def __init__(self, draws, weights=None):
-        draws = np.atleast_2d(np.asarray(draws, dtype=float))
-        if weights is None:
-            weights = np.full(draws.shape[0], 1.0 / draws.shape[0])
-        weights = np.asarray(weights, dtype=float)
-        weights = weights / weights.sum()
-        self.draws = draws
-        self.weights = weights
-
-    @property
-    def ess(self) -> float:
-        return float(1.0 / np.sum(self.weights**2))
+    def __init__(self, draws):
+        self.draws = np.atleast_2d(np.asarray(draws, dtype=float))
 
 
 @dataclass
@@ -123,9 +113,6 @@ class ProductPosterior:
     """Product of independent 1-D posterior representations."""
 
     marginals: list = field(default_factory=list)
-
-    def marginal(self, j: int):
-        return self.marginals[j]
 
 
 class NormalInverseGammaPosterior:

@@ -3,8 +3,9 @@ against (the dense Gaussian log-density, the recursive adaptive Simpson rule,
 a central-difference gradient, a Monte Carlo L1 distance, Gauss-Hermite
 quadrature of the M1 marginal, the one-call-per-draw or one-call-per-
 coordinate forms of the M1 and M4 simulations and the M4 and M5 marginals,
-and the array forms of the M4 marginal, the Normal kernels' operands and the
-one-lam mixture enumeration) and the environment of a child interpreter."""
+the array forms of the M4 marginal, the Normal kernels' operands and the
+one-lam mixture enumeration, and the former bodies of the mixture's cluster
+marginal and allocation mass) and the environment of a child interpreter."""
 
 import math
 import os
@@ -225,6 +226,26 @@ def mixture_marginal_exact_one_lam(data, lam: float, family) -> float:
     terms = np.asarray(terms)
     mx = terms.max()
     return float(mx + math.log(np.sum(np.exp(terms - mx))))
+
+
+def cluster_log_marginal_reference(m, S, Q, comp_var, loc_var) -> float:
+    """The body `ebib.marginal._cluster_log_marginal` had before it called the
+    shared rank-one kernel."""
+    if m == 0:
+        return 0.0
+    quad = (Q - loc_var * S * S / (comp_var + m * loc_var)) / comp_var
+    logdet = m * math.log(comp_var) + math.log1p(m * loc_var / comp_var)
+    return -0.5 * (m * math.log(2.0 * math.pi) + logdet + quad)
+
+
+def log_alloc_mass_reference(vec, lam: float, n: int) -> float:
+    """Dirichlet-multinomial log mass of one vector of cluster counts of n
+    observations, summed count by count with the builtin ``sum``: the form
+    that `ebib.marginal._log_alloc_mass` replaced in the exact enumeration."""
+    K = len(vec)
+    lg_lam = log_gamma(lam)
+    alloc_const = log_gamma(K * lam) - log_gamma(K * lam + n)
+    return alloc_const + sum(log_gamma(lam + c) - lg_lam for c in vec)
 
 
 def laplace_gauss_log_normalizer(bhat: float, colnorm: float, sigma: float, lam: float) -> float:

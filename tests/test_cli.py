@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ebib import cli
@@ -449,40 +450,54 @@ def test_run_loads_only_the_scipy_it_calls(tmp_path, doc, forbidden):
 # "mixrate" and "mixprof") at two n and two seeds; markov-sparsity, the M4
 # prior oracle and row-wise MMLE, at shipped size; and, pinned before the
 # family interface lost its capability flags, the three single-dataset
-# experiments at small sizes
+# experiments at small sizes.  Beside each, the sha256 of its summary.json;
+# markov-sparsity's was re-pinned when zero_cells_at_lower_edge became a JSON
+# bool instead of 1.0
 PINNED = [
     ({"experiment": "table1-lasso", "n_grid": [30, 50], "seeds": 2,
       "gibbs_iters": 60, "gibbs_burnin": 20, "em_steps": 2},
-     "019e0a374165d1a9e1ec4ffb5071d74bab69e87794534e7d9636187f6b0164dd"),
+     "019e0a374165d1a9e1ec4ffb5071d74bab69e87794534e7d9636187f6b0164dd",
+     "4d069dd88126e016d504c36dd2c6383362b51ac5ee4bdd9bc915a00717b5dd89"),
     ({"experiment": "mmle-consistency", "n_grid": [20, 80], "seeds": 2},
-     "741e18dfd9bfe39197fd56b11a86383411f6454b2fcc01cc57dcb15d74db3503"),
+     "741e18dfd9bfe39197fd56b11a86383411f6454b2fcc01cc57dcb15d74db3503",
+     "9c2ef2d5deee5f536540c06fb826ed0aeaaa7726278c79a6b854f252a0debb77"),
     ({"experiment": "merging-rates", "n_grid": [20, 80], "seeds": 2},
-     "994137dd30fb13f79db1212a814cb785883c064110f229d258af47e2ef6cd455"),
+     "994137dd30fb13f79db1212a814cb785883c064110f229d258af47e2ef6cd455",
+     "b4de4771a2136eae6f6f25ee22616af6c66f879d1720c6be94371e1faab1209b"),
     ({"experiment": "predictive-rates", "n_grid": [20, 80], "seeds": 2},
-     "06a7f9ced9dcec6d0a861df877f387313e417bcb45fe4b034a22a4f443978bcd"),
+     "06a7f9ced9dcec6d0a861df877f387313e417bcb45fe4b034a22a4f443978bcd",
+     "18dd3ec69fe96fbcf38d8e5714254b58c2efefe37b72b124ac20435bcfc9834f"),
     ({"experiment": "credible-discrepancy", "n_grid": [20, 80], "seeds": 2},
-     "41870420b8e6561006a41c140e79e3bbc2792ea753cbf3969b715de8842601ed"),
+     "41870420b8e6561006a41c140e79e3bbc2792ea753cbf3969b715de8842601ed",
+     "0b1734be4b31b2c5630c063098cb1d81f7258b8683b49e8e1b87b87f1380f11f"),
     ({"experiment": "mixture-rate", "n_grid": [20, 40], "seeds": 2, "draws": 200},
-     "84769b641ff84fb2141a3da298ea073430a8aadd3d0cff3810f4a3641285be57"),
+     "84769b641ff84fb2141a3da298ea073430a8aadd3d0cff3810f4a3641285be57",
+     "6544bf412baf9f96d1272f927a9f702039e168bb46714179aa2b39aa10c2d5b8"),
     ({"experiment": "markov-sparsity"},
-     "60de9de2f6f2800e38cfb52b28e9d681009fe4d3c9704ce263c3bc8c187462e3"),
+     "60de9de2f6f2800e38cfb52b28e9d681009fe4d3c9704ce263c3bc8c187462e3",
+     "ae8212b749bec831aac5e1e8547ce08d6107e6c437ac33b2669c9ca371e090e7"),
     ({"experiment": "fig1-densities", "n": 25, "grid_points": 101,
       "lambdas": [0.5, 2.0]},
-     "3dfa1125c5b8cafc2be09c54ade523e1d0512b2ca79831aacd2ec107811b2842"),
+     "3dfa1125c5b8cafc2be09c54ade523e1d0512b2ca79831aacd2ec107811b2842",
+     "7e63f1de685c5a30b8fb80b2dae78a76bd216f7df45b3ff0d0c8cf414830103d"),
     ({"experiment": "fig2-lasso-marginals", "n_grid": [20, 60], "coords": [0, 13],
       "lam_points": 13, "grid_points": 51},
-     "79cacac1fd67ff1149308d860f766eba6bd69f33308593e173f9c0d420badad2"),
+     "79cacac1fd67ff1149308d860f766eba6bd69f33308593e173f9c0d420badad2",
+     "e866b3f8838995205d0af300204a2cd165631e5ed2f4dcea9381b61d29cd79ca"),
     ({"experiment": "kl-oracle", "n": 200, "lam_points": 9, "mc_configs": 4,
       "mc_reps": 20},
-     "e0edf280f26ae75ee7b78cdabc512bf683c34c77dd9876daf905b70036ae6342"),
+     "e0edf280f26ae75ee7b78cdabc512bf683c34c77dd9876daf905b70036ae6342",
+     "c99b488b8f518ede9f86c22fce653e0f390f4086e158a729ffb6b77cf9534a80"),
 ]
 
 
-@pytest.mark.parametrize("doc,sha256", PINNED, ids=[d["experiment"] for d, _ in PINNED])
-def test_replicate_experiment_results_are_pinned(tmp_path, doc, sha256):
+@pytest.mark.parametrize("doc,sha256,summary_sha256", PINNED,
+                         ids=[d["experiment"] for d, _, _ in PINNED])
+def test_replicate_experiment_results_are_pinned(tmp_path, doc, sha256, summary_sha256):
     summary = run_experiment(validate_config(doc), str(tmp_path))
     data = (tmp_path / "results.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha256
+    assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == summary_sha256
     if doc["experiment"] == "table1-lasso":
         n_max = max(doc["n_grid"])
         flags = [int(ln.split(",")[4]) for ln in data.decode().splitlines()[2:]
@@ -504,6 +519,37 @@ SMALL = {
     "mixture-rate": {"n_grid": [20], "seeds": 1, "draws": 200},
     "markov-sparsity": {"n": 200},
 }
+
+
+def _leaves(value, path="details"):
+    """(path, value) of every entry of a summary's nested dicts and lists."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, f"{path}.{k}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_summary_details_are_json_native(tmp_path, name):
+    # every value is written as the JSON type of its Python value: a numpy
+    # bool as a bool and a numpy integer as an int, never as a float
+    summary = run_experiment(validate_config({"experiment": name, **SMALL[name]}),
+                             str(tmp_path))
+    details = json.loads((tmp_path / "summary.json").read_text())["details"]
+    want = {p: v.item() if isinstance(v, np.generic) else v
+            for p, v in _leaves(summary["details"])}
+    got = dict(_leaves(details))
+    assert got.keys() == want.keys()
+    for path, v in got.items():
+        assert type(v) in (bool, int, float, str) and type(v) is type(want[path]), path
+    if name == "markov-sparsity":
+        assert type(details["zero_cells_at_lower_edge"]) is bool
+
+
 # values set alongside an edge so that the rules tying keys together hold
 COMPANIONS = {
     ("table1-lasso", "n_grid"): {"beta0": [1.0]},

@@ -5,6 +5,8 @@ import pytest
 
 from ebib.errors import CapabilityError, CapacityError, DomainError
 from ebib.marginal import (
+    _cluster_log_marginal,
+    _log_alloc_mass,
     log_marginal,
     markov_log_marginal,
     markov_log_marginal_factorials,
@@ -25,7 +27,8 @@ from ebib.models import (
     RegressionParams,
 )
 from ebib.samplers import orthogonal_design, simulate
-from helpers import gaussian_logpdf, m1_quadrature_log_marginal
+from helpers import (cluster_log_marginal_reference, gaussian_logpdf, log_alloc_mass_reference,
+                     m1_quadrature_log_marginal)
 from helpers import markov_log_marginal as markov_log_marginal_ref
 from helpers import markov_log_marginal_on_arrays, mixture_marginal_exact_one_lam
 
@@ -249,6 +252,31 @@ def test_m7_enumeration_on_a_grid_equals_one_walk_per_lam():
         assert mixture_marginal_exact(data, [grid[2]], fam) == [got[2]]
     with pytest.raises(DomainError):
         mixture_marginal_exact(data, [0.5, 0.0], fam)
+
+
+def test_cluster_marginal_equals_its_former_body():
+    # the shared rank-one kernel keeps the bits of the body it replaced, on
+    # Python numbers and on numpy scalars, and m = 0 still gives 0.0, not -0.0
+    g = np.random.default_rng(20)
+    for _ in range(400):
+        m = int(g.integers(0, 30))
+        S = float(g.normal(0.0, 3.0)) * math.sqrt(m)
+        Q = S * S / max(m, 1) + float(g.exponential(2.0)) * m
+        cv, lv = float(g.uniform(0.1, 5.0)), float(g.uniform(0.01, 10.0))
+        for args in ((m, S, Q, cv, lv), (np.int64(m), np.float64(S), np.float64(Q), cv, lv)):
+            got, want = _cluster_log_marginal(*args), cluster_log_marginal_reference(*args)
+            assert type(got) is type(want) and got.hex() == want.hex(), args
+
+
+def test_allocation_mass_equals_the_per_vector_sum():
+    # one row per count vector, each == the builtin sum over that vector
+    g = np.random.default_rng(21)
+    for K in range(2, 6):
+        for n in (1, 7, 40):
+            counts = g.multinomial(n, np.full(K, 1.0 / K), size=30)
+            for lam in (0.025, 0.3, 1.0, 7.3):
+                want = [log_alloc_mass_reference(vec, lam, n) for vec in counts.tolist()]
+                assert _log_alloc_mass(counts, lam, n).tolist() == want, (K, n, lam)
 
 
 def test_m7_enumeration_permutation_invariant():

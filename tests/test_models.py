@@ -496,8 +496,8 @@ def test_m2_posterior_active_set():
     fam = IndepNormalRegression(sigma2=1.0)
     data = simulate(fam, RegressionParams(beta=[1.0, 0.0], sigma2=1.0), 60, 0)
     post = fam.posterior(np.array([2.0, 0.0]), data)
-    assert isinstance(post.marginal(1), PointMassPosterior)
-    assert post.marginal(0).mean == pytest.approx(1.0, abs=0.1)
+    assert isinstance(post.marginals[1], PointMassPosterior)
+    assert post.marginals[0].mean == pytest.approx(1.0, abs=0.1)
 
 
 def test_m4_posterior_adds_counts():

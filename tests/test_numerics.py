@@ -496,8 +496,9 @@ def test_operands_pass_a_float64_array_through_with_float_parameters():
     assert got[0] is x and got[1:] == (0.5, 2.0, False)
     for bad in (0.0, -2.0):
         assert math.isnan(numerics._operands(x, 0.5, bad)[2])
+    # a float x takes the general path: three 1-element arrays
     got = numerics._operands(0.25, 0.5, 2.0)
-    assert got[0].tolist() == [0.25] and got[1:] == (0.5, 2.0, True)
+    assert [a.tolist() for a in got[:3]] == [[0.25], [0.5], [2.0]] and got[3] is True
 
 
 def test_degenerate_gaussian_posterior_is_nan_like_scipy():

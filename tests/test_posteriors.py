@@ -7,8 +7,6 @@ from ebib.posteriors import (
     GridPosterior,
     NormalInverseGammaPosterior,
     PointMassPosterior,
-    ProductPosterior,
-    SamplePosterior,
 )
 
 
@@ -47,19 +45,6 @@ def test_grid_posterior_rejects_bad_input():
         GridPosterior([0.0, 1.0], [1.0, -0.5])
     with pytest.raises(DomainError):
         GridPosterior([0.0, 1.0], [0.0, 0.0])
-
-
-def test_sample_posterior_ess():
-    draws = np.random.default_rng(1).normal(size=(1000, 1))
-    p = SamplePosterior(draws)
-    assert p.ess == pytest.approx(1000.0)
-    q = SamplePosterior(draws, weights=np.r_[np.ones(999), 1000.0])
-    assert q.ess < 5.0
-
-
-def test_product_posterior_marginal_access():
-    p = ProductPosterior(marginals=[GaussianPosterior(0, 1), PointMassPosterior(0)])
-    assert isinstance(p.marginal(1), PointMassPosterior)
 
 
 def test_nig_beta_marginal_is_normalized_student_t():

@@ -132,18 +132,27 @@ PUBLIC = {
 
 
 def _unused_definitions():
-    """Functions, methods and classes that src/ebib defines and nowhere uses:
-    a name counts as used wherever it appears as a name or an attribute in
-    code (not in an import), so the check errs toward passing."""
-    defined, used = {}, set()
+    """Functions, methods and classes that src/ebib defines and nowhere uses.
+    A method (a function in a class body) counts as used only where ebib reads
+    its name as an attribute (``x.name``), so a local variable or a module of
+    the same name does not use it; any other definition also counts as used
+    where its name appears bare.  Imports do not count."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, free, names, attributes = {}, set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {stmt for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for stmt in node.body if isinstance(stmt, functions)}
+        for node in ast.walk(tree):
+            if isinstance(node, (*functions, ast.ClassDef)):
                 defined.setdefault(node.name, f"{path.stem}.py:{node.lineno}")
+                if node not in methods:
+                    free.add(node.name)
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
+    used = attributes | (names & free)
     return {name: where for name, where in defined.items()
             if name not in used and not (name.startswith("__") and name.endswith("__"))}
 
