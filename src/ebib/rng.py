@@ -2,10 +2,10 @@
 
 Every stochastic routine in the package derives its generator from
 ``stream(base_seed, *keys)``.  Keys are either integers (e.g. a replication
-index) or short role strings (e.g. "gibbs-beta"); strings are mapped to
-stable 32-bit integers with CRC-32.  The resulting tuple feeds a
-``numpy.random.SeedSequence``, so independent keys give statistically
-independent, reproducible streams.
+index) or short role strings (e.g. "gibbs-beta"), or tuples of keys, which
+stand for their keys in order; strings are mapped to stable 32-bit integers
+with CRC-32.  The resulting tuple feeds a ``numpy.random.SeedSequence``, so
+independent keys give statistically independent, reproducible streams.
 
 ``streams(prefix, indices, suffix)`` builds many such generators at once,
 one per index: the generator ``stream(*prefix, i, *suffix)`` gives, draw for
@@ -48,9 +48,10 @@ def flatten(key) -> list:
     return [key]
 
 
-def stream(base_seed: int, *keys) -> np.random.Generator:
-    """Generator for the sub-stream identified by (base_seed, *keys)."""
-    entropy = [_key_to_int(base_seed)] + [_key_to_int(k) for k in keys]
+def stream(base_seed, *keys) -> np.random.Generator:
+    """Generator for the sub-stream identified by (base_seed, *keys); a
+    (nested) key tuple stands for its keys in order, as ``flatten`` gives them."""
+    entropy = [_key_to_int(k) for k in flatten((base_seed, *keys))]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

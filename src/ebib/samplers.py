@@ -76,28 +76,23 @@ def _chain(draws, names) -> ChainOutput:
 # data simulation
 
 
-def _stream(seed, *roles):
-    # seeds may be scalars or (nested) key tuples from a parent stream hierarchy
-    return rngmod.stream(*rngmod.flatten(seed), *roles)
-
-
 def uniform_design(n: int, d: int, seed):
     """n x d design with entries uniform on [-10, 10]."""
-    return _stream(seed, "design").uniform(-10.0, 10.0, size=(n, d))
+    return rngmod.stream(seed, "design").uniform(-10.0, 10.0, size=(n, d))
 
 
 def orthogonal_design(n: int, d: int, seed, scale: float = 1.0):
     """Design with exactly orthogonal columns, each of squared norm n*scale^2."""
     if d > n:
         raise DomainError("need n >= d for an orthogonal design")
-    g = _stream(seed, "design")
+    g = rngmod.stream(seed, "design")
     Q, _ = np.linalg.qr(g.normal(size=(n, d)))
     return Q * (scale * math.sqrt(n))
 
 
 def simulate(family, theta0, n: int, seed) -> Dataset:
     """Synthetic dataset from p_theta0 for any of the seven families."""
-    return family.simulate(theta0, n, _stream(seed, "data"), seed)
+    return family.simulate(theta0, n, rngmod.stream(seed, "data"), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,33 @@ def test_replicate_experiment_results_are_pinned(tmp_path, doc, sha256, summary_
         assert summary["details"]["em_converged_frac"] == sum(flags) / len(flags)
 
 
+def _refuse_to_draw(*args, **kwargs):
+    raise AssertionError("a verdict drew a random number")
+
+
+@pytest.mark.parametrize("doc", [d for d, _, _ in PINNED],
+                         ids=[d["experiment"] for d, _, _ in PINNED])
+def test_verdict_rejudges_the_rows_without_drawing(tmp_path, monkeypatch, doc):
+    # run_experiment writes the verdict of the experiment's rows; the same
+    # verdict, called again twice on those rows with every random source
+    # refusing, gives the written passed and details to the last digit
+    name = doc["experiment"]
+    func, defaults = EXPERIMENTS[name]
+    made = []
+    monkeypatch.setitem(EXPERIMENTS, name,
+                        (lambda cfg: made.append(func(cfg)) or made[-1], defaults))
+    run_experiment(validate_config(doc), str(tmp_path))
+    written = json.loads((tmp_path / "summary.json").read_text())
+    [(_, rows, verdict)] = made
+    for target in ("ebib.rng.stream", "ebib.rng.streams", "numpy.random.default_rng"):
+        monkeypatch.setattr(target, _refuse_to_draw)
+    for _ in range(2):
+        passed, details = verdict(rows)
+        assert bool(passed) is written["passed"]
+        assert (json.dumps(details, default=lambda v: v.item())
+                == json.dumps(written["details"]))
+
+
 # a small run of each experiment, into which the edge values below are set
 SMALL = {
     "fig1-densities": {"n": 25, "grid_points": 101},

@@ -35,6 +35,11 @@ def test_unsupported_key_type_rejected():
         rngmod.stream(0, 1.5)
 
 
+def test_nested_keys_give_the_draws_of_their_flat_form():
+    nested = rngmod.stream((3, ("rep", np.int64(2))), ((), "data"))
+    _assert_same_draws(nested, rngmod.stream(3, "rep", 2, "data"), "nested")
+
+
 def test_numpy_integer_keys_accepted():
     a = rngmod.stream(np.int64(5), np.int32(2)).normal(size=3)
     b = rngmod.stream(5, 2).normal(size=3)
