@@ -1,7 +1,7 @@
-"""Kullback-Leibler divergence KL(p_theta0 || m_lam) and its grid minimizer.
+"""Kullback-Leibler divergence KL(p_theta0 || m_lam) and its profile over a grid.
 
 Exact closed forms for the Gaussian families via low-rank identities, which
-the grid minimizer uses; Monte Carlo over replicate datasets as their check.
+the grid profile uses; Monte Carlo over replicate datasets as their check.
 
 The Monte Carlo estimate runs its replicates in blocks.  Replicate r draws
 from the stream keyed (*seed, "kl-rep", r, "data"), as ``samplers.simulate``
@@ -34,8 +34,6 @@ class KlProfile:
     lam_grid: list
     kl_values: np.ndarray
     stderrs: np.ndarray
-    minimizer: object
-    min_value: float
 
     def to_csv(self, path):
         rows = np.column_stack([
@@ -79,13 +77,9 @@ def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed):
 
 
 def kl_minimizer(family, theta0, n: int, lam_grid) -> KlProfile:
-    """Closed-form Gaussian KL profile over a hyperparameter grid, with its minimizer."""
+    """Closed-form Gaussian KL profile over a hyperparameter grid."""
     lam_grid = list(lam_grid)
     if not lam_grid:
         raise DomainError("empty grid")
     vals = np.array([kl_exact_gaussian(family, theta0, lam, n) for lam in lam_grid])
-    imin = int(np.argmin(vals))
-    return KlProfile(
-        lam_grid=lam_grid, kl_values=vals, stderrs=np.zeros(len(lam_grid)),
-        minimizer=lam_grid[imin], min_value=float(vals[imin]),
-    )
+    return KlProfile(lam_grid=lam_grid, kl_values=vals, stderrs=np.zeros(len(lam_grid)))

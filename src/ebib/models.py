@@ -3,9 +3,13 @@
 Each family bundles the evaluators used elsewhere: log-likelihood,
 hyperparameter-indexed log-prior and its gradient in the true parameter,
 limiting Fisher information, closed-form oracle hyperparameter where one
-exists, a posterior constructor, and the family-specific bodies behind the
-generic entry points: closed-form marginal, data simulation, exact KL to the
+exists, the posterior, and the family-specific bodies behind the generic
+entry points: closed-form marginal, data simulation, exact KL to the
 marginal, the predictive score moment and the plug-in hyperparameter.
+
+Posteriors are deterministic, like marginals: ``posterior`` returns the exact
+posterior (closed form, or a closed-form density on a grid) or raises
+``CapabilityError``, and Monte Carlo draws come from ``ebib.samplers``.
 
 Families
     M1  normal mean, known variance, N(0, lam) prior on the mean
@@ -34,17 +38,15 @@ from .errors import (
 )
 from .marginal import markov_log_marginal
 from .numerics import (log_gamma, low_rank_gaussian_logpdf, nelder_mead, norm_logcdf,
-                       norm_logpdf)
+                       norm_logpdf, norm_pdf)
 from .posteriors import (
     GaussianPosterior,
     GridPosterior,
     NormalInverseGammaPosterior,
     PointMassPosterior,
     ProductPosterior,
-    SamplePosterior,
 )
-from .samplers import (GibbsConfig, gibbs_gauss_mixture, gibbs_lasso, gibbs_mixture_weights,
-                       uniform_design)
+from .samplers import uniform_design
 
 _SIMPLEX_TOL = 1e-12
 
@@ -254,7 +256,8 @@ class ModelFamily:
         raise CapabilityError(f"{self.id}: Fisher information not supported")
 
     def posterior(self, lam, data: Dataset):
-        raise NotImplementedError
+        """The exact posterior object; draws come from the samplers."""
+        raise CapabilityError(f"{self.id}: no closed-form posterior")
 
     def mle(self, data: Dataset):
         raise CapabilityError(f"{self.id}: closed-form MLE not available")
@@ -872,17 +875,9 @@ class BayesLasso(ModelFamily):
         return GridPosterior(x, np.exp(logd))
 
     def posterior(self, lam, data):
-        if self.sigma_known:
-            try:
-                d = data.X.shape[1]
-                marginals = [self.coordinate_posterior(lam, data, j) for j in range(d)]
-                return ProductPosterior(marginals=marginals)
-            except CapabilityError:
-                pass
-        chain = gibbs_lasso(data, self.validate_hyperparam(lam),
-                            sigma2=self.sigma2, cfg=GibbsConfig())
-        d = data.X.shape[1]
-        return SamplePosterior(chain.draws[:, :d])
+        # CapabilityError where sigma2 is unknown or the design not orthogonal
+        return ProductPosterior(marginals=[self.coordinate_posterior(lam, data, j)
+                                           for j in range(data.X.shape[1])])
 
     def log_marginal(self, lam, data):
         lam = self.validate_hyperparam(lam)
@@ -921,13 +916,6 @@ class BayesLasso(ModelFamily):
 # M6, M7: Gaussian mixtures
 
 
-def _component_logpdf(y, t: MixtureParams):
-    """log N(y_i; mu_j, v_j) for each point i (rows) and component j (columns)."""
-    mu, v = t.means, t.variances
-    return (-0.5 * np.log(2.0 * np.pi * v)[None, :]
-            - 0.5 * (y[:, None] - mu[None, :]) ** 2 / v[None, :])
-
-
 class _GaussianMixture(ModelFamily):
     """The parameter check, likelihood and simulation shared by M6 and M7."""
 
@@ -942,7 +930,8 @@ class _GaussianMixture(ModelFamily):
         t = self._params(theta)
         w = t.weights
         lw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
-        m = _component_logpdf(np.atleast_1d(data.y), t) + lw[None, :]
+        # log N(y_i; mu_j, v_j) + log w_j, point i by row and component j by column
+        m = norm_logpdf(np.atleast_1d(data.y)[:, None], t.means, np.sqrt(t.variances)) + lw
         mx = m.max(axis=1, keepdims=True)
         return float(np.sum(mx[:, 0] + np.log(np.sum(np.exp(m - mx), axis=1))))
 
@@ -1012,7 +1001,7 @@ class GaussMixtureKnownK(_GaussianMixture):
         """Score of log f_theta(y) in the free coordinates, vectorized in y."""
         y = np.atleast_1d(np.asarray(y, float))
         w, mu, v = t.weights, t.means, t.variances
-        phi = np.exp(_component_logpdf(y, t))
+        phi = norm_pdf(y[:, None], mu, np.sqrt(v))
         f = phi @ w
         dw = (phi[:, : self.K - 1] - phi[:, self.K - 1 :]) / f[:, None]
         dmu = w[None, :] * phi * (y[:, None] - mu[None, :]) / v[None, :] / f[:, None]
@@ -1042,9 +1031,6 @@ class GaussMixtureKnownK(_GaussianMixture):
     def predictive_score_l1(self, theta0, w):
         y, S, f = self._score_grid(theta0, 10.0)
         return float(np.trapezoid(np.abs(S @ w) * f, y))
-
-    def posterior(self, lam, data):
-        return SamplePosterior(gibbs_gauss_mixture(data, self, lam, GibbsConfig()).draws)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,9 +1087,3 @@ class OverfittedMixture(_GaussianMixture):
     def oracle_hyperparameter(self, theta0):
         # boundary oracle for overfitted weights
         return 0.0
-
-    def posterior(self, lam, data):
-        chain = gibbs_mixture_weights(data, self.validate_hyperparam(lam), self,
-                                      GibbsConfig())
-        return SamplePosterior(chain.draws[:, : self.K])
-

@@ -1,9 +1,10 @@
 """Evaluable posterior representations.
 
-Four kinds are used across the package: closed-form 1-D Gaussians, point
-masses (degenerate boundary priors), grid densities and Monte Carlo sample
-sets.  Products of independent 1-D representations cover the regression
-families with orthogonal designs.
+Each is a deterministic object that evaluates the exact posterior and draws
+nothing (draws come from ``ebib.samplers``): closed-form 1-D Gaussians, point
+masses (degenerate boundary priors), closed-form densities on a grid and the
+conjugate M3 posterior.  Products of independent 1-D representations cover
+the regression families with orthogonal designs.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class GaussianPosterior:
     def ppf(self, q):
         return norm_ppf(q, self.mean, self.sd)
 
-    def sample(self, rng, size):
-        return rng.normal(self.mean, self.sd, size=size)
-
     def __repr__(self):
         return f"GaussianPosterior(mean={self.mean:.6g}, var={self.var:.6g})"
 
@@ -60,9 +58,6 @@ class PointMassPosterior:
 
     def ppf(self, q):
         return np.full(np.shape(q), self.location)
-
-    def sample(self, rng, size):
-        return np.full(size, self.location)
 
 
 class GridPosterior:
@@ -96,16 +91,6 @@ class GridPosterior:
 
     def ppf(self, q):
         return np.interp(q, self._cdf, self.x)
-
-    def sample(self, rng, size):
-        return self.ppf(rng.uniform(size=size))
-
-
-class SamplePosterior:
-    """Posterior represented by Monte Carlo draws, one row per draw."""
-
-    def __init__(self, draws):
-        self.draws = np.atleast_2d(np.asarray(draws, dtype=float))
 
 
 @dataclass

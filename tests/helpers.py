@@ -1,6 +1,6 @@
 """Shared test helpers: the references that library kernels are checked
 against (the dense Gaussian log-density, the recursive adaptive Simpson rule,
-a central-difference gradient, a Monte Carlo L1 distance, Gauss-Hermite
+a central-difference gradient, a dense-trapezoid L1 distance, Gauss-Hermite
 quadrature of the M1 marginal, the one-call-per-draw or one-call-per-
 coordinate forms of the M1 and M4 simulations and the M4 and M5 marginals,
 the array forms of the M4 marginal, the Normal kernels' operands and the
@@ -17,7 +17,6 @@ from scipy.linalg import solve_triangular
 from ebib.errors import AccuracyError, DomainError
 from ebib.marginal import _cluster_log_marginal
 from ebib.numerics import QUAD_ABS_TOL, QUAD_MAX_DEPTH, log_gamma, norm_logcdf
-from ebib.rng import stream
 
 
 def gaussian_logpdf(y, mean, cov) -> float:
@@ -87,16 +86,13 @@ def finite_diff_gradient(f, x, h: float = 1e-5):
     return grad
 
 
-def l1_distance_mc(p, q, draws: int = 20000, seed: int = 0) -> float:
-    """Monte Carlo L1 using the equal mixture of p and q as proposal."""
-    g = stream(seed, "l1-mc")
-    half = draws // 2
-    xs = np.concatenate([p.sample(g, half), q.sample(g, draws - half)])
-    fp, fq = p.pdf(xs), q.pdf(xs)
-    mix = 0.5 * (fp + fq)
-    ok = mix > 0
-    assert np.sum(ok) >= 100, "too few usable proposal draws"
-    return float(np.mean(np.abs(fp[ok] - fq[ok]) / mix[ok]))
+def l1_distance_trapezoid(p, q, points: int = 2_000_001) -> float:
+    """L1 distance of two Gaussian posteriors by a trapezoid of ``points``
+    abscissae spanning 10 sd either side of both means."""
+    lo = min(p.mean - 10.0 * p.sd, q.mean - 10.0 * q.sd)
+    hi = max(p.mean + 10.0 * p.sd, q.mean + 10.0 * q.sd)
+    x = np.linspace(lo, hi, points)
+    return float(np.trapezoid(np.abs(p.pdf(x) - q.pdf(x)), x))
 
 
 def m1_quadrature_log_marginal(family, lam, data) -> float:

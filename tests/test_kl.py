@@ -81,8 +81,9 @@ def test_kl_minimizer_converges_to_oracle_and_stays_positive():
     dist = []
     for n in (50, 500, 5000):
         prof = kl_minimizer(fam, 2.0, n, grid)
-        dist.append(abs(math.log(prof.minimizer) - math.log(4.0)))
-        assert prof.min_value > 0.1  # bounded below: the regular case
+        imin = int(np.argmin(prof.kl_values))
+        dist.append(abs(math.log(grid[imin]) - math.log(4.0)))
+        assert prof.kl_values[imin] > 0.1  # bounded below: the regular case
     step = math.log(grid[1]) - math.log(grid[0])
     assert dist[-1] <= step + 1e-12
     assert dist[0] >= dist[-1]
@@ -91,12 +92,13 @@ def test_kl_minimizer_converges_to_oracle_and_stays_positive():
 def test_kl_minimizer_singleton_grid():
     fam = NormalMean(sigma2=1.0)
     prof = kl_minimizer(fam, 2.0, 100, [4.0])
-    assert prof.minimizer == 4.0 and prof.min_value > 0
+    imin = int(np.argmin(prof.kl_values))
+    assert prof.lam_grid[imin] == 4.0 and prof.kl_values[imin] > 0
 
 
 def test_kl_profile_csv_contract(tmp_path):
     prof = KlProfile(lam_grid=[1.0, 2.0], kl_values=np.array([0.5, 0.2]),
-                     stderrs=np.array([0.0, 0.0]), minimizer=2.0, min_value=0.2)
+                     stderrs=np.array([0.0, 0.0]))
     path = tmp_path / "kl.csv"
     prof.to_csv(path)
     lines = path.read_text().strip().splitlines()

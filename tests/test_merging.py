@@ -26,7 +26,7 @@ from ebib.models import (
 from ebib.numerics import QUAD_MAX_DEPTH
 from ebib.posteriors import GaussianPosterior, PointMassPosterior
 from ebib.samplers import simulate
-from helpers import l1_distance_mc, recursive_simpson
+from helpers import l1_distance_trapezoid, recursive_simpson
 
 
 def test_delta_theta0_m1_checkpoint():
@@ -85,8 +85,7 @@ def test_l1_distance_of_nearly_equal_posteriors_matches_a_dense_trapezoid():
     # returns 2.69e-9, a 2,000,001-point trapezoid 4.913e-6
     p = GaussianPosterior(2.0095763556036426, 1.0012496133284021)
     q = GaussianPosterior(2.00957019415323, 1.0012496094970322)
-    x = np.linspace(p.mean - 10.0 * p.sd, p.mean + 10.0 * p.sd, 2_000_001)
-    dense = float(np.trapezoid(np.abs(p.pdf(x) - q.pdf(x)), x))
+    dense = l1_distance_trapezoid(p, q)
     assert dense == pytest.approx(4.913e-6, rel=1e-3)
     assert l1_distance(p, q) == pytest.approx(dense, rel=1e-3)
 
@@ -178,12 +177,10 @@ def test_l1_bounds_and_triangle_inequality():
         assert d02 <= d01 + d12 + 1e-9
 
 
-def test_l1_monte_carlo_agrees_with_quadrature():
+def test_l1_distance_agrees_with_a_dense_trapezoid():
     p = GaussianPosterior(0.0, 1.0)
     q = GaussianPosterior(0.8, 1.5)
-    exact = l1_distance(p, q)
-    mc = l1_distance_mc(p, q, draws=200000, seed=5)
-    assert mc == pytest.approx(exact, abs=0.01)
+    assert l1_distance(p, q) == pytest.approx(l1_distance_trapezoid(p, q), abs=1e-8)
 
 
 def test_predicted_l1_predictive_m1_closed_value():

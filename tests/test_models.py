@@ -14,6 +14,7 @@ from ebib.errors import (
 from ebib.models import (
     BayesLasso,
     Dataset,
+    DirichletRowsPosterior,
     GaussMixtureKnownK,
     GPriorParams,
     GPriorRegression,
@@ -27,7 +28,12 @@ from ebib.models import (
     load_dataset_csv,
 )
 from ebib.marginal import log_marginal
-from ebib.posteriors import PointMassPosterior
+from ebib.posteriors import (
+    GaussianPosterior,
+    NormalInverseGammaPosterior,
+    PointMassPosterior,
+    ProductPosterior,
+)
 from ebib import rng as rngmod
 from ebib.samplers import orthogonal_design, simulate
 from helpers import (finite_diff_gradient, lasso_log_marginal, markov_path,
@@ -553,6 +559,36 @@ def test_each_family_answers_log_marginal_or_raises_capability_error():
     assert answered[-1].sigma2 == 1.0
     with pytest.raises(CapabilityError):
         BayesLasso(sigma2=None).fisher_information(np.ones(3))
+
+
+def test_each_family_answers_posterior_or_raises_capability_error():
+    # a posterior, like a marginal, is deterministic: the exact posterior
+    # object, or CapabilityError where only a sampler can draw it
+    g = np.random.default_rng(7)
+    y = g.normal(size=12)
+    X = g.normal(size=(12, 3))
+    X -= X.mean(axis=0)
+    lasso = Dataset(y=y, X=orthogonal_design(12, 3, seed=7))
+    # (family, hyperparameter, small valid dataset, posterior type or None)
+    cases = [
+        (NormalMean(), 1.0, Dataset(y=y), GaussianPosterior),
+        (IndepNormalRegression(), [1.0, 0.5, 2.0], Dataset(y=y, X=X), ProductPosterior),
+        (GPriorRegression(V=np.eye(3)), 1.0, Dataset(y=y, X=X),
+         NormalInverseGammaPosterior),
+        (MarkovDirichlet(K=2), np.ones((2, 2)), Dataset(counts=[[3, 1], [2, 2]]),
+         DirichletRowsPosterior),
+        (BayesLasso(sigma2=1.0), 1.0, lasso, ProductPosterior),
+        (BayesLasso(sigma2=None), 1.0, lasso, None),
+        (BayesLasso(sigma2=1.0), 1.0, Dataset(y=y, X=X), None),  # non-orthogonal
+        (GaussMixtureKnownK(K=2), (0.0, 1.0, 1.0), Dataset(y=y), None),
+        (OverfittedMixture(K=2), 0.5, Dataset(y=y), None),
+    ]
+    for fam, lam, data, kind in cases:
+        if kind is None:
+            with pytest.raises(CapabilityError):
+                fam.posterior(lam, data)
+        else:
+            assert isinstance(fam.posterior(lam, data), kind), fam.id
 
 
 @pytest.mark.parametrize("n", [1, 2, 37, 300])

@@ -23,10 +23,9 @@ def test_gaussian_posterior_rejects_negative_variance():
         GaussianPosterior(0.0, -1.0)
 
 
-def test_point_mass_cdf_and_sampling():
+def test_point_mass_cdf():
     p = PointMassPosterior(2.0)
     assert p.cdf(1.9) == 0.0 and p.cdf(2.0) == 1.0
-    assert np.all(p.sample(np.random.default_rng(0), 4) == 2.0)
 
 
 def test_grid_posterior_normalizes_and_inverts():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ebib import rng as rngmod
 from ebib.errors import DomainError, SamplerError
 from ebib.marginal import _cluster_log_marginal
 from ebib.models import (
@@ -303,6 +304,43 @@ def test_gibbs_mixture_weights_bit_reproducible():
     assert np.array_equal(a.draws, b.draws)
 
 
+class _RecordingGenerator:
+    """Hands every call to the generator ``g`` and records the (loc, scale)
+    of each scalar ``normal`` draw in ``calls``."""
+
+    def __init__(self, g, calls):
+        self._g, self._calls = g, calls
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        if size is None:
+            self._calls.append((loc, scale))
+        return self._g.normal(loc, scale, size)
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+
+def test_gibbs_mixture_weights_location_scales_follow_the_counts(monkeypatch):
+    # the chain keeps weights and counts, not the locations; each sweep draws
+    # location j with sd sqrt(1 / (c_j / comp_var + 1 / loc_var)), where c_j
+    # is that sweep's retained count, and recording the draws changes none
+    fam = OverfittedMixture(K=3, comp_var=0.7, loc_mean=0.5, loc_var=2.5)
+    t0 = MixtureParams(weights=[0.5, 0.5], means=[-1.0, 1.5], variances=[1.0, 1.0])
+    data = simulate(OverfittedMixture(K=2), t0, 60, (7, "loc-scale"))
+    cfg = GibbsConfig(iters=300, burnin=50, seed=8)
+    plain = gibbs_mixture_weights(data, 0.5, fam, cfg)
+    calls = []
+    stream = rngmod.stream
+    monkeypatch.setattr(rngmod, "stream",
+                        lambda *key: _RecordingGenerator(stream(*key), calls))
+    chain = gibbs_mixture_weights(data, 0.5, fam, cfg)
+    assert np.array_equal(chain.draws, plain.draws)
+    scales = np.array([scale for _, scale in calls]).reshape(cfg.iters, fam.K)
+    counts = chain.draws[:, fam.K:]
+    want = np.sqrt(1.0 / (counts / fam.comp_var + 1.0 / fam.loc_var))
+    assert float(np.max(np.abs(scales[cfg.burnin:] - want))) == 0.0
+
+
 def test_gibbs_gauss_mixture_recovers_separated_components():
     fam = OverfittedMixture(K=2, comp_var=1.0)  # only for simulate dispatch
     t0 = MixtureParams(weights=[0.5, 0.5], means=[-4.0, 4.0], variances=[1.0, 1.0])
@@ -419,6 +457,18 @@ def test_gibbs_lasso_draws_are_pinned(sigma2):
     last, means = _LASSO_PINNED[sigma2]
     np.testing.assert_allclose(chain.draws[-1], last, rtol=1e-9, atol=0)
     np.testing.assert_allclose(chain.draws.mean(axis=0), means, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("sigma2, want", [(1.0, "6eea0eae5b87510a"),
+                                           (None, "ad99fc9db61cde64")],
+                         ids=["sigma2-fixed", "sigma2-sampled"])
+def test_gibbs_lasso_draws_are_digest_pinned(sigma2, want):
+    # d = 1 with X^tX = 1, so the solves are scalar and the pin is bitwise;
+    # the sampled case moves when the sigma2 shape changes
+    chain = gibbs_lasso(_orthonormal_lasso_data(), 1.0, sigma2=sigma2,
+                        cfg=GibbsConfig(iters=500, burnin=100, seed=3))
+    assert chain.draws.shape == (400, 2 if sigma2 else 3)
+    assert _digest(chain.draws) == want
 
 
 def test_gibbs_lasso_factorization_failure_is_a_sampler_error():

@@ -113,7 +113,6 @@ PUBLIC = {
     "logpdf": "GaussianPosterior's log-density, beside pdf",
     "beta_marginal": "a coefficient marginal of the M3 posterior",
     "sigma2_mean": "the posterior mean of the M3 noise variance",
-    "sample": "posterior draws, beside pdf, cdf and ppf",
     # README's CSV contracts
     "to_csv": "the KL profile, merging report and chain dump writers",
     "MergingReport": "the merging report rows",
@@ -128,6 +127,7 @@ PUBLIC = {
     # the north star's seven families, though no experiment runs M2 or M6
     "IndepNormalRegression": "the M2 family",
     "GaussMixtureKnownK": "the M6 family",
+    "gibbs_gauss_mixture": "README's M6 sampler, which draws that family's posterior",
 }
 
 
