@@ -1,7 +1,7 @@
 """Kullback-Leibler divergence KL(p_theta0 || m_lam) and its profile over a grid.
 
-Exact closed forms for the Gaussian families via low-rank identities, which
-the grid profile uses; Monte Carlo over replicate datasets as their check.
+The grid profile takes the Gaussian families' exact closed forms, their
+``kl_exact`` methods; Monte Carlo over replicate datasets is their check.
 
 The Monte Carlo estimate runs its replicates in blocks.  Replicate r draws
 from the stream keyed (*seed, "kl-rep", r, "data"), as ``samplers.simulate``
@@ -33,24 +33,15 @@ _BLOCK_ELEMENTS = 1 << 20
 class KlProfile:
     lam_grid: list
     kl_values: np.ndarray
-    stderrs: np.ndarray
 
     def to_csv(self, path):
         rows = np.column_stack([
             np.asarray([np.atleast_1d(v)[0] for v in self.lam_grid], float),
             self.kl_values,
-            self.stderrs,
+            np.zeros(len(self.lam_grid)),  # stderr: the profile is exact
         ])
         np.savetxt(path, rows, delimiter=",", header="lambda,kl,stderr",
                    comments="")
-
-
-def kl_exact_gaussian(family, theta0, lam, n: int, data=None) -> float:
-    """Closed-form KL between p_theta0 and the lam-marginal (Gaussian cases).
-
-    Regression families take their fixed design from ``data``.
-    """
-    return family.kl_exact(theta0, lam, n, data)
 
 
 def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed):
@@ -81,5 +72,5 @@ def kl_minimizer(family, theta0, n: int, lam_grid) -> KlProfile:
     lam_grid = list(lam_grid)
     if not lam_grid:
         raise DomainError("empty grid")
-    vals = np.array([kl_exact_gaussian(family, theta0, lam, n) for lam in lam_grid])
-    return KlProfile(lam_grid=lam_grid, kl_values=vals, stderrs=np.zeros(len(lam_grid)))
+    vals = np.array([family.kl_exact(theta0, lam, n) for lam in lam_grid])
+    return KlProfile(lam_grid=lam_grid, kl_values=vals)

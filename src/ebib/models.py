@@ -44,7 +44,6 @@ from .posteriors import (
     GridPosterior,
     NormalInverseGammaPosterior,
     PointMassPosterior,
-    ProductPosterior,
 )
 from .samplers import uniform_design
 
@@ -262,6 +261,9 @@ class ModelFamily:
     def mle(self, data: Dataset):
         raise CapabilityError(f"{self.id}: closed-form MLE not available")
 
+    def closed_form_mmle(self, data: Dataset) -> float:
+        raise CapabilityError(f"{self.id}: no closed-form MMLE")
+
     def log_marginal(self, lam, data: Dataset) -> float:
         """Closed-form log m_lam(y)."""
         raise CapabilityError(f"{self.id}: no closed-form marginal")
@@ -427,8 +429,7 @@ class IndepNormalRegression(ModelFamily):
             mean = cov @ (Xa.T @ y) / self.sigma2
             for k, j in enumerate(active):
                 marginals[j] = GaussianPosterior(mean[k], cov[k, k])
-        post = ProductPosterior(marginals=list(marginals))
-        return post
+        return tuple(marginals)
 
     def _active_set(self, tau2, X, v):
         """Over the columns a with tau2_a > 0, with D = diag(tau2_a), G = X_a^t X_a
@@ -689,7 +690,7 @@ class MarkovDirichlet(ModelFamily):
             grad[i] = (alpha[i, :-1] - 1.0) / P[i, :-1] - last
         return grad.ravel()
 
-    def oracle_hyperparameter(self, theta0, seed: int = 0):
+    def oracle_hyperparameter(self, theta0):
         """Row-wise box-constrained maximization of the Dirichlet log-density.
 
         The literal supremum over all concentrations is unattained (the density
@@ -700,7 +701,7 @@ class MarkovDirichlet(ModelFamily):
         lo, hi = self.BOX
         out = np.empty((self.K, self.K))
         for i in range(self.K):
-            out[i] = _maximize_dirichlet_row(P[i], lo, hi, seed=seed, row=i)
+            out[i] = _maximize_dirichlet_row(P[i], lo, hi, row=i)
         return out
 
     def posterior(self, lam, data):
@@ -751,7 +752,7 @@ def box_argmin(neg, lo, hi, g, maxiter, xatol):
     return best[1], iters, converged
 
 
-def _maximize_dirichlet_row(p, lo, hi, seed, row):
+def _maximize_dirichlet_row(p, lo, hi, row):
     """argmax over alpha in [lo, hi]^K of log Dirichlet(p; alpha).
 
     Zero-probability cells are pinned to the lower edge and the reduced
@@ -773,7 +774,7 @@ def _maximize_dirichlet_row(p, lo, hi, seed, row):
         except DomainError:
             return math.inf
 
-    g = rngmod.stream(seed, "dirichlet-row-oracle", row)
+    g = rngmod.stream(0, "dirichlet-row-oracle", row)
     out[pos] = box_argmin(neg, np.full(m, lo), np.full(m, hi), g, 4000, 1e-10)[0]
     return out
 
@@ -876,8 +877,7 @@ class BayesLasso(ModelFamily):
 
     def posterior(self, lam, data):
         # CapabilityError where sigma2 is unknown or the design not orthogonal
-        return ProductPosterior(marginals=[self.coordinate_posterior(lam, data, j)
-                                           for j in range(data.X.shape[1])])
+        return tuple(self.coordinate_posterior(lam, data, j) for j in range(data.X.shape[1]))
 
     def log_marginal(self, lam, data):
         lam = self.validate_hyperparam(lam)

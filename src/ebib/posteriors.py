@@ -3,14 +3,12 @@
 Each is a deterministic object that evaluates the exact posterior and draws
 nothing (draws come from ``ebib.samplers``): closed-form 1-D Gaussians, point
 masses (degenerate boundary priors), closed-form densities on a grid and the
-conjugate M3 posterior.  Products of independent 1-D representations cover
-the regression families with orthogonal designs.
+conjugate M3 posterior.  M2 and M5 return a tuple, one per coefficient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,13 +89,6 @@ class GridPosterior:
 
     def ppf(self, q):
         return np.interp(q, self._cdf, self.x)
-
-
-@dataclass
-class ProductPosterior:
-    """Product of independent 1-D posterior representations."""
-
-    marginals: list = field(default_factory=list)
 
 
 class NormalInverseGammaPosterior:

@@ -21,9 +21,9 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    iters: int = 6000
-    burnin: int = 1000
-    seed: int = 0
+    iters: int
+    burnin: int
+    seed: int
 
     def __post_init__(self):
         if not self.iters > self.burnin >= 0:

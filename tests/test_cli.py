@@ -379,6 +379,17 @@ def test_shipped_configs_cover_all_experiments_and_validate():
     assert names == set(EXPERIMENTS)
 
 
+def test_shipped_configs_equal_the_experiment_defaults():
+    # perfbench runs the files while `ebib run` fills in the EXPERIMENTS
+    # defaults, so the two must name the same run
+    import pathlib
+
+    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    for name in EXPERIMENTS:
+        doc = json.loads((cfg_dir / f"{name}.json").read_text())
+        assert doc == {"experiment": name, **EXPERIMENTS[name][1]}, name
+
+
 def _scipy_modules(code, *args):
     """Names of the scipy modules loaded by ``code`` in a fresh interpreter,
     which must end by printing them as a JSON list."""

@@ -6,14 +6,14 @@ import pytest
 from ebib import kl as klmod
 from ebib import rng as rngmod
 from ebib.errors import CapabilityError, DomainError
-from ebib.kl import KlProfile, kl_exact_gaussian, kl_minimizer, kl_monte_carlo
+from ebib.kl import KlProfile, kl_minimizer, kl_monte_carlo
 from ebib.models import IndepNormalRegression, NormalMean, RegressionParams
 from ebib.samplers import simulate
 
 
 def test_m1_exact_kl_against_monte_carlo_oracle():
     fam = NormalMean(sigma2=1.0)
-    exact = kl_exact_gaussian(fam, 2.0, 4.0, 50)
+    exact = fam.kl_exact(2.0, 4.0, 50)
     est, se = kl_monte_carlo(fam, 2.0, 4.0, 50, reps=4000, seed=17)
     assert abs(est - exact) <= 3.0 * se
 
@@ -24,7 +24,7 @@ def test_m1_exact_kl_nonnegative_and_zero_structure():
     for t0 in (0.0, 0.7, 2.0):
         for lam in (0.1, 1.0, 4.0, 25.0):
             for n in (5, 50, 500):
-                assert kl_exact_gaussian(fam, t0, lam, n) >= 0.0
+                assert fam.kl_exact(t0, lam, n) >= 0.0
 
 
 def test_m2_exact_kl_matches_monte_carlo():
@@ -32,7 +32,7 @@ def test_m2_exact_kl_matches_monte_carlo():
     theta0 = RegressionParams(beta=np.array([0.8, -0.4]), sigma2=1.0)
     data = simulate(fam, theta0, 40, 23)
     tau2 = np.array([1.0, 0.5])
-    exact = kl_exact_gaussian(fam, theta0, tau2, 40, data=data)
+    exact = fam.kl_exact(theta0, tau2, 40, data)
     # direct Monte Carlo with the same fixed design
     from ebib.marginal import log_marginal
     from ebib.models import Dataset
@@ -54,14 +54,14 @@ def test_kl_monte_carlo_matches_exact_five_settings():
     settings = [(2.0, 4.0, 30), (2.0, 1.0, 60), (0.5, 0.5, 100),
                 (1.0, 9.0, 25), (3.0, 2.0, 80)]
     for i, (t0, lam, n) in enumerate(settings):
-        exact = kl_exact_gaussian(fam, t0, lam, n)
+        exact = fam.kl_exact(t0, lam, n)
         est, se = kl_monte_carlo(fam, t0, lam, n, reps=1500, seed=100 + i)
         assert abs(est - exact) <= 3.0 * se
 
 
 def test_kl_ordering_oracle_vs_far():
     fam = NormalMean(sigma2=1.0)
-    vals = {lam: kl_exact_gaussian(fam, 2.0, lam, 200) for lam in (0.5, 4.0, 20.0)}
+    vals = {lam: fam.kl_exact(2.0, lam, 200) for lam in (0.5, 4.0, 20.0)}
     assert vals[4.0] < vals[0.5]
     assert vals[4.0] < vals[20.0]
 
@@ -69,7 +69,7 @@ def test_kl_ordering_oracle_vs_far():
 def test_kl_unimodal_on_grid():
     fam = NormalMean(sigma2=1.0)
     grid = np.geomspace(0.2, 50.0, 120)
-    vals = np.array([kl_exact_gaussian(fam, 2.0, lam, 500) for lam in grid])
+    vals = np.array([fam.kl_exact(2.0, lam, 500) for lam in grid])
     imin = int(np.argmin(vals))
     assert np.all(np.diff(vals[: imin + 1]) < 0)
     assert np.all(np.diff(vals[imin:]) > 0)
@@ -97,13 +97,15 @@ def test_kl_minimizer_singleton_grid():
 
 
 def test_kl_profile_csv_contract(tmp_path):
-    prof = KlProfile(lam_grid=[1.0, 2.0], kl_values=np.array([0.5, 0.2]),
-                     stderrs=np.array([0.0, 0.0]))
+    prof = KlProfile(lam_grid=[1.0, 2.0], kl_values=np.array([0.5, 0.2]))
     path = tmp_path / "kl.csv"
     prof.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "lambda,kl,stderr"
     assert len(lines) == 3
+    # the profile is exact, so its stderr column is 0
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [
+        [1.0, 0.5, 0.0], [2.0, 0.2, 0.0]]
 
 
 def test_kl_input_validation():
@@ -115,7 +117,7 @@ def test_kl_input_validation():
     from ebib.models import MarkovDirichlet
 
     with pytest.raises(CapabilityError):
-        kl_exact_gaussian(MarkovDirichlet(K=2), None, np.ones((2, 2)), 10)
+        MarkovDirichlet(K=2).kl_exact(None, np.ones((2, 2)), 10)
 
 
 # (sigma2, theta0, lam, n, reps, seed, estimate, std error) as float.hex,

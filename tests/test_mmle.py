@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ebib import marginal
+from ebib import mmle as mmlemod
 from ebib.errors import DomainError, InsufficientDataError
 from ebib.marginal import log_marginal
 from ebib.mmle import (
@@ -23,7 +24,7 @@ from ebib.models import (
     NormalMean,
     RegressionParams,
 )
-from ebib.samplers import GibbsConfig, orthogonal_design, simulate
+from ebib.samplers import ChainOutput, GibbsConfig, orthogonal_design, simulate
 
 
 def test_restricted_domain_invariants():
@@ -195,10 +196,37 @@ def test_lasso_em_matches_grid_mmle_d1():
     assert em.lam == pytest.approx(grid_lam, abs=0.05)
 
 
+def test_lasso_em_stops_after_three_calm_steps(monkeypatch):
+    # the M-step maps the mean tau2 draws to sqrt(2 d / sum_j E[tau2_j]), so
+    # draws of mean 2 / lam^2 in every coordinate move the rate to lam: one
+    # relative move of 1.1e-3, then three of about 9e-4, below the 1e-3 rule
+    d = 2
+    lams = [1.0011, 1.0002, 1.0011, 1.0002, 7.0]
+    calls = []
+
+    def fixed_draws(data, lam, sigma2, cfg):
+        tau2 = 2.0 / lams[len(calls)] ** 2
+        calls.append((lam, cfg.iters, cfg.burnin))
+        # two retained sweeps whose mean is tau2 in every coordinate
+        draws = np.zeros((2, 2 * d + 1))
+        draws[:, d:2 * d] = [[0.5 * tau2], [1.5 * tau2]]
+        return ChainOutput(draws=draws, names=())
+
+    monkeypatch.setattr(mmlemod, "gibbs_lasso", fixed_draws)
+    data = Dataset(y=np.zeros(4), X=np.eye(4)[:, :d])
+    res = lasso_mmle_em(data, init_lam=1.0,
+                        gibbs_cfg=GibbsConfig(iters=30, burnin=10, seed=3), em_steps=30)
+    assert res.converged and res.iterations == 4
+    assert res.lam == pytest.approx(1.0002, rel=1e-12)
+    assert [c[0] for c in calls] == pytest.approx([1.0] + lams[:3], rel=1e-12)
+    assert {c[1:] for c in calls} == {(30, 10)}
+
+
 def test_lasso_em_rejects_bad_init():
     data = Dataset(y=np.zeros(4), X=np.eye(4))
     with pytest.raises(DomainError):
-        lasso_mmle_em(data, init_lam=0.0, gibbs_cfg=GibbsConfig())
+        lasso_mmle_em(data, init_lam=0.0,
+                      gibbs_cfg=GibbsConfig(iters=20, burnin=5, seed=0))
 
 
 def test_mmle_result_objective_consistent():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.stats import dirichlet as sp_dirichlet
-from scipy.stats import invgamma, norm
+from scipy.stats import invgamma, laplace, norm
 
 from ebib.errors import (
     CapabilityError,
@@ -32,7 +32,6 @@ from ebib.posteriors import (
     GaussianPosterior,
     NormalInverseGammaPosterior,
     PointMassPosterior,
-    ProductPosterior,
 )
 from ebib import rng as rngmod
 from ebib.samplers import orthogonal_design, simulate
@@ -222,6 +221,71 @@ def test_m4_loglik_zero_counts_and_impossible_transition():
     P = np.array([[0.5, 0.5], [1.0, 0.0]])
     assert fam.log_likelihood(P, Dataset(counts=np.zeros((2, 2)))) == 0.0
     assert fam.log_likelihood(P, Dataset(counts=[[0, 0], [0, 1]])) == -math.inf
+
+
+def test_m4_loglik_sums_the_path_transition_log_probabilities():
+    # sum over cells of c log P, against the path's own transitions; row 0
+    # has a zero cell, which the path never takes
+    g = np.random.default_rng(16)
+    P = _random_transition(g, 3, zeros=1)
+    path, counts = markov_path(P, 200, g)
+    want = math.fsum(math.log(P[a, b]) for a, b in zip(path[:-1], path[1:]))
+    got = MarkovDirichlet(K=3).log_likelihood(P, Dataset(counts=counts))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_m5_log_prior_with_unknown_sigma2_adds_the_stated_1_over_sigma2_prior():
+    # each coefficient Laplace(0, sigma/lam); sigma2 unknown adds log(1/sigma2)
+    beta = np.array([0.4, -1.1, 2.0])
+    for lam, s2 in ((0.7, 0.6), (2.5, 1.9)):
+        want = float(np.sum(laplace.logpdf(beta, scale=math.sqrt(s2) / lam)))
+        got = BayesLasso(sigma2=s2).log_prior(beta, lam)
+        assert got == pytest.approx(want, rel=1e-12)
+        got = BayesLasso(sigma2=None).log_prior(RegressionParams(beta, s2), lam)
+        assert got == pytest.approx(want - math.log(s2), rel=1e-12)
+
+
+def test_m3_plug_in_uses_the_empirical_gram_matrix():
+    X, beta, e = _regression_data(17, n=40, d=4)
+    X = X - X.mean(axis=0)
+    y = 0.3 + X @ beta + e
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(40), X]), y, rcond=None)
+    fit = X @ coef[1:]
+    s2 = float(np.sum((y - coef[0] - fit) ** 2)) / 40
+    want = float(fit @ fit) / 40 / (s2 * (4 - 2))
+    # the design limit V is the oracle's; the plug-in reads X^t X / n instead
+    fam = GPriorRegression(V=np.eye(4) * 123.0)
+    data = Dataset(y=y, X=X)
+    assert fam.pseudo_hyperparameter(data) == pytest.approx(want, rel=1e-10)
+    assert fam.oracle_hyperparameter(fam.mle(data)) != pytest.approx(want, rel=1e-3)
+
+
+def _dense_gaussian_kl(m0, S0, m1, S1) -> float:
+    """KL(N(m0, S0) || N(m1, S1)) from the dense matrices."""
+    r = m1 - m0
+    return 0.5 * (float(np.trace(np.linalg.solve(S1, S0))) - m0.size
+                  + float(r @ np.linalg.solve(S1, r))
+                  + np.linalg.slogdet(S1)[1] - np.linalg.slogdet(S0)[1])
+
+
+def test_m2_mle_and_the_all_boundary_marginal_and_kl():
+    X, beta, e = _regression_data(18)
+    y = X @ beta + e
+    data = Dataset(y=y, X=X)
+    fam = IndepNormalRegression(sigma2=1.7)
+    mle = fam.mle(data)
+    assert np.allclose(mle.beta, np.linalg.solve(X.T @ X, X.T @ y), rtol=1e-10, atol=0)
+    assert mle.sigma2 == 1.7
+    # every tau2 at 0: the prior is a point mass at 0 and m_lam = N(0, s2 I)
+    zero = np.zeros(3)
+    assert all(isinstance(p, PointMassPosterior) for p in fam.posterior(zero, data))
+    want = float(np.sum(norm.logpdf(y, 0.0, math.sqrt(1.7))))
+    assert log_marginal(fam, zero, data) == pytest.approx(want, rel=1e-12)
+    S0 = 1.7 * np.eye(25)
+    for tau2 in (zero, np.array([0.8, 0.0, 2.0])):
+        want = _dense_gaussian_kl(X @ beta, S0, np.zeros(25), S0 + X @ np.diag(tau2) @ X.T)
+        got = fam.kl_exact(RegressionParams(beta, 1.7), tau2, 25, data)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_m6_log_prior_matches_term_by_term_oracle():
@@ -420,7 +484,7 @@ def test_m7_oracle_is_boundary_zero():
 def test_m4_oracle_zero_probability_columns_hit_lower_edge():
     fam = MarkovDirichlet(K=2)
     P = np.array([[1.0, 0.0], [0.6, 0.4]])
-    alpha = fam.oracle_hyperparameter(P, seed=0)
+    alpha = fam.oracle_hyperparameter(P)
     lo, hi = fam.BOX
     assert alpha[0, 1] == pytest.approx(lo, abs=1e-9)
 
@@ -502,8 +566,8 @@ def test_m2_posterior_active_set():
     fam = IndepNormalRegression(sigma2=1.0)
     data = simulate(fam, RegressionParams(beta=[1.0, 0.0], sigma2=1.0), 60, 0)
     post = fam.posterior(np.array([2.0, 0.0]), data)
-    assert isinstance(post.marginals[1], PointMassPosterior)
-    assert post.marginals[0].mean == pytest.approx(1.0, abs=0.1)
+    assert isinstance(post[1], PointMassPosterior)
+    assert post[0].mean == pytest.approx(1.0, abs=0.1)
 
 
 def test_m4_posterior_adds_counts():
@@ -557,6 +621,16 @@ def test_each_family_answers_log_marginal_or_raises_capability_error():
     assert [f.id for f in answered] == ["M1", "M2", "M3", "M4", "M5"]
     # the LASSO marginal is closed-form with sigma2 known only
     assert answered[-1].sigma2 == 1.0
+    # as does the closed-form MMLE, which M1 and M3 have
+    closed = []
+    for fam, _, data in cases:
+        try:
+            val = fam.closed_form_mmle(data)
+        except CapabilityError:
+            continue
+        assert isinstance(val, float) and val >= 0.0, fam.id
+        closed.append(fam.id)
+    assert closed == ["M1", "M3"]
     with pytest.raises(CapabilityError):
         BayesLasso(sigma2=None).fisher_information(np.ones(3))
 
@@ -572,12 +646,12 @@ def test_each_family_answers_posterior_or_raises_capability_error():
     # (family, hyperparameter, small valid dataset, posterior type or None)
     cases = [
         (NormalMean(), 1.0, Dataset(y=y), GaussianPosterior),
-        (IndepNormalRegression(), [1.0, 0.5, 2.0], Dataset(y=y, X=X), ProductPosterior),
+        (IndepNormalRegression(), [1.0, 0.5, 2.0], Dataset(y=y, X=X), tuple),
         (GPriorRegression(V=np.eye(3)), 1.0, Dataset(y=y, X=X),
          NormalInverseGammaPosterior),
         (MarkovDirichlet(K=2), np.ones((2, 2)), Dataset(counts=[[3, 1], [2, 2]]),
          DirichletRowsPosterior),
-        (BayesLasso(sigma2=1.0), 1.0, lasso, ProductPosterior),
+        (BayesLasso(sigma2=1.0), 1.0, lasso, tuple),
         (BayesLasso(sigma2=None), 1.0, lasso, None),
         (BayesLasso(sigma2=1.0), 1.0, Dataset(y=y, X=X), None),  # non-orthogonal
         (GaussMixtureKnownK(K=2), (0.0, 1.0, 1.0), Dataset(y=y), None),

@@ -39,7 +39,10 @@ from ebib.samplers import (
 
 def test_gibbs_config_validation():
     with pytest.raises(DomainError):
-        GibbsConfig(iters=10, burnin=10)
+        GibbsConfig(iters=10, burnin=10, seed=0)
+    # a chain's size and seed are always its caller's
+    with pytest.raises(TypeError):
+        GibbsConfig()
 
 
 def test_simulate_empty_dataset():

@@ -8,7 +8,9 @@ functions stay allowed: they keep ``import ebib.cli`` free of scipy.
 The model families of ``models.py`` are read the same way: a capability is a
 method that answers or raises ``CapabilityError``, never a class-level flag.
 And every function, method and class that ebib defines is used by ebib
-itself, or is public API named in ``PUBLIC``.
+itself, or is public API named in ``PUBLIC``; no module-level function only
+forwards its arguments to a method of its first one, except those named in
+``FORWARDERS``.
 """
 
 import ast
@@ -162,3 +164,37 @@ def test_every_definition_is_used_or_public():
     assert {k: v for k, v in unused.items() if k not in PUBLIC} == {}
     # an entry for a name that ebib uses or no longer defines is stale
     assert set(PUBLIC) == set(unused)
+
+
+# module-level functions that only call a method of their first parameter,
+# kept as they are
+FORWARDERS = {
+    "marginal.log_marginal": "perfbench's tracer self-test asserts that this "
+                             "binding is patched in cli, kl and mmle",
+}
+
+
+def _forwards(fn):
+    """Whether ``fn`` is ``return a.method(b, c, ...)`` (after any docstring)
+    for its parameters a, b, c, ... passed through unchanged."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not params:
+        return False
+    call = body[0].value
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == params[0]):
+        return False
+    passed = list(call.args) + [k.value for k in call.keywords]
+    return (all(isinstance(v, ast.Name) for v in passed)
+            and sorted(v.id for v in passed) == sorted(params[1:]))
+
+
+def test_no_function_only_forwards_to_a_method_of_its_first_argument():
+    found = {f"{path.stem}.{node.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.parse(path.read_text(), str(path)).body
+             if isinstance(node, ast.FunctionDef) and _forwards(node)}
+    assert found - set(FORWARDERS) == set()
+    # an entry for a function that no longer forwards is stale
+    assert set(FORWARDERS) == found
