@@ -440,15 +440,15 @@ _LASSO_RATE = (_SQUARE_POSITIVE, _SQUARE_FINITE, "[]")
 # of geometric grids.  A subnormal value has lost precision and its reciprocal
 # overflows (a merging-rates L1 quadrature at sigma2 = 5e-324 ran past 40 s).
 _POSITIVE = (sys.float_info.min, math.inf, "[)")
-_COUNT, _INDEX = (1, math.inf, "[)"), (0, math.inf, "[)")
-# A size: the length of an array of float64 values, and a count that the
-# experiments also compute with as a float (sigma2 / n, log log n), which is
-# exact up to 2**53.  An array whose length is a product of sizes holds at
-# most MAX_ELEMENTS values (_check_values): 2**59 float64 values take 2**62
-# bytes, a byte count numpy can still express, while a shape of 2**63 bytes
-# or more it refuses with an "array is too big" ValueError (mmle-consistency
-# n_grid [2**62] ended in that traceback).  An array within these bounds that
-# does not fit in memory raises MemoryError, which `main` maps to exit 3.
+_INDEX = (0, math.inf, "[)")
+# A size: the length of an array of float64 values, a loop count (seeds,
+# em_steps, mc_configs; no run time is promised), and a count used as a float
+# (sigma2 / n, log log n), exact up to 2**53.  An array whose length is a
+# product of sizes holds at most MAX_ELEMENTS values (_check_values): 2**59
+# float64 values take 2**62 bytes, which numpy can express, while a shape of
+# 2**63 bytes or more it refuses ("array is too big": mmle-consistency n_grid
+# [2**62] ended in that ValueError's traceback).  An array within these bounds
+# that does not fit in memory raises MemoryError, which `main` maps to exit 3.
 MAX_SIZE, MAX_ELEMENTS = 2**53, 2**59
 _SIZE = (1, MAX_SIZE, "[]")
 
@@ -457,8 +457,8 @@ _SIZE = (1, MAX_SIZE, "[]")
 # be in range.  An (experiment, key) entry overrides the shared key, and None
 # marks a key with no bound.  Rules that tie keys together are in _check_values.
 BOUNDS = {
-    "n": _SIZE, "seeds": _COUNT, "grid_points": _SIZE, "lam_points": _SIZE,
-    "em_steps": _COUNT, "gibbs_iters": _SIZE, "mc_configs": _COUNT, "n_grid": _SIZE,
+    "n": _SIZE, "seeds": _SIZE, "grid_points": _SIZE, "lam_points": _SIZE,
+    "em_steps": _SIZE, "gibbs_iters": _SIZE, "mc_configs": _SIZE, "n_grid": _SIZE,
     "seed_base": _INDEX, "coords": _INDEX, "gibbs_burnin": _INDEX,
     "sigma2": _POSITIVE, "comp_var": _POSITIVE, "loc_var": _POSITIVE, "lambdas": _POSITIVE,
     "lam_pair": _POSITIVE, "lam_lo": _POSITIVE, "lam_hi": _POSITIVE, "lam_ref": _POSITIVE,

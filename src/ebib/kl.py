@@ -1,7 +1,7 @@
 """Kullback-Leibler divergence KL(p_theta0 || m_lam) and its profile over a grid.
 
-The grid profile takes the Gaussian families' exact closed forms, their
-``kl_exact`` methods; Monte Carlo over replicate datasets is their check.
+The grid profile takes M1's exact closed form ``kl_exact`` (M2's needs the
+design, which the profile does not take); Monte Carlo over replicates checks it.
 
 The Monte Carlo estimate runs its replicates in blocks.  Replicate r draws
 from the stream keyed (*seed, "kl-rep", r, "data"), as ``samplers.simulate``

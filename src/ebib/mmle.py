@@ -137,7 +137,7 @@ def mmle_continuous(family, data: Dataset, lo, hi,
 def _mmle_m4(family, data, lo, hi, seed):
     """Row-wise Nelder-Mead: Dirichlet rows enter the marginal independently."""
     K = family.K
-    counts = data.counts
+    counts = family.transition_counts(data)
     alpha_hat = np.empty((K, K))
     total_iters = 0
     conv = True

@@ -414,48 +414,39 @@ class IndepNormalRegression(ModelFamily):
         beta, *_ = np.linalg.lstsq(data.X, data.y, rcond=None)
         return RegressionParams(beta=beta, sigma2=self.sigma2)
 
-    def posterior(self, lam, data):
+    def _active_set(self, lam, X, v):
+        """The fit of the response v over the columns a with tau2_a > 0, where
+        tau2 = lam has one entry per column of X.  With D = diag(tau2_a),
+        G = X_a^t X_a, M = G + s2 D^-1 and b = X_a^t v: the columns a, M^-1 b,
+        M^-1, (v^t v - b^t M^-1 b) / s2, log det(I + G D / s2) and G.  For
+        v = y, M^-1 b and s2 M^-1 are the posterior mean and covariance of beta_a;
+        with no active column every matrix is 0 x 0."""
         tau2 = self.validate_hyperparam(lam, allow_boundary=True)
-        X, y = data.X, data.y
-        d = X.shape[1]
-        if tau2.size != d:
+        if tau2.size != X.shape[1]:
             raise DomainError("tau2 length must match design columns")
-        active = np.flatnonzero(tau2 > 0)
-        marginals = [PointMassPosterior(0.0)] * d
-        if active.size:
-            Xa = X[:, active]
-            prec = Xa.T @ Xa / self.sigma2 + np.diag(1.0 / tau2[active])
-            cov = np.linalg.inv(prec)
-            mean = cov @ (Xa.T @ y) / self.sigma2
-            for k, j in enumerate(active):
-                marginals[j] = GaussianPosterior(mean[k], cov[k, k])
-        return tuple(marginals)
-
-    def _active_set(self, tau2, X, v):
-        """Over the columns a with tau2_a > 0, with D = diag(tau2_a), G = X_a^t X_a
-        and M = G + s2 D^-1: (v^t v - b^t M^-1 b) / s2 for b = X_a^t v,
-        log det(I + G D / s2), G and M; None when no column is active."""
         s2 = self.sigma2
         active = np.flatnonzero(tau2 > 0)
-        if active.size == 0:
-            return None
         Xa, Da = X[:, active], tau2[active]
         G = Xa.T @ Xa
-        M = G + s2 * np.diag(1.0 / Da)
+        Minv = np.linalg.inv(G + s2 * np.diag(1.0 / Da))
         b = Xa.T @ v
-        quad = (float(v @ v) - float(b @ np.linalg.solve(M, b))) / s2
+        mean = Minv @ b
+        quad = (float(v @ v) - float(b @ mean)) / s2
         sign, logdet = np.linalg.slogdet(np.eye(active.size) + (G * Da[None, :]) / s2)
         if sign <= 0:
             raise DomainError("marginal covariance not positive definite")
-        return quad, logdet, G, M
+        return active, mean, Minv, quad, logdet, G
+
+    def posterior(self, lam, data):
+        active, mean, Minv, *_ = self._active_set(lam, data.X, data.y)
+        marginals = [PointMassPosterior(0.0)] * data.X.shape[1]
+        for k, j in enumerate(active):
+            marginals[j] = GaussianPosterior(mean[k], self.sigma2 * Minv[k, k])
+        return tuple(marginals)
 
     def log_marginal(self, lam, data):
-        tau2 = self.validate_hyperparam(lam, allow_boundary=True)
-        y, n, s2 = data.y, data.n, self.sigma2
-        terms = self._active_set(tau2, data.X, y)
-        if terms is None:
-            return -0.5 * (n * math.log(2.0 * math.pi * s2) + float(y @ y) / s2)
-        quad, logdet, _, _ = terms
+        *_, quad, logdet, _ = self._active_set(lam, data.X, data.y)
+        n, s2 = data.n, self.sigma2
         return -0.5 * (n * math.log(2.0 * math.pi) + (n * math.log(s2) + logdet) + quad)
 
     def simulate(self, theta0, n, g, seed):
@@ -464,17 +455,13 @@ class IndepNormalRegression(ModelFamily):
     def kl_exact(self, theta0, lam, n, data=None):
         """KL(N(X beta0, s2 I) || N(0, s2 I + X D X^t)) via d-dimensional identities.
 
-        The design is fixed, so ``data`` must carry ``X``; ``n`` is its row count.
+        The design is fixed, so ``data`` must carry ``X`` and ``n`` is its row count.
         """
-        if data is None:
-            raise DomainError("M2 exact KL needs the design in data.X")
-        tau2 = self.validate_hyperparam(lam, allow_boundary=True)
-        mu = data.X @ self._beta(theta0)
-        terms = self._active_set(tau2, data.X, mu)
-        if terms is None:
-            return 0.5 * float(mu @ mu) / self.sigma2
-        quad, logdet, G, M = terms
-        return 0.5 * (-float(np.trace(np.linalg.solve(M, G))) + quad + logdet)
+        X = None if data is None else data.X
+        if X is None or n != X.shape[0]:
+            raise DomainError("M2 exact KL needs the design in data.X, with n its row count")
+        _, _, Minv, quad, logdet, G = self._active_set(lam, X, X @ self._beta(theta0))
+        return 0.5 * (-float(np.sum(Minv * G)) + quad + logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +556,11 @@ class GPriorRegression(ModelFamily):
 
     @staticmethod
     def suff_stats(data: Dataset):
-        """(SSR, SSE, beta_hat) for the centered-design decomposition."""
+        """(SSR, SSE, beta_hat) for the centered-design decomposition, which
+        needs n > d + 1 rows: at least one residual degree of freedom."""
         X, y = data.X, data.y
+        if data.n <= X.shape[1] + 1:
+            raise InsufficientDataError("the g-prior fit needs n > d + 1 rows")
         GPriorRegression._check_centered(X)
         beta = np.linalg.solve(X.T @ X, X.T @ y)
         yc = y - np.mean(y)
@@ -580,19 +570,14 @@ class GPriorRegression(ModelFamily):
 
     def closed_form_mmle(self, data: Dataset) -> float:
         """Truncated F-ratio form of the marginal-likelihood maximizer."""
-        n, p = data.n, data.X.shape[1]
-        if n <= p + 1:
-            raise InsufficientDataError("need n > d - 1 for the g-prior MMLE")
         ssr, sse, _ = self.suff_stats(data)
+        n, p = data.n, data.X.shape[1]
         return max((ssr / p) / (sse / (n - p - 1.0)) - 1.0, 0.0) / n
 
     def posterior(self, lam, data):
         lam = self.validate_hyperparam(lam)
-        X, y, n = data.X, data.y, data.n
-        p = X.shape[1]
-        if n <= p + 2:
-            raise InsufficientDataError("g-prior posterior needs n > d")
         ssr, sse, beta_hat = self.suff_stats(data)
+        X, y, n = data.X, data.y, data.n
         shrink = n * lam / (n * lam + 1.0)
         beta_cov_unit = np.linalg.inv(X.T @ X) * shrink
         mu = shrink * beta_hat
@@ -607,10 +592,8 @@ class GPriorRegression(ModelFamily):
         # flat prior on the intercept and 1/sigma2 on the variance: the additive
         # constant follows the convention pi(alpha, sigma2) = 1/sigma2
         lam = self.validate_hyperparam(lam, allow_boundary=True)
-        n, p = data.n, data.X.shape[1]
-        if n <= p + 1:
-            raise DomainError("need n > d - 1")
         ssr, sse, _ = self.suff_stats(data)
+        n, p = data.n, data.X.shape[1]
         q = sse + ssr / (1.0 + n * lam)
         return (
             -0.5 * math.log(n)
@@ -660,10 +643,16 @@ class MarkovDirichlet(ModelFamily):
             raise DomainError("transition rows must lie on the simplex")
         return P
 
+    def transition_counts(self, data):
+        """The transition counts of data, which must be K x K."""
+        if data.counts is None or data.counts.shape != (self.K, self.K):
+            raise DomainError("M4 needs K x K transition counts")
+        return data.counts
+
     def log_likelihood(self, theta, data):
         # combinatorial constant fixed to 0: likelihood up to proportionality
         P = self._rows(theta)
-        counts = data.counts
+        counts = self.transition_counts(data)
         total = 0.0
         for i in range(self.K):
             for j in range(self.K):
@@ -706,10 +695,10 @@ class MarkovDirichlet(ModelFamily):
 
     def posterior(self, lam, data):
         alpha = self.validate_hyperparam(lam)
-        return DirichletRowsPosterior(alpha=alpha + data.counts)
+        return DirichletRowsPosterior(alpha=alpha + self.transition_counts(data))
 
     def log_marginal(self, lam, data):
-        return markov_log_marginal(data.counts, self.validate_hyperparam(lam))
+        return markov_log_marginal(self.transition_counts(data), self.validate_hyperparam(lam))
 
     def simulate(self, theta0, n, g, seed):
         # g.choice(K, p=P[state]) step by step, draw for draw: each step
@@ -851,21 +840,22 @@ class BayesLasso(ModelFamily):
         sse = float(np.sum((data.y - data.X @ beta) ** 2))
         return RegressionParams(beta=beta, sigma2=sse / data.n)
 
-    @staticmethod
-    def _check_orthogonal(X):
+    def _column_norms(self, X):
+        """The column norms of X, for the closed forms, which need a known
+        sigma2 and orthogonal design columns."""
+        if not self.sigma_known:
+            raise CapabilityError("closed-form M5 path requires known sigma2")
         G = X.T @ X
         off = G - np.diag(np.diag(G))
         if np.max(np.abs(off)) > 1e-8 * np.max(np.diag(G)):
-            raise CapabilityError("closed-form path requires orthogonal design columns")
+            raise CapabilityError("closed-form M5 path requires orthogonal design columns")
         return np.sqrt(np.diag(G))
 
     def coordinate_posterior(self, lam, data, j: int):
         """Closed-form marginal posterior of beta_j (orthogonal X, known sigma),
         tabulated at 2,001 points."""
         lam = self.validate_hyperparam(lam)
-        if not self.sigma_known:
-            raise CapabilityError("closed-form path requires known sigma2")
-        norms = self._check_orthogonal(data.X)
+        norms = self._column_norms(data.X)
         s = math.sqrt(self.sigma2)
         sj = norms[j]
         bj = float(data.X[:, j] @ data.y) / sj**2
@@ -881,9 +871,7 @@ class BayesLasso(ModelFamily):
 
     def log_marginal(self, lam, data):
         lam = self.validate_hyperparam(lam)
-        if not self.sigma_known:
-            raise CapabilityError("closed-form M5 marginal requires known sigma2")
-        norms = self._check_orthogonal(data.X)
+        norms = self._column_norms(data.X)
         s = math.sqrt(self.sigma2)
         X, y, n = data.X, data.y, data.n
         bhat = (X.T @ y) / norms**2

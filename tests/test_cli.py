@@ -657,7 +657,7 @@ def test_value_just_outside_a_bound_exits_2_and_the_edge_validates(
 
 def _validate_only(end, inside):
     """Whether an inside edge is only validated, not run: a size at MAX_SIZE,
-    whose run would ask for 64 PiB or more."""
+    whose run would ask for 64 PiB or more or loop 2**53 times."""
     return end == "hi" and inside == MAX_SIZE
 
 

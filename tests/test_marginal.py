@@ -112,6 +112,14 @@ def test_m5_closed_requires_known_sigma_and_orthogonal_design():
         log_marginal(BayesLasso(sigma2=None), 1.0, data)
     with pytest.raises(CapabilityError):
         log_marginal(BayesLasso(sigma2=1.0), 1.0, data)
+    # the coordinate posteriors check the same two conditions
+    orthogonal = Dataset(y=data.y, X=orthogonal_design(20, 2, seed=9))
+    for fam, d in ((BayesLasso(sigma2=None), orthogonal), (BayesLasso(sigma2=1.0), data)):
+        for call in (lambda: fam.coordinate_posterior(1.0, d, 0),
+                     lambda: fam.posterior(1.0, d)):
+            with pytest.raises(CapabilityError):
+                call()
+    assert BayesLasso(sigma2=1.0).coordinate_posterior(1.0, orthogonal, 1).sd > 0
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,28 @@ def test_gprior_closed_form_needs_enough_rows():
     X = np.zeros((3, 3))
     with pytest.raises(InsufficientDataError):
         fam.closed_form_mmle(Dataset(y=np.zeros(3), X=X))
+    # n = d + 1 leaves no residual degree of freedom: SSE is 0, so the MLE's
+    # sigma was 1e-16 and the plug-in g 1e31, and every evaluator refuses it
+    g = np.random.default_rng(5)
+    X = g.normal(size=(4, 3))
+    data = Dataset(y=g.normal(size=4), X=X - X.mean(axis=0))
+    for call in (fam.mle, fam.pseudo_hyperparameter, fam.closed_form_mmle,
+                 lambda d: fam.log_marginal(1.0, d), lambda d: fam.posterior(1.0, d)):
+        with pytest.raises(InsufficientDataError):
+            call(data)
+
+
+def test_m4_counts_must_be_k_by_k():
+    # 3 x 3 counts for a two-state chain: the marginal and the MMLE read the
+    # top-left block and the posterior failed to broadcast
+    fam = MarkovDirichlet(K=2)
+    data = Dataset(counts=np.array([[3, 1, 2], [2, 2, 0], [1, 1, 1]]))
+    for call in (lambda: fam.log_likelihood(np.full((2, 2), 0.5), data),
+                 lambda: fam.log_marginal(np.ones((2, 2)), data),
+                 lambda: fam.posterior(np.ones((2, 2)), data),
+                 lambda: mmle_continuous(fam, data, *fam.BOX)):
+        with pytest.raises(DomainError, match="K x K"):
+            call()
 
 
 def test_m4_mmle_zero_count_cells_hit_lower_edge():

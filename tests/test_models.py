@@ -568,6 +568,59 @@ def test_m2_posterior_active_set():
     post = fam.posterior(np.array([2.0, 0.0]), data)
     assert isinstance(post[1], PointMassPosterior)
     assert post[0].mean == pytest.approx(1.0, abs=0.1)
+    # against the dense precision form over the active columns
+    X, beta, e = _regression_data(12, n=30, d=4)
+    data = Dataset(y=X @ beta + e, X=X)
+    fam = IndepNormalRegression(sigma2=0.8)
+    tau2, a = np.array([1.5, 0.0, 0.3, 2.0]), [0, 2, 3]
+    cov = np.linalg.inv(X[:, a].T @ X[:, a] / 0.8 + np.diag(1.0 / tau2[a]))
+    mean = cov @ X[:, a].T @ data.y / 0.8
+    post = fam.posterior(tau2, data)
+    assert isinstance(post[1], PointMassPosterior)
+    for k, j in enumerate(a):
+        assert post[j].mean == pytest.approx(mean[k], rel=1e-12)
+        assert post[j].var == pytest.approx(cov[k, k], rel=1e-12)
+
+
+def test_m2_tau2_needs_one_entry_per_design_column():
+    X, beta, e = _regression_data(13)
+    data = Dataset(y=X @ beta + e, X=X)
+    fam = IndepNormalRegression()
+    # a short tau2 dropped design columns from the marginal and the KL, and a
+    # long one ended in an IndexError
+    for tau2 in (np.ones(2), np.ones(4)):
+        for call in (lambda: fam.posterior(tau2, data),
+                     lambda: fam.log_marginal(tau2, data),
+                     lambda: fam.kl_exact(beta, tau2, 25, data)):
+            with pytest.raises(DomainError, match="tau2 length"):
+                call()
+
+
+def test_m2_exact_kl_needs_n_to_be_the_design_row_count():
+    X, beta, e = _regression_data(14, n=50)
+    data = Dataset(y=X @ beta + e, X=X)
+    fam = IndepNormalRegression()
+    kl = fam.kl_exact(beta, np.ones(3), 50, data)
+    assert math.isfinite(kl) and kl > 0
+    for n in (10, 49, 51):
+        with pytest.raises(DomainError):
+            fam.kl_exact(beta, np.ones(3), n, data)
+    with pytest.raises(DomainError):
+        fam.kl_exact(beta, np.ones(3), 50)
+
+
+def test_m3_posterior_with_one_residual_degree_of_freedom():
+    # n = d + 2, the fewest rows the g-prior fit takes: a1 = (n - 1) / 2
+    g = np.random.default_rng(15)
+    X = g.normal(size=(5, 3))
+    X -= X.mean(axis=0)
+    data = Dataset(y=g.normal(size=5), X=X)
+    post = GPriorRegression(V=np.eye(3)).posterior(2.0, data)
+    assert post.a1 == 2.0 and post.a2 > 0
+    for j in range(3):
+        m = post.beta_marginal(j)
+        assert np.all(np.isfinite(m.density))
+        assert np.trapezoid(m.density, m.x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_m4_posterior_adds_counts():
