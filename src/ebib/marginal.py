@@ -101,17 +101,6 @@ def markov_log_marginal_factorials(counts, alpha) -> float:
 # mixtures
 
 
-def _cluster_log_marginal(m, S, Q, comp_var, loc_var) -> float:
-    """Marginal of m observations in one cluster under the conjugate base.
-
-    (m, S, Q) are the count, sum and sum of squares of the centred values
-    y - loc_mean; the joint is N(loc_mean 1, comp_var I + loc_var J).
-    """
-    if m == 0:
-        return 0.0  # the kernel gives -0.0
-    return rank_one_gaussian_logpdf(m, S, Q, comp_var, loc_var)
-
-
 def _log_alloc_mass(counts, lam, n):
     """Dirichlet-multinomial log mass of each row of ``counts``, the K cluster
     counts of an allocation of n observations, at symmetric concentration lam.
@@ -129,15 +118,14 @@ def mixture_marginal_exact(data: Dataset, lams, family) -> list:
 
     ``family`` (an OverfittedMixture) supplies K, comp_var, loc_mean and
     loc_var (Normal-known-variance components with a Normal prior on their
-    locations).  Allocations are walked once, depth-first with per-cluster
-    sufficient statistics updated incrementally; their location terms do not
-    depend on lam, and their weight terms depend on it only through the
-    cluster counts, so each lam costs one `_log_alloc_mass` of the distinct
-    count vectors.
+    locations).  Allocations are walked once, depth-first, with the count,
+    sum and sum of squares of each cluster's y - loc_mean updated
+    incrementally; a cluster's location term is the N(0, comp_var I +
+    loc_var J) log-density of those values.  Location terms do not depend on
+    lam, and the weight terms depend on it only through the cluster counts,
+    so each lam costs one `_log_alloc_mass` of the distinct count vectors.
     """
-    lams = [float(v) for v in lams]
-    if any(not v > 0 for v in lams):
-        raise DomainError("lam must be positive")
+    lams = [family.validate_hyperparam(v) for v in lams]
     y = np.asarray(data.y, float)
     n, K = y.size, family.K
     if K**n > ENUMERATION_CAP:
@@ -160,7 +148,7 @@ def mixture_marginal_exact(data: Dataset, lams, family) -> list:
             counts[j] += 1
             sums[j] += yc[i]
             sqs[j] += yc[i] ** 2
-            cluster_lm[j] = _cluster_log_marginal(counts[j], sums[j], sqs[j], cv, lv)
+            cluster_lm[j] = rank_one_gaussian_logpdf(counts[j], sums[j], sqs[j], cv, lv)
             recurse(i + 1, running - prev + cluster_lm[j])
             counts[j] -= 1
             sums[j] -= yc[i]
@@ -190,9 +178,8 @@ def mixture_marginal_profile(data: Dataset, lam_grid, lam_ref: float,
     ``family`` is the OverfittedMixture whose weight prior lam indexes.
     Returns one record per grid value with ESS-based reliability flags.
     """
-    lam_grid = [float(v) for v in lam_grid]
-    if lam_ref <= 0 or any(v <= 0 for v in lam_grid):
-        raise DomainError("concentrations must be positive")
+    family.validate_hyperparam(lam_ref)
+    lam_grid = [family.validate_hyperparam(v) for v in lam_grid]
     if any(v > 20.0 * lam_ref or v < lam_ref / 20.0 for v in lam_grid):
         raise DomainError("grid must stay within a factor 20 of lam_ref")
     cfg = GibbsConfig(iters=draws + max(draws // 4, 200),

@@ -37,8 +37,8 @@ from .errors import (
     NonDifferentiableError,
 )
 from .marginal import markov_log_marginal
-from .numerics import (log_gamma, low_rank_gaussian_logpdf, nelder_mead, norm_logcdf,
-                       norm_logpdf, norm_pdf)
+from .numerics import (log_gamma, nelder_mead, norm_logcdf, norm_logpdf, norm_pdf,
+                       rank_one_gaussian_logpdf)
 from .posteriors import (
     GaussianPosterior,
     GridPosterior,
@@ -134,8 +134,8 @@ class RegressionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.atleast_1d(np.asarray(self.beta, float)))
-        if not self.sigma2 > 0:
-            raise DomainError("sigma2 must be positive")
+        if not (np.all(np.isfinite(self.beta)) and 0 < self.sigma2 < math.inf):
+            raise DomainError("beta must be finite and sigma2 positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +148,9 @@ class GPriorParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.atleast_1d(np.asarray(self.beta, float)))
-        if not self.sigma > 0:
-            raise DomainError("sigma must be positive")
+        if not (np.all(np.isfinite(self.beta)) and abs(self.alpha) < math.inf
+                and 0 < self.sigma < math.inf):
+            raise DomainError("alpha and beta must be finite and sigma positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,12 +163,12 @@ class MixtureParams:
         w = np.atleast_1d(np.asarray(self.weights, float))
         m = np.atleast_1d(np.asarray(self.means, float))
         v = np.atleast_1d(np.asarray(self.variances, float))
-        if abs(w.sum() - 1.0) > _SIMPLEX_TOL:
+        if not abs(w.sum() - 1.0) <= _SIMPLEX_TOL:
             raise DomainError("mixture weights must sum to 1")
-        if np.any(w < 0):
+        if not np.all(w >= 0):
             raise DomainError("mixture weights must be nonnegative")
-        if np.any(v <= 0):
-            raise DomainError("mixture variances must be positive")
+        if not (np.all(np.isfinite(m)) and np.all((v > 0) & (v < math.inf))):
+            raise DomainError("mixture means must be finite and variances positive and finite")
         if not (w.shape == m.shape == v.shape):
             raise DomainError("weights, means, variances must share a length")
         object.__setattr__(self, "weights", w)
@@ -232,11 +233,11 @@ class ModelFamily:
     id = "base"
 
     def validate_hyperparam(self, lam, allow_boundary=False):
-        """A scalar lam > 0, or 0 where ``allow_boundary``; families indexed
-        by a vector or a matrix override this."""
+        """A finite scalar lam > 0, or 0 where ``allow_boundary``; families
+        indexed by a vector or a matrix override this."""
         lam = float(lam)
-        if lam < 0 or (lam == 0 and not allow_boundary):
-            raise DomainError("lam must be positive (0 only as boundary)")
+        if not (0 < lam < math.inf or (lam == 0 and allow_boundary)):
+            raise DomainError("lam must be positive and finite (0 only as boundary)")
         return lam
 
     def log_likelihood(self, theta, data: Dataset) -> float:
@@ -324,17 +325,24 @@ class NormalMean(ModelFamily):
     def fisher_information(self, theta0):
         return np.array([[1.0 / self.sigma2]])
 
-    def mle(self, data):
+    @staticmethod
+    def _ybar(data):
+        """The mean of y, which must be one dataset: a 2-d y, one dataset per
+        row, is for ``log_likelihood`` and ``log_marginal`` only."""
+        if data.y.ndim != 1:
+            raise DomainError("the M1 MLE, MMLE and posterior need a 1-d y")
         return float(np.mean(data.y))
+
+    def mle(self, data):
+        return self._ybar(data)
 
     def closed_form_mmle(self, data: Dataset) -> float:
         """Stationary point of the exact marginal, truncated at 0."""
-        ybar = float(np.mean(data.y))
-        return max(0.0, ybar**2 - self.sigma2 / data.n)
+        return max(0.0, self._ybar(data)**2 - self.sigma2 / data.n)
 
     def posterior(self, lam, data):
         n = data.n
-        ybar = float(np.mean(data.y))
+        ybar = self._ybar(data)
         if lam == math.inf:
             # flat-prior limit
             return GaussianPosterior(ybar, self.sigma2 / n)
@@ -346,7 +354,11 @@ class NormalMean(ModelFamily):
 
     def log_marginal(self, lam, data):
         lam = self.validate_hyperparam(lam, allow_boundary=True)
-        return low_rank_gaussian_logpdf(data.y, 0.0, self.sigma2, lam)
+        # C order keeps each row's sum and dot product in the 1-d reduction order
+        y = np.ascontiguousarray(data.y)
+        yy = (y[..., None, :] @ y[..., :, None])[..., 0, 0]
+        out = rank_one_gaussian_logpdf(y.shape[-1], np.sum(y, axis=-1), yy, self.sigma2, lam)
+        return float(out) if y.ndim == 1 else out
 
     def simulate(self, theta0, n, g, seed):
         return Dataset(y=self.simulate_rows(theta0, [g], np.empty((1, n)))[0])
@@ -387,8 +399,9 @@ class IndepNormalRegression(ModelFamily):
 
     def validate_hyperparam(self, lam, allow_boundary=False):
         tau2 = np.atleast_1d(np.asarray(lam, float))
-        if np.any(tau2 < 0) or (np.any(tau2 == 0) and not allow_boundary):
-            raise DomainError("tau2 components must be positive (0 only as boundary)")
+        if not (np.all((tau2 >= 0) & (tau2 < math.inf))
+                and (allow_boundary or np.all(tau2 > 0))):
+            raise DomainError("tau2 entries must be positive and finite (0 only as boundary)")
         return tau2
 
     def _beta(self, theta):
@@ -632,14 +645,15 @@ class MarkovDirichlet(ModelFamily):
         alpha = np.atleast_2d(np.asarray(lam, float))
         if alpha.shape != (self.K, self.K):
             raise DomainError("alpha must be a K x K matrix")
-        if np.any(alpha < 0) or (np.any(alpha == 0) and not allow_boundary):
-            raise DomainError("alpha entries must be positive (0 only as boundary)")
+        if not (np.all((alpha >= 0) & (alpha < math.inf))
+                and (allow_boundary or np.all(alpha > 0))):
+            raise DomainError("alpha entries must be positive and finite (0 only as boundary)")
         return alpha
 
     @staticmethod
     def _rows(theta):
         P = np.atleast_2d(np.asarray(theta, float))
-        if np.any(np.abs(P.sum(axis=1) - 1.0) > _SIMPLEX_TOL) or np.any(P < 0):
+        if not (np.all(np.abs(P.sum(axis=1) - 1.0) <= _SIMPLEX_TOL) and np.all(P >= 0)):
             raise DomainError("transition rows must lie on the simplex")
         return P
 
@@ -948,8 +962,8 @@ class GaussMixtureKnownK(_GaussianMixture):
 
     def validate_hyperparam(self, lam, allow_boundary=False):
         xi, tau, psi = (float(v) for v in lam)
-        if tau <= 0 or psi <= 0:
-            raise DomainError("tau and psi must be positive")
+        if not (abs(xi) < math.inf and 0 < tau < math.inf and 0 < psi < math.inf):
+            raise DomainError("xi must be finite, and tau and psi positive and finite")
         return xi, tau, psi
 
     def log_prior(self, theta, lam):

@@ -274,26 +274,10 @@ def _ordered(sim, fsim):
 def rank_one_gaussian_logpdf(n, s, ss, sigma2, lam):
     """Log-density of N(0, sigma2*I + lam*11^t) at n values whose sum is
     ``s`` and sum of squares ``ss``, by the rank-one determinant lemma and
-    Sherman-Morrison.  Python floats and float64 scalars or arrays of
-    ``s`` and ``ss`` give the same bits."""
+    Sherman-Morrison; the callers check sigma2 > 0 and lam >= 0.  Python
+    floats and float64 scalars or arrays of ``s`` and ``ss`` give the same
+    bits."""
     quad = (ss - lam * s * s / (sigma2 + n * lam)) / sigma2
     logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
     return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
 
-
-def low_rank_gaussian_logpdf(y, mean, sigma2: float, lam: float):
-    """Log-density of N(mean, sigma2*I + lam*11^t) at y, in O(n) by
-    `rank_one_gaussian_logpdf`.  The last axis of ``y`` is the n
-    observations: a 1-d ``y`` gives a float, an (rows, n) ``y`` one value per
-    row, each equal to the 1-d call on that row bit for bit.
-    """
-    if not sigma2 > 0:
-        raise DomainError("sigma2 must be positive")
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
-    # C order keeps each row's sum and dot product in the 1-d reduction order
-    r = np.subtract(np.asarray(y, dtype=float), np.asarray(mean, dtype=float),
-                    order="C")
-    rr = (r[..., None, :] @ r[..., :, None])[..., 0, 0]
-    out = rank_one_gaussian_logpdf(r.shape[-1], np.sum(r, axis=-1), rr, sigma2, lam)
-    return float(out) if r.ndim == 1 else out

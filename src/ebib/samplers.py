@@ -231,8 +231,7 @@ def gibbs_mixture_weights(data: Dataset, lam_ref: float, family,
     importance ratios, unlike the raw weights whose ratios have infinite
     variance near the simplex edge).
     """
-    if lam_ref <= 0:
-        raise DomainError("lam_ref must be positive")
+    family.validate_hyperparam(lam_ref)
     y = data.y
     g = rngmod.stream(cfg.seed, "gibbs-mix-weights")
     K, comp_var = family.K, family.comp_var

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ebib.errors import AccuracyError, DomainError
-from ebib.marginal import _cluster_log_marginal
-from ebib.numerics import QUAD_ABS_TOL, QUAD_MAX_DEPTH, log_gamma, norm_logcdf
+from ebib.numerics import (QUAD_ABS_TOL, QUAD_MAX_DEPTH, log_gamma, norm_logcdf,
+                           rank_one_gaussian_logpdf)
 
 
 def gaussian_logpdf(y, mean, cov) -> float:
@@ -211,7 +211,7 @@ def mixture_marginal_exact_one_lam(data, lam: float, family) -> float:
             counts[j] += 1
             sums[j] += yc[i]
             sqs[j] += yc[i] ** 2
-            cluster_lm[j] = _cluster_log_marginal(counts[j], sums[j], sqs[j], cv, lv)
+            cluster_lm[j] = rank_one_gaussian_logpdf(counts[j], sums[j], sqs[j], cv, lv)
             recurse(i + 1, running - prev + cluster_lm[j])
             counts[j] -= 1
             sums[j] -= yc[i]
@@ -225,8 +225,10 @@ def mixture_marginal_exact_one_lam(data, lam: float, family) -> float:
 
 
 def cluster_log_marginal_reference(m, S, Q, comp_var, loc_var) -> float:
-    """The body `ebib.marginal._cluster_log_marginal` had before it called the
-    shared rank-one kernel."""
+    """The log-marginal of the m values of one mixture cluster, whose sum is
+    S and sum of squares Q, as `ebib.marginal.mixture_marginal_exact` formed
+    it before it called the shared rank-one kernel (0.0 for an empty cluster,
+    where the kernel gives -0.0)."""
     if m == 0:
         return 0.0
     quad = (Q - loc_var * S * S / (comp_var + m * loc_var)) / comp_var

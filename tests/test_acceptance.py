@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from ebib.cli import EXPERIMENTS
-from ebib.marginal import _cluster_log_marginal
 from ebib.mmle import mmle_continuous
 from ebib.models import (
     BayesLasso,
@@ -36,7 +35,7 @@ from ebib.models import (
     OverfittedMixture,
     RegressionParams,
 )
-from ebib.numerics import log_gamma
+from ebib.numerics import log_gamma, rank_one_gaussian_logpdf
 from ebib.samplers import (
     GibbsConfig,
     effective_sample_size,
@@ -269,9 +268,9 @@ def test_criterion_10_sampler_correctness(capsys):
         for j in range(2):
             sel = yc[z == j]
             logw += log_gamma(lam + counts[j]) - log_gamma(lam)
-            logw += _cluster_log_marginal(counts[j], float(sel.sum()),
-                                          float((sel**2).sum()),
-                                          fam7.comp_var, fam7.loc_var)
+            logw += rank_one_gaussian_logpdf(counts[j], float(sel.sum()),
+                                             float((sel**2).sum()),
+                                             fam7.comp_var, fam7.loc_var)
         terms.append(logw)
         means.append((lam + counts[0]) / (2 * lam + 8))
     w = np.exp(np.asarray(terms) - max(terms))

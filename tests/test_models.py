@@ -27,7 +27,8 @@ from ebib.models import (
     load_counts_csv,
     load_dataset_csv,
 )
-from ebib.marginal import log_marginal
+from ebib.marginal import log_marginal, mixture_marginal_exact
+from ebib.mmle import mmle_grid
 from ebib.posteriors import (
     GaussianPosterior,
     NormalInverseGammaPosterior,
@@ -737,6 +738,29 @@ def test_normal_mean_log_likelihood_rowwise_equals_rows(n):
             assert one == val == want
 
 
+def _rank_one_1d_reference(y, mean, sigma2, lam):
+    # the scalar-reduction form every 1-d call must keep bit for bit
+    r = np.asarray(y, dtype=float) - np.asarray(mean, dtype=float)
+    n = r.size
+    s = float(np.sum(r))
+    quad = (float(r @ r) - lam * s * s / (sigma2 + n * lam)) / sigma2
+    logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
+    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 300])
+def test_normal_mean_log_marginal_rowwise_equals_rows(n):
+    fam = NormalMean(sigma2=1.7)
+    g = np.random.default_rng(n)
+    wide = g.normal(1.5, 2.0, size=(5, 2 * n))
+    for y in (wide[:, :n], wide[:, ::2], np.asfortranarray(wide[:, :n])):
+        got = fam.log_marginal(2.5, Dataset(y=y - 0.3))
+        assert got.shape == (5,)
+        for row, val in zip(y, got):
+            one = fam.log_marginal(2.5, Dataset(y=row - 0.3))
+            assert type(one) is float
+            assert one == val == _rank_one_1d_reference(row, 0.3, 1.7, 2.5)
+
 def test_only_normal_mean_evaluates_rowwise():
     fams = [NormalMean(), IndepNormalRegression(), GPriorRegression(V=np.eye(3)),
             MarkovDirichlet(K=2), BayesLasso(sigma2=1.0), GaussMixtureKnownK(K=2),
@@ -819,3 +843,81 @@ def test_normal_mean_simulate_rows_equals_one_normal_call_per_row(sigma2, theta0
         assert np.array_equal(fam.simulate(theta0, n, g1, None).y,
                               normal_mean_rows(theta0, sigma2, [g2], n)[0])
         assert g1.random() == g2.random()
+
+
+def test_m1_refuses_to_pool_the_rows_of_a_2d_y():
+    # a 2-d y holds one dataset per row: the row-wise evaluators answer per
+    # row, and the pooled statistics of the six values are refused
+    fam = NormalMean()
+    data = Dataset(y=[[1.0, 2.0, 3.0], [10.0, 11.0, 12.0]])
+    for call in (fam.mle, fam.closed_form_mmle, fam.pseudo_hyperparameter,
+                 lambda d: fam.posterior(1.0, d), lambda d: fam.posterior(math.inf, d)):
+        with pytest.raises(DomainError):
+            call(data)
+    assert fam.log_marginal(1.0, data).shape == (2,)
+    assert fam.log_likelihood(0.0, data).shape == (2,)
+    assert fam.mle(Dataset(y=[1.0, 2.0, 3.0])) == 2.0
+
+
+def _nonfinite_calls(family_id, bad):
+    """Calls of one family's evaluators, each with one entry of a
+    hyperparameter or a parameter point set to ``bad``."""
+    g = np.random.default_rng(5)
+    X = g.normal(size=(20, 3))
+    X -= X.mean(axis=0)
+    reg = Dataset(y=g.normal(size=20), X=X)
+    y = Dataset(y=[0.3, -1.2, 2.0])
+
+    def mixture(w=0.5, m=1.0, v=1.0):
+        return MixtureParams(weights=[w, 0.5], means=[-1.0, m], variances=[1.0, v])
+
+    if family_id == "M1":
+        f = NormalMean()
+        return [lambda: f.log_marginal(bad, y), lambda: f.log_prior(0.5, bad),
+                lambda: f.kl_exact(2.0, bad, 10), lambda: mmle_grid(f, y, [bad, 1.0])]
+    if family_id == "M2":
+        f = IndepNormalRegression()
+        return [lambda: f.log_marginal([bad, 1.0, 1.0], reg),
+                lambda: f.log_prior([0.5, 0.5], [1.0, bad]),
+                lambda: f.log_likelihood(RegressionParams(beta=[bad, 0.0, 0.0]), reg),
+                lambda: RegressionParams(beta=[0.0], sigma2=bad)]
+    if family_id == "M3":
+        f = GPriorRegression(V=np.eye(3))
+        return [lambda: f.log_marginal(bad, reg),
+                lambda: GPriorParams(sigma=bad, alpha=0.0, beta=[0.0, 0.0, 0.0]),
+                lambda: GPriorParams(sigma=1.0, alpha=bad, beta=[0.0, 0.0, 0.0]),
+                lambda: GPriorParams(sigma=1.0, alpha=0.0, beta=[0.0, bad, 0.0])]
+    if family_id == "M4":
+        f = MarkovDirichlet(K=2)
+        counts = Dataset(counts=[[3, 1], [2, 2]])
+        return [lambda: f.log_marginal([[1.0, bad], [1.0, 1.0]], counts),
+                lambda: f.log_likelihood([[0.5, 0.5], [bad, 0.5]], counts),
+                lambda: f.log_prior([[0.5, 0.5], [0.5, bad]], np.ones((2, 2)))]
+    if family_id == "M5":
+        f = BayesLasso(sigma2=1.0)
+        lasso = Dataset(y=g.normal(size=20), X=orthogonal_design(20, 2, seed=1))
+        return [lambda: f.log_marginal(bad, lasso), lambda: f.log_prior([0.1, 0.2], bad),
+                lambda: f.log_likelihood(RegressionParams(beta=[0.1, bad]), lasso)]
+    if family_id == "M6":
+        f = GaussMixtureKnownK(K=2)
+        return [lambda: f.log_prior(mixture(), (bad, 1.0, 1.0)),
+                lambda: f.log_prior(mixture(), (0.0, bad, 1.0)),
+                lambda: f.log_prior(mixture(), (0.0, 1.0, bad)),
+                lambda: f.log_likelihood(mixture(w=bad), y),
+                lambda: f.log_likelihood(mixture(m=bad), y),
+                lambda: f.log_likelihood(mixture(v=bad), y)]
+    f = OverfittedMixture(K=2)
+    return [lambda: f.log_prior(mixture(), bad), lambda: mixture_marginal_exact(y, [bad], f),
+            lambda: f.log_likelihood(mixture(w=bad), y),
+            lambda: f.log_likelihood(mixture(m=bad), y)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family_id", ["M1", "M2", "M3", "M4", "M5", "M6", "M7"])
+def test_non_finite_hyperparameters_and_parameter_points_raise_domain_error(family_id, bad):
+    for call in _nonfinite_calls(family_id, bad):
+        with pytest.raises(DomainError):
+            call()
+    # M1's flat-prior limit stays the posterior at lam = inf
+    if family_id == "M1" and bad == math.inf:
+        assert isinstance(NormalMean().posterior(bad, Dataset(y=[1.0, 2.0])), GaussianPosterior)

@@ -16,7 +16,6 @@ from ebib.numerics import (
     QUAD_MAX_DEPTH,
     integrate,
     log_gamma,
-    low_rank_gaussian_logpdf,
     nelder_mead,
     norm_cdf,
     norm_logcdf,
@@ -27,8 +26,7 @@ from ebib.numerics import (
 from ebib.marginal import markov_log_marginal
 from ebib.models import _log_dirichlet
 from ebib.posteriors import GaussianPosterior
-from helpers import (child_env, finite_diff_gradient, gaussian_logpdf, norm_operands,
-                     recursive_simpson)
+from helpers import child_env, finite_diff_gradient, norm_operands, recursive_simpson
 
 
 def test_log_gamma_against_high_precision_oracle():
@@ -301,33 +299,6 @@ def test_nelder_mead_equals_scipy_where_simplex_values_tie(f, x0):
     assert len(set(values)) < len(values) or any(math.isnan(v) for v in values)
 
 
-def test_low_rank_gaussian_two_point_case():
-    # N_2(0, I + J) at y = (0, 0)
-    cov = np.eye(2) + np.ones((2, 2))
-    want = gaussian_logpdf([0.0, 0.0], [0.0, 0.0], cov)
-    got = low_rank_gaussian_logpdf([0.0, 0.0], 0.0, 1.0, 1.0)
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_low_rank_gaussian_matches_dense_cholesky():
-    g = np.random.default_rng(11)
-    for n in (5, 17, 30, 50):
-        y = g.normal(size=n)
-        sigma2 = float(g.uniform(0.3, 3.0))
-        lam = float(g.uniform(0.0, 5.0))
-        cov = sigma2 * np.eye(n) + lam * np.ones((n, n))
-        want = gaussian_logpdf(y, np.zeros(n), cov)
-        got = low_rank_gaussian_logpdf(y, 0.0, sigma2, lam)
-        assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_low_rank_gaussian_domain():
-    with pytest.raises(DomainError):
-        low_rank_gaussian_logpdf([0.0], 0.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        low_rank_gaussian_logpdf([0.0], 0.0, 1.0, -1.0)
-
-
 def test_finite_diff_gradient_constant_is_zero():
     grad = finite_diff_gradient(lambda x: 3.5, np.array([1.0, -2.0, 0.3]))
     assert np.allclose(grad, 0.0, atol=1e-9)
@@ -511,25 +482,3 @@ def test_degenerate_gaussian_posterior_is_nan_like_scipy():
         _identical(p.ppf(0.3), norm.ppf(0.3, 1.5, 0.0))
     assert math.isnan(p.pdf(1.5)) and math.isnan(p.ppf(0.3))
 
-
-def _low_rank_1d_reference(y, mean, sigma2, lam):
-    # the scalar-reduction form every 1-d call must keep bit for bit
-    r = np.asarray(y, dtype=float) - np.asarray(mean, dtype=float)
-    n = r.size
-    s = float(np.sum(r))
-    quad = (float(r @ r) - lam * s * s / (sigma2 + n * lam)) / sigma2
-    logdet = n * math.log(sigma2) + math.log1p(n * lam / sigma2)
-    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
-
-
-@pytest.mark.parametrize("n", [1, 2, 37, 300])
-def test_low_rank_gaussian_rowwise_equals_rows(n):
-    g = np.random.default_rng(n)
-    wide = g.normal(1.5, 2.0, size=(5, 2 * n))
-    for y in (wide[:, :n], wide[:, ::2], np.asfortranarray(wide[:, :n])):
-        got = low_rank_gaussian_logpdf(y, 0.3, 1.7, 2.5)
-        assert got.shape == (5,)
-        for row, val in zip(y, got):
-            one = low_rank_gaussian_logpdf(row, 0.3, 1.7, 2.5)
-            assert type(one) is float
-            assert one == val == _low_rank_1d_reference(row, 0.3, 1.7, 2.5)

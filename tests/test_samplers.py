@@ -7,7 +7,6 @@ import pytest
 
 from ebib import rng as rngmod
 from ebib.errors import DomainError, SamplerError
-from ebib.marginal import _cluster_log_marginal
 from ebib.models import (
     BayesLasso,
     Dataset,
@@ -21,7 +20,7 @@ from ebib.models import (
     OverfittedMixture,
     RegressionParams,
 )
-from ebib.numerics import log_gamma
+from ebib.numerics import log_gamma, rank_one_gaussian_logpdf
 from ebib.samplers import (
     GibbsConfig,
     _allocate,
@@ -227,7 +226,7 @@ def _enumeration_posterior_mean_p1(y, lam, K, base):
         for j in range(K):
             logw += log_gamma(lam + counts[j]) - log_gamma(lam)
             sel = yc[z == j]
-            logw += _cluster_log_marginal(
+            logw += rank_one_gaussian_logpdf(
                 counts[j], float(sel.sum()), float((sel**2).sum()),
                 base.comp_var, base.loc_var)
         terms.append(logw)

@@ -10,7 +10,9 @@ method that answers or raises ``CapabilityError``, never a class-level flag.
 And every function, method and class that ebib defines is used by ebib
 itself, or is public API named in ``PUBLIC``; no module-level function only
 forwards its arguments to a method of its first one, except those named in
-``FORWARDERS``.
+``FORWARDERS``; and no code outside ``FAMILY_ID_BRANCHES`` compares a
+family's ``id``: a family answers through its methods, not through an
+``if family.id == ...`` chain.
 """
 
 import ast
@@ -198,3 +200,46 @@ def test_no_function_only_forwards_to_a_method_of_its_first_argument():
     assert found - set(FORWARDERS) == set()
     # an entry for a function that no longer forwards is stale
     assert set(FORWARDERS) == found
+
+
+# functions that compare a family's ``id`` once, kept as they are
+FAMILY_ID_BRANCHES = {
+    "mmle.mmle_continuous": "holds the M4 row search, which ROADMAP item 2 "
+                            "replaces; perfbench's self-test counts that "
+                            "search's iterations through mmle_continuous",
+}
+
+
+def _id_comparisons(tree, module):
+    """``module.function`` (or ``module`` at top level) for each comparison
+    with an ``x.id`` operand, one entry per comparison."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare) and any(
+                isinstance(e, ast.Attribute) and e.attr == "id"
+                for e in (node.left, *node.comparators)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_no_branch_on_a_family_id():
+    found = [where for path in sorted(SRC.glob("*.py"))
+             for where in _id_comparisons(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert [where for where in found if where not in FAMILY_ID_BRANCHES] == []
+    # one comparison per entry; an entry for a function that no longer
+    # compares an id is stale
+    assert sorted(found) == sorted(FAMILY_ID_BRANCHES)
+
+
+def test_id_comparisons_see_every_operand_position():
+    tree = ast.parse("def f(fam):\n    return 'M4' != fam.id\n"
+                     "class C:\n    def g(self, fam):\n        return fam.id in ('M1',)\n"
+                     "x = 1 < 2\n")
+    assert _id_comparisons(tree, "m") == ["m.f", "m.C.g"]
