@@ -37,7 +37,7 @@ from .errors import (
     NonDifferentiableError,
 )
 from .marginal import markov_log_marginal
-from .numerics import (log_gamma, nelder_mead, norm_logcdf, norm_logpdf, norm_pdf,
+from .numerics import (log_gamma, log_ndtr, nelder_mead, norm_logpdf, norm_pdf,
                        rank_one_gaussian_logpdf)
 from .posteriors import (
     GaussianPosterior,
@@ -125,6 +125,14 @@ def load_counts_csv(path) -> Dataset:
 
 
 # parameter points
+
+
+def _finite_point(point):
+    """``point``, a bare parameter point as a float or a float array, once
+    every entry is finite; DomainError otherwise, NaN included."""
+    if not (math.isfinite(point) if isinstance(point, float) else np.isfinite(point).all()):
+        raise DomainError("parameter point entries must be finite")
+    return point
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,18 +317,18 @@ class NormalMean(ModelFamily):
 
     def log_likelihood(self, theta, data):
         # one value per row of a 2-d y, each equal to the 1-d call on it
-        return _normal_loglik(np.subtract(data.y, float(theta), order="C"), self.sigma2)
+        return _normal_loglik(np.subtract(data.y, _finite_point(float(theta)), order="C"), self.sigma2)
 
     def log_prior(self, theta, lam):
         lam = self.validate_hyperparam(lam)
-        return float(norm_logpdf(float(theta), 0.0, math.sqrt(lam)))
+        return float(norm_logpdf(_finite_point(float(theta)), 0.0, math.sqrt(lam)))
 
     def prior_gradient(self, theta, lam):
         lam = self.validate_hyperparam(lam)
-        return np.array([-float(theta) / lam])
+        return np.array([-_finite_point(float(theta)) / lam])
 
     def oracle_hyperparameter(self, theta0):
-        return float(theta0) ** 2
+        return _finite_point(float(theta0)) ** 2
 
     def fisher_information(self, theta0):
         return np.array([[1.0 / self.sigma2]])
@@ -368,13 +376,13 @@ class NormalMean(ModelFamily):
         for row, g in zip(out, gens):
             g.standard_normal(out=row)
         out *= math.sqrt(self.sigma2)
-        out += float(theta0)
+        out += _finite_point(float(theta0))
         return out
 
     def kl_exact(self, theta0, lam, n, data=None):
         lam = self.validate_hyperparam(lam, allow_boundary=True)
         s2 = self.sigma2
-        t = float(theta0)
+        t = _finite_point(float(theta0))
         r = n * lam / (s2 + n * lam)
         return 0.5 * (-r + n * t * t / (s2 + n * lam) + math.log1p(n * lam / s2))
 
@@ -405,7 +413,9 @@ class IndepNormalRegression(ModelFamily):
         return tau2
 
     def _beta(self, theta):
-        return theta.beta if isinstance(theta, RegressionParams) else np.atleast_1d(np.asarray(theta, float))
+        if isinstance(theta, RegressionParams):
+            return theta.beta
+        return _finite_point(np.atleast_1d(np.asarray(theta, float)))
 
     def log_likelihood(self, theta, data):
         return _normal_loglik(data.y - data.X @ self._beta(theta), self.sigma2)
@@ -811,7 +821,7 @@ class BayesLasso(ModelFamily):
             return theta.beta, s2
         if not self.sigma_known:
             raise DomainError("unknown-sigma variant needs RegressionParams")
-        return np.atleast_1d(np.asarray(theta, float)), self.sigma2
+        return _finite_point(np.atleast_1d(np.asarray(theta, float))), self.sigma2
 
     def log_likelihood(self, theta, data):
         beta, s2 = self._unpack(theta)
@@ -895,17 +905,12 @@ class BayesLasso(ModelFamily):
         # exp(-sj^2 (b - bj)^2 / (2 s^2) - lam |b| / s), so that the integral
         # is sqrt(2 pi) (s / sj) C; kappa^2, exp and log stay float operations,
         # whose last bit numpy's array forms need not share
-        norms, bhat = norms.tolist(), bhat.tolist()
-        kappa = [lam / sj for sj in norms]
-        u = [sj * bj / s for sj, bj in zip(norms, bhat)]
-        lower = norm_logcdf([uj - kj for uj, kj in zip(u, kappa)]
-                            + [-uj - kj for uj, kj in zip(u, kappa)]).tolist()
-        d = len(norms)
-        for j, sj in enumerate(norms):
+        for sj, bj in zip(norms.tolist(), bhat.tolist()):
+            kappa, u = lam / sj, sj * bj / s
             out += 0.5 * math.log(2.0 * math.pi) + math.log(s / sj)
             out += math.log(lam / (2.0 * s))
-            t1 = 0.5 * kappa[j]**2 - kappa[j] * u[j] + lower[j]
-            t2 = 0.5 * kappa[j]**2 + kappa[j] * u[j] + lower[d + j]
+            t1 = 0.5 * kappa**2 - kappa * u + log_ndtr(u - kappa)
+            t2 = 0.5 * kappa**2 + kappa * u + log_ndtr(-u - kappa)
             hi = max(t1, t2)
             out += hi + math.log(math.exp(t1 - hi) + math.exp(t2 - hi))
         return float(out)

