@@ -51,8 +51,8 @@ def kl_monte_carlo(family, theta0, lam, n: int, reps: int, seed):
     Only families with ``simulate_rows`` (M1) are supported; the others raise
     ``CapabilityError``.
     """
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
+    if reps < 1 or n < 0:
+        raise DomainError("reps must be >= 1 and n >= 0")
     prefix = (*rng.flatten(seed), "kl-rep")
     rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
     vals = np.empty(reps)

@@ -10,7 +10,6 @@ likelihood score and carries a 1/n rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,24 +89,3 @@ def credible_discrepancy(family, data: Dataset, lam_build, lam_eval,
     lo, hi = evalp.cdf(build.ppf(np.array([alpha / 2.0, 1.0 - alpha / 2.0])))
     mass = float(hi - lo)
     return mass - (1.0 - alpha)
-
-
-@dataclass
-class MergingReport:
-    """Row set pairing exact L1 distances with their first-order predictions."""
-
-    rows: list = field(default_factory=list)
-
-    COLUMNS = ("n", "seed", "lambda1", "lambda2", "l1_exact", "l1_pred",
-               "cred_disc")
-
-    def add(self, n, seed, lam1, lam2, l1_exact, l1_pred, cred_disc=math.nan):
-        if not 0.0 <= l1_exact <= 2.0 + 1e-9:
-            raise DomainError("l1_exact must lie in [0, 2]")
-        self.rows.append((int(n), int(seed), float(lam1), float(lam2),
-                          float(l1_exact), float(l1_pred), float(cred_disc)))
-
-    def to_csv(self, path):
-        arr = np.asarray(self.rows, dtype=float)
-        np.savetxt(path, arr.reshape(-1, len(self.COLUMNS)), delimiter=",",
-                   header=",".join(self.COLUMNS), comments="")

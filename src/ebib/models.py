@@ -234,8 +234,9 @@ def _simulate_regression(beta, s2, n, g, seed) -> Dataset:
 class ModelFamily:
     """Base class: the shared evaluator interface.
 
-    A capability is the method itself: an optional evaluator either answers
-    or raises ``CapabilityError``.
+    Each family defines ``log_likelihood``, ``log_prior``, ``prior_gradient``
+    and ``oracle_hyperparameter``.  A capability is the method itself: an
+    optional evaluator either answers or raises ``CapabilityError``.
     """
 
     id = "base"
@@ -247,18 +248,6 @@ class ModelFamily:
         if not (0 < lam < math.inf or (lam == 0 and allow_boundary)):
             raise DomainError("lam must be positive and finite (0 only as boundary)")
         return lam
-
-    def log_likelihood(self, theta, data: Dataset) -> float:
-        raise NotImplementedError
-
-    def log_prior(self, theta, lam) -> float:
-        raise NotImplementedError
-
-    def prior_gradient(self, theta, lam) -> np.ndarray:
-        raise NotImplementedError
-
-    def oracle_hyperparameter(self, theta0):
-        raise NotImplementedError
 
     def fisher_information(self, theta0) -> np.ndarray:
         raise CapabilityError(f"{self.id}: Fisher information not supported")
@@ -381,6 +370,8 @@ class NormalMean(ModelFamily):
 
     def kl_exact(self, theta0, lam, n, data=None):
         lam = self.validate_hyperparam(lam, allow_boundary=True)
+        if n < 0:
+            raise DomainError("n must be >= 0")
         s2 = self.sigma2
         t = _finite_point(float(theta0))
         r = n * lam / (s2 + n * lam)

@@ -36,8 +36,8 @@ def log_gamma(x: float) -> float:
 # of a run.  `erf`, `erfc`, `ndtr` and `ndtri` below are Python-float ports of
 # Stephen L. Moshier's Cephes Mathematical Library (ndtr.c, ndtri.c), as
 # vendored by `scipy.special`, with its coefficient tables and branch order:
-# the pdf, cdf and ppf kernels equal scipy's bit for bit, and the logcdf
-# kernel, log Phi on `erfc`, is within 8 ulp of `scipy.special.log_ndtr`.
+# the pdf, cdf and ppf kernels equal scipy's bit for bit, and `log_ndtr`,
+# log Phi on `erfc`, is within 8 ulp of `scipy.special.log_ndtr`.
 _NORM_C = np.sqrt(2 * np.pi)
 _NORM_LOGC = np.log(_NORM_C)
 
@@ -199,12 +199,6 @@ def norm_logpdf(x, loc=0.0, scale=1.0):
 def norm_cdf(x, loc=0.0, scale=1.0):
     x, loc, scale, scalar = _operands(x, loc, scale)
     out = _each(ndtr, (x - loc) / scale)
-    return out[0] if scalar else out
-
-
-def norm_logcdf(x, loc=0.0, scale=1.0):
-    x, loc, scale, scalar = _operands(x, loc, scale)
-    out = _each(log_ndtr, (x - loc) / scale)
     return out[0] if scalar else out
 
 

@@ -20,10 +20,10 @@ class GaussianPosterior:
     """Closed-form 1-D Gaussian posterior."""
 
     def __init__(self, mean: float, var: float):
-        if var < 0:
-            raise DomainError("variance must be nonnegative")
         self.mean = float(mean)
         self.var = float(var)
+        if not (math.isfinite(self.mean) and 0.0 <= self.var < math.inf):
+            raise DomainError("mean must be finite and variance in [0, inf)")
         self.sd = math.sqrt(self.var)
 
     def pdf(self, x):
@@ -38,15 +38,14 @@ class GaussianPosterior:
     def ppf(self, q):
         return norm_ppf(q, self.mean, self.sd)
 
-    def __repr__(self):
-        return f"GaussianPosterior(mean={self.mean:.6g}, var={self.var:.6g})"
-
 
 class PointMassPosterior:
     """Degenerate posterior concentrated at a single point."""
 
     def __init__(self, location: float):
         self.location = float(location)
+        if not math.isfinite(self.location):
+            raise DomainError("location must be finite")
         self.mean = self.location
         self.var = 0.0
         self.sd = 0.0

@@ -5,7 +5,8 @@ quadrature of the M1 marginal, the one-call-per-draw or one-call-per-
 coordinate forms of the M1 and M4 simulations and the M4 and M5 marginals,
 the array forms of the M4 marginal, the Normal kernels' operands and the
 one-lam mixture enumeration, and the former bodies of the mixture's cluster
-marginal and allocation mass) and the environment of a child interpreter."""
+marginal and allocation mass), a small run of each experiment and the
+environment of a child interpreter."""
 
 import math
 import os
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ebib.errors import AccuracyError, DomainError
-from ebib.numerics import (QUAD_ABS_TOL, QUAD_MAX_DEPTH, log_gamma, norm_logcdf,
+from ebib.numerics import (QUAD_ABS_TOL, QUAD_MAX_DEPTH, log_gamma, log_ndtr,
                            rank_one_gaussian_logpdf)
 
 
@@ -248,14 +249,14 @@ def log_alloc_mass_reference(vec, lam: float, n: int) -> float:
 
 def laplace_gauss_log_normalizer(bhat: float, colnorm: float, sigma: float, lam: float) -> float:
     """log C(lam): normalizer of exp(-colnorm^2 (b-bhat)^2/(2 sigma^2) - lam|b|/sigma),
-    one scalar ``norm_logcdf`` call per term.
+    one ``log_ndtr`` call per term.
 
     C is defined so the integral equals sqrt(2 pi) (sigma/colnorm) C.
     """
     kappa = lam / colnorm
     u = colnorm * bhat / sigma
-    t1 = 0.5 * kappa**2 - kappa * u + norm_logcdf(u - kappa)
-    t2 = 0.5 * kappa**2 + kappa * u + norm_logcdf(-u - kappa)
+    t1 = 0.5 * kappa**2 - kappa * u + log_ndtr(u - kappa)
+    t2 = 0.5 * kappa**2 + kappa * u + log_ndtr(-u - kappa)
     hi = max(t1, t2)
     return hi + math.log(math.exp(t1 - hi) + math.exp(t2 - hi))
 
@@ -274,6 +275,22 @@ def lasso_log_marginal(lam: float, sigma2: float, X, y) -> float:
         out += math.log(lam / (2.0 * s))
         out += laplace_gauss_log_normalizer(float(bj), float(sj), s, lam)
     return float(out)
+
+
+# a small run of each experiment, into which tests set edge values
+SMALL = {
+    "fig1-densities": {"n": 25, "grid_points": 101},
+    "table1-lasso": {"n_grid": [30], "seeds": 1, "gibbs_iters": 60, "gibbs_burnin": 20,
+                     "em_steps": 2},
+    "fig2-lasso-marginals": {"n_grid": [20], "lam_points": 5, "grid_points": 51},
+    "mmle-consistency": {"n_grid": [20], "seeds": 1},
+    "kl-oracle": {"n": 100, "lam_points": 5, "mc_configs": 2, "mc_reps": 10},
+    "merging-rates": {"n_grid": [20], "seeds": 1},
+    "predictive-rates": {"n_grid": [20], "seeds": 1},
+    "credible-discrepancy": {"n_grid": [20], "seeds": 1},
+    "mixture-rate": {"n_grid": [20], "seeds": 1, "draws": 200},
+    "markov-sparsity": {"n": 200},
+}
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

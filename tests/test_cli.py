@@ -11,7 +11,7 @@ from ebib import cli
 from ebib.cli import BOUNDS, EXPERIMENTS, MAX_SIZE, main, run_experiment, validate_config
 from ebib.marginal import ENUMERATION_CAP
 from ebib.mmle import mmle_grid
-from helpers import child_env
+from helpers import SMALL, child_env
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -566,22 +566,6 @@ def test_verdict_rejudges_the_rows_without_drawing(tmp_path, monkeypatch, doc):
         assert bool(passed) is written["passed"]
         assert (json.dumps(details, default=lambda v: v.item())
                 == json.dumps(written["details"]))
-
-
-# a small run of each experiment, into which the edge values below are set
-SMALL = {
-    "fig1-densities": {"n": 25, "grid_points": 101},
-    "table1-lasso": {"n_grid": [30], "seeds": 1, "gibbs_iters": 60, "gibbs_burnin": 20,
-                     "em_steps": 2},
-    "fig2-lasso-marginals": {"n_grid": [20], "lam_points": 5, "grid_points": 51},
-    "mmle-consistency": {"n_grid": [20], "seeds": 1},
-    "kl-oracle": {"n": 100, "lam_points": 5, "mc_configs": 2, "mc_reps": 10},
-    "merging-rates": {"n_grid": [20], "seeds": 1},
-    "predictive-rates": {"n_grid": [20], "seeds": 1},
-    "credible-discrepancy": {"n_grid": [20], "seeds": 1},
-    "mixture-rate": {"n_grid": [20], "seeds": 1, "draws": 200},
-    "markov-sparsity": {"n": 200},
-}
 
 
 def _leaves(value, path="details"):

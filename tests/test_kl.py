@@ -114,6 +114,14 @@ def test_kl_input_validation():
         kl_monte_carlo(fam, 2.0, 4.0, 10, reps=0, seed=0)
     with pytest.raises(DomainError):
         kl_minimizer(fam, 2.0, 10, [])
+    # a negative sample size has no KL: the closed form read -3.85 at n = -1
+    with pytest.raises(DomainError):
+        fam.kl_exact(2.0, 0.5, -1)
+    with pytest.raises(DomainError):
+        kl_minimizer(fam, 2.0, -1, [0.5])
+    with pytest.raises(DomainError):
+        kl_monte_carlo(fam, 2.0, 0.5, -1, reps=3, seed=0)
+    assert fam.kl_exact(2.0, 0.5, 0) == 0.0
     from ebib.models import MarkovDirichlet
 
     with pytest.raises(CapabilityError):

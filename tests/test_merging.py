@@ -6,7 +6,6 @@ import pytest
 
 from ebib.errors import AccuracyError, DomainError
 from ebib.merging import (
-    MergingReport,
     _support_interval,
     credible_discrepancy,
     delta_theta0,
@@ -247,16 +246,3 @@ def test_credible_discrepancy_alpha_validation():
     data = simulate(fam, 2.0, 10, 0)
     with pytest.raises(DomainError):
         credible_discrepancy(fam, data, 4.0, 4.0, 0.0)
-
-
-def test_merging_report_csv_contract(tmp_path):
-    rep = MergingReport()
-    rep.add(50, 0, 1.0, 4.0, 0.3, 0.28, cred_disc=-0.01)
-    rep.add(200, 1, 1.0, 4.0, 0.15, 0.14)
-    with pytest.raises(DomainError):
-        rep.add(50, 0, 1.0, 4.0, 2.5, 0.1)
-    path = tmp_path / "rep.csv"
-    rep.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,seed,lambda1,lambda2,l1_exact,l1_pred,cred_disc"
-    assert len(lines) == 3

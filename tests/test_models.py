@@ -21,6 +21,7 @@ from ebib.models import (
     IndepNormalRegression,
     MarkovDirichlet,
     MixtureParams,
+    ModelFamily,
     NormalMean,
     OverfittedMixture,
     RegressionParams,
@@ -704,6 +705,15 @@ def test_each_family_answers_log_marginal_or_raises_capability_error():
     assert closed == ["M1", "M3"]
     with pytest.raises(CapabilityError):
         BayesLasso(sigma2=None).fisher_information(np.ones(3))
+
+
+def test_each_family_defines_the_four_core_evaluators():
+    # the base class has no stub for them: every family answers each one
+    core = ("log_likelihood", "log_prior", "prior_gradient", "oracle_hyperparameter")
+    families = (NormalMean, IndepNormalRegression, GPriorRegression, MarkovDirichlet,
+                BayesLasso, GaussMixtureKnownK, OverfittedMixture)
+    assert [(cls.__name__, name) for cls in families for name in core
+            if name in vars(ModelFamily) or not callable(getattr(cls, name, None))] == []
 
 
 def test_each_family_answers_posterior_or_raises_capability_error():

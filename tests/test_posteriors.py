@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,17 @@ def test_gaussian_posterior_basic():
 def test_gaussian_posterior_rejects_negative_variance():
     with pytest.raises(DomainError):
         GaussianPosterior(0.0, -1.0)
+
+
+@pytest.mark.parametrize("cls,args", [
+    (GaussianPosterior, (math.nan, 1.0)), (GaussianPosterior, (math.inf, 1.0)),
+    (GaussianPosterior, (0.0, math.nan)), (GaussianPosterior, (0.0, math.inf)),
+    (PointMassPosterior, (math.nan,)), (PointMassPosterior, (-math.inf,)),
+], ids=["mean-nan", "mean-inf", "var-nan", "var-inf", "location-nan", "location-inf"])
+def test_posteriors_reject_non_finite_parameters(cls, args):
+    # a NaN passed `var < 0` and gave a posterior whose pdf and cdf are NaN
+    with pytest.raises(DomainError):
+        cls(*args)
 
 
 def test_point_mass_cdf():

@@ -8,19 +8,26 @@ only where ``SCIPY_IMPORTS`` names it with its reason.
 
 The model families of ``models.py`` are read the same way: a capability is a
 method that answers or raises ``CapabilityError``, never a class-level flag.
-And every function, method and class that ebib defines is used by ebib
-itself, or is public API named in ``PUBLIC``; no module-level function only
-forwards its arguments to a method of its first one, except those named in
+Every function and method that ebib defines runs in a run of the
+experiments, and every class is named by ebib code, or ``REACHED_ONLY_BY_TESTS``
+names it with the reason it stays; no module-level function only forwards its
+arguments to a method of its first one, except those named in
 ``FORWARDERS``; and no code outside ``FAMILY_ID_BRANCHES`` compares a
 family's ``id``: a family answers through its methods, not through an
 ``if family.id == ...`` chain.
 """
 
 import ast
+import importlib.util
+import json
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import ebib
+from ebib import cli
+from ebib.cli import EXPERIMENTS, run_experiment, validate_config
+from helpers import SMALL
 
 SRC = Path(ebib.__file__).resolve().parent
 MODULES = {p.stem for p in SRC.glob("*.py")}
@@ -149,63 +156,227 @@ def test_model_families_set_no_class_level_flag():
     assert flags == []
 
 
-# defined in src/ebib, used by no code there, and kept as public API
-PUBLIC = {
-    # family and posterior evaluators
-    "log_prior": "the prior log-density of the family interface",
-    "logpdf": "GaussianPosterior's log-density, beside pdf",
-    "beta_marginal": "a coefficient marginal of the M3 posterior",
-    "sigma2_mean": "the posterior mean of the M3 noise variance",
-    "norm_logcdf": "the Normal log-cdf kernel, beside norm_cdf and norm_ppf",
+# What no run executes, and why it stays.  A run is every experiment at its
+# `helpers.SMALL` size, plus `cli.main` on `run`, `validate` and
+# `list-experiments`.  A key is ``module.qualname``: a function or method whose
+# code no run executes (its nested functions go with it), or a class that no
+# run enters (none of its methods runs) or that no ebib code names.
+REACHED_ONLY_BY_TESTS = {
+    # the north star's seven families, though no experiment runs M2, M3 or M6
+    "models.IndepNormalRegression": "the M2 family (ROADMAP item 18 reaches it)",
+    "models.GPriorRegression": "the M3 family (ROADMAP item 18 reaches it)",
+    "models.GPriorParams": "M3's parameter point",
+    "posteriors.NormalInverseGammaPosterior": "M3's conjugate posterior",
+    "models.GaussMixtureKnownK": "the M6 family",
+    "models._log_inv_gamma": "M6's prior on the component variances",
+    "samplers.gibbs_gauss_mixture": "README's M6 sampler, which draws that family's posterior",
+    # the capability contract: an optional evaluator answers or raises
+    "models.ModelFamily.fisher_information": "raises CapabilityError where a family has none",
+    "models.ModelFamily.posterior": "raises CapabilityError where a family has none",
+    "models.ModelFamily.mle": "raises CapabilityError where a family has none",
+    "models.ModelFamily.closed_form_mmle": "raises CapabilityError where a family has none",
+    "models.ModelFamily.log_marginal": "raises CapabilityError where a family has none",
+    "models.ModelFamily.simulate": "raises CapabilityError where a family has none",
+    "models.ModelFamily.simulate_rows": "raises CapabilityError where a family has none",
+    "models.ModelFamily.kl_exact": "raises CapabilityError where a family has none",
+    "models.ModelFamily.predictive_score_l1": "raises CapabilityError where a family has none",
+    # family evaluators that the experiments bypass and tests use as oracles
+    "models.NormalMean.log_prior": "M1's prior, behind prior_gradient's finite differences",
+    "models.NormalMean.mle": "M1's MLE, behind pseudo_hyperparameter",
+    "models.NormalMean.predictive_score_l1": "M1's predictive score moment, for "
+                                             "predicted_l1_predictive",
+    "models.MarkovDirichlet.validate_hyperparam": "M4's K x K hyperparameter check",
+    "models.MarkovDirichlet.log_likelihood": "M4's likelihood; markov-sparsity reads "
+                                             "the counts through markov_log_marginal",
+    "models.MarkovDirichlet.log_prior": "M4's prior, behind prior_gradient's finite differences",
+    "models.MarkovDirichlet.prior_gradient": "M4's prior score, for the merging expansion",
+    "models.MarkovDirichlet.log_marginal": "M4's closed-form marginal, on the family interface",
+    "models.MarkovDirichlet.posterior": "M4's conjugate posterior, on the family interface",
+    "models.DirichletRowsPosterior": "M4's conjugate posterior",
+    "models._log_dirichlet": "the Dirichlet log-density of M4's and M7's priors",
+    "models.BayesLasso.log_likelihood": "M5's likelihood; table1-lasso samples instead",
+    "models.BayesLasso.log_prior": "M5's prior, behind prior_gradient's finite differences",
+    "models.BayesLasso.prior_gradient": "M5's prior score, for the merging expansion",
+    "models.BayesLasso.fisher_information": "M5's Fisher information, for the merging expansion",
+    "models.BayesLasso.posterior": "M5's coordinate posteriors, on the family interface",
+    "models._GaussianMixture.log_likelihood": "M6's and M7's likelihood; mixture-rate reweights "
+                                              "sampler draws instead",
+    "models.OverfittedMixture.log_prior": "M7's prior, behind prior_gradient's finite differences",
+    "models.OverfittedMixture.prior_gradient": "M7's prior score, for the merging expansion",
+    "models.OverfittedMixture.oracle_hyperparameter": "M7's boundary oracle, 0",
+    "numerics.norm_logpdf": "the Normal log-density of the priors and the mixture "
+                            "likelihood",
+    "posteriors.GaussianPosterior.logpdf": "GaussianPosterior's log-density, beside pdf",
+    "posteriors.PointMassPosterior": "the posterior at a boundary prior (M1 at lam = 0, "
+                                     "M2 at tau2_j = 0), where no run's lam lands",
+    "posteriors.GridPosterior.cdf": "the cdf of every posterior, as credible_discrepancy "
+                                    "calls it",
+    "posteriors.GridPosterior.ppf": "the ppf of every posterior, as credible_discrepancy "
+                                    "calls it",
     # README's CSV contracts
-    "to_csv": "the KL profile, merging report and chain dump writers",
-    "MergingReport": "the merging report rows",
-    "load_dataset_csv": "the regression dataset loader",
-    "load_counts_csv": "the Markov transition counts loader",
+    "kl.KlProfile": "KlProfile.to_csv writes the KL profile; kl-oracle builds the "
+                    "dataclass, whose generated methods are not in kl.py",
+    "samplers.ChainOutput": "ChainOutput.to_csv writes the chain dump; the samplers "
+                            "build the dataclass, whose generated methods are not in samplers.py",
+    "models.load_dataset_csv": "the regression dataset loader",
+    "models.load_counts_csv": "the Markov transition counts loader",
+    # criterion 03's continuous MMLE: no experiment maximizes over an interval
+    "mmle._golden_section": "the search of mmle_continuous outside M4",
+    "mmle._parabolic_refine": "brings criterion 03's worst error from 6.9e-7 to 9.6e-9 "
+                              "against its 1e-6 bound",
+    "mmle.mmle_continuous.f": "the objective of that search",
+    # the M4 prior oracle, which criterion 09 checks (ROADMAP item 2 replaces it)
+    "models.MarkovDirichlet.oracle_hyperparameter": "the M4 prior oracle",
+    "models._maximize_dirichlet_row": "the M4 prior oracle's row search",
     # the paper's quantities that no experiment prints yet
-    "predicted_l1_predictive": "the first-order L1 between posterior predictives",
-    "l1_gaussian_equal_var": "the closed-form Gaussian L1, until it replaces "
-                             "the quadrature of l1_distance",
-    # called by numpy, not by ebib
-    "generate_state": "numpy's ISeedSequence protocol, which PCG64 calls",
-    # the north star's seven families, though no experiment runs M2 or M6
-    "IndepNormalRegression": "the M2 family",
-    "GaussMixtureKnownK": "the M6 family",
-    "gibbs_gauss_mixture": "README's M6 sampler, which draws that family's posterior",
+    "merging.predicted_l1_predictive": "the first-order L1 between posterior "
+                                       "predictives (ROADMAP item 13)",
+    "merging.l1_gaussian_equal_var": "the closed-form Gaussian L1, until it replaces "
+                                     "the quadrature of l1_distance (ROADMAP item 1)",
+    # the __init__s of errors that carry a value, run only where they are raised
+    "errors.AccuracyError": "its __init__ keeps the best estimate on a missed tolerance",
+    "errors.SamplerError": "its __init__ keeps the failing iteration",
 }
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _unused_definitions():
-    """Functions, methods and classes that src/ebib defines and nowhere uses.
-    A method (a function in a class body) counts as used only where ebib reads
-    its name as an attribute (``x.name``), so a local variable or a module of
-    the same name does not use it; any other definition also counts as used
-    where its name appears bare.  Imports do not count."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    defined, free, names, attributes = {}, set(), set(), set()
+
+def _reached(run, files):
+    """Call ``run()`` and return {module: the first lines of its code objects
+    that ran}, for the code of ``files`` ({file name: module}) only.  The hook
+    sees calls and returns None, so no line is traced; it restores the trace
+    function it found."""
+    reached = {module: set() for module in files.values()}
+
+    def hook(frame, event, arg):
+        module = files.get(frame.f_code.co_filename)
+        if module is not None:
+            reached[module].add(frame.f_code.co_firstlineno)
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return reached
+
+
+def _first_line(node):
+    """The line a def's code object starts on: that of its first decorator."""
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+
+def _unreached(node, where, lines):
+    """``where.qualname`` of each outermost definition under ``node`` that did
+    not run, given the first ``lines`` of the code objects that did: a def
+    whose code never ran, or a class with defs none of which ran."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS):
+            name = f"{where}.{child.name}"
+            found += _unreached(child, name, lines) if _first_line(child) in lines else [name]
+        elif isinstance(child, ast.ClassDef):
+            name = f"{where}.{child.name}"
+            defs = [d for d in ast.walk(child) if isinstance(d, FUNCTIONS)]
+            if defs and not any(_first_line(d) in lines for d in defs):
+                found.append(name)
+            else:
+                found += _unreached(child, name, lines)
+        else:
+            found += _unreached(child, where, lines)
+    return found
+
+
+def _unnamed_classes():
+    """``module.Class`` for each class of src/ebib whose name no ebib code
+    reads, bare or as an attribute; imports do not count."""
+    classes, read = [], set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        methods = {stmt for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-                   for stmt in node.body if isinstance(stmt, functions)}
-        for node in ast.walk(tree):
-            if isinstance(node, (*functions, ast.ClassDef)):
-                defined.setdefault(node.name, f"{path.stem}.py:{node.lineno}")
-                if node not in methods:
-                    free.add(node.name)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                classes.append((node.name, f"{path.stem}.{node.name}"))
             elif isinstance(node, ast.Name):
-                names.add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-    used = attributes | (names & free)
-    return {name: where for name, where in defined.items()
-            if name not in used and not (name.startswith("__") and name.endswith("__"))}
+                read.add(node.attr)
+    return {where for name, where in classes if name not in read}
 
 
-def test_every_definition_is_used_or_public():
-    unused = _unused_definitions()
-    assert {k: v for k, v in unused.items() if k not in PUBLIC} == {}
-    # an entry for a name that ebib uses or no longer defines is stale
-    assert set(PUBLIC) == set(unused)
+def _run_every_experiment(tmp):
+    for name in sorted(SMALL):
+        run_experiment(validate_config({"experiment": name, **SMALL[name]}), str(tmp / name))
+    config = tmp / "fig1.json"
+    config.write_text(json.dumps({"experiment": "fig1-densities", **SMALL["fig1-densities"],
+                                  "output_dir": str(tmp / "main")}))
+    for argv in (["run", str(config)], ["validate", str(config)], ["list-experiments"]):
+        assert cli.main(argv) == 0
+
+
+def test_every_definition_is_reached_or_named(tmp_path):
+    # a new experiment joins the runs only through SMALL
+    assert set(SMALL) == set(EXPERIMENTS)
+    package = Path(ebib.__file__).parent
+    reached = _reached(lambda: _run_every_experiment(tmp_path),
+                       {str(package / f"{m}.py"): m for m in MODULES})
+    assert reached["cli"]  # the hook sees ebib's code
+    unreached = {where for path in sorted(SRC.glob("*.py"))
+                 for where in _unreached(ast.parse(path.read_text(), str(path)), path.stem,
+                                         reached[path.stem])}
+    need = unreached | _unnamed_classes()
+    assert sorted(need - set(REACHED_ONLY_BY_TESTS)) == []
+    # an entry for what a run now reaches, or ebib no longer defines, is stale
+    assert sorted(set(REACHED_ONLY_BY_TESTS) - need) == []
+
+
+_REACH_PROBE = """\
+def same(f):
+    return f
+
+
+@same
+@same
+def decorated(x):
+    def nested(y):
+        return y + 1
+    return nested(x)
+
+
+class Called:
+    def method(self):
+        return decorated(1)
+
+    def other(self):
+        return 0
+
+
+class Never:
+    def method(self):
+        return 0
+
+
+def uncalled():
+    def inner():
+        return 0
+    return inner
+
+
+def entry():
+    return Called().method()
+"""
+
+
+def test_reach_sees_decorated_methods_and_nested_functions(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(_REACH_PROBE)
+    spec = importlib.util.spec_from_file_location("probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    reached = _reached(probe.entry, {str(path): "probe"})["probe"]
+    # a decorated def starts on its first decorator's line; `same` ran only on
+    # import, before the hook was set
+    assert _unreached(ast.parse(_REACH_PROBE), "probe", reached) == [
+        "probe.same", "probe.Called.other", "probe.Never", "probe.uncalled"]
 
 
 # module-level functions that only call a method of their first parameter,
