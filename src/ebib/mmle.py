@@ -169,8 +169,10 @@ def lasso_mmle_em(data: Dataset, init_lam: float, gibbs_cfg: GibbsConfig,
     M-step: lam <- sqrt(2 d / sum_j E[tau_j2]).  Convergence is declared after
     three consecutive relative moves below 1e-3.
     """
-    if init_lam <= 0:
-        raise DomainError("init_lam must be positive")
+    if not 0 < init_lam < math.inf:
+        raise DomainError("init_lam must be positive and finite")
+    if not (sigma2 is None or 0 < sigma2 < math.inf):
+        raise DomainError("sigma2 must be positive and finite")
     d = data.X.shape[1]
     lam = float(init_lam)
     calm = 0

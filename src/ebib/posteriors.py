@@ -65,6 +65,8 @@ class GridPosterior:
         density = np.asarray(density, dtype=float)
         if x.ndim != 1 or x.shape != density.shape:
             raise DomainError("x and density must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(density))):
+            raise DomainError("x and density must be finite")
         if np.any(density < 0):
             raise DomainError("grid density must be nonnegative")
         mass = np.trapezoid(density, x)

@@ -6,7 +6,11 @@ All stochastic routines draw from hierarchical streams (see module rng), so a
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -99,6 +103,26 @@ def simulate(family, theta0, n: int, seed) -> Dataset:
 # Bayesian LASSO Gibbs (scale mixture of normals)
 
 
+def _flapack_routines():
+    """scipy's LAPACK wrappers ``dpotrf``, ``dpotrs`` and ``dtrtrs``.
+
+    They live in the extension module ``scipy.linalg._flapack``.  Importing
+    them by name would first run the ``__init__`` of ``scipy.linalg``, which
+    loads about 300 further modules, so the extension is loaded from its file
+    instead and registered under its own name: a later ``import scipy.linalg``
+    reuses it, and ``scipy.linalg.lapack.dpotrf`` is the very same object.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpotrf, module.dpotrs, module.dtrtrs
+
+
 def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
                 cfg: GibbsConfig) -> ChainOutput:
     """Gibbs sampler for the Laplace-prior regression.
@@ -108,15 +132,16 @@ def gibbs_lasso(data: Dataset, lam: float, sigma2: float | None,
     mixture: beta_j | tau_j2, sigma2 ~ N(0, sigma2 tau_j2) with
     tau_j2 ~ Exp(lam^2 / 2).
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise DomainError("lam must be positive and finite")
+    sample_sigma = sigma2 is None
+    if not (sample_sigma or 0 < sigma2 < math.inf):
+        raise DomainError("sigma2 must be positive and finite")
     X, y = data.X, data.y
     n, d = X.shape
     if d >= n:
         raise DomainError("need d < n")
-    sample_sigma = sigma2 is None
+    dpotrf, dpotrs, dtrtrs = _flapack_routines()
     g = rngmod.stream(cfg.seed, "gibbs-lasso")
 
     XtX = X.T @ X

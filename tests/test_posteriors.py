@@ -29,9 +29,14 @@ def test_gaussian_posterior_rejects_negative_variance():
     (GaussianPosterior, (math.nan, 1.0)), (GaussianPosterior, (math.inf, 1.0)),
     (GaussianPosterior, (0.0, math.nan)), (GaussianPosterior, (0.0, math.inf)),
     (PointMassPosterior, (math.nan,)), (PointMassPosterior, (-math.inf,)),
-], ids=["mean-nan", "mean-inf", "var-nan", "var-inf", "location-nan", "location-inf"])
+    (GridPosterior, ([0.0, 1.0, 2.0], [math.inf, 1.0, 1.0])),
+    (GridPosterior, ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0])),
+    (GridPosterior, ([0.0, 1.0, 2.0], [1.0, math.nan, 1.0])),
+], ids=["mean-nan", "mean-inf", "var-nan", "var-inf", "location-nan", "location-inf",
+        "grid-density-inf", "grid-x-inf", "grid-density-nan"])
 def test_posteriors_reject_non_finite_parameters(cls, args):
-    # a NaN passed `var < 0` and gave a posterior whose pdf and cdf are NaN
+    # a NaN passed `var < 0` and gave a posterior whose pdf and cdf are NaN;
+    # an infinite grid density or abscissa gave an infinite mass and a NaN mean
     with pytest.raises(DomainError):
         cls(*args)
 

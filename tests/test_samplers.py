@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from ebib.models import (
     OverfittedMixture,
     RegressionParams,
 )
+from ebib.mmle import lasso_mmle_em
 from ebib.numerics import log_gamma, rank_one_gaussian_logpdf
 from ebib.samplers import (
     GibbsConfig,
@@ -34,6 +38,7 @@ from ebib.samplers import (
     simulate,
     uniform_design,
 )
+from helpers import child_env
 
 
 def test_gibbs_config_validation():
@@ -484,3 +489,45 @@ def test_gibbs_lasso_factorization_failure_is_a_sampler_error():
         gibbs_lasso(Dataset(y=y, X=X), 1.0, sigma2=1.0,
                     cfg=GibbsConfig(iters=20, burnin=5, seed=1))
     assert exc.value.iteration == 2
+
+
+_SAME_ROUTINES = """
+import json, sys
+from ebib.samplers import _flapack_routines
+first = sys.argv[1] == "loader-first"
+ours = _flapack_routines() if first else None
+fresh = "scipy.linalg" not in sys.modules
+from scipy.linalg import lapack
+ours = ours or _flapack_routines()
+print(json.dumps([fresh, [a is b for a, b in
+                          zip(ours, (lapack.dpotrf, lapack.dpotrs, lapack.dtrtrs))]]))
+"""
+
+
+@pytest.mark.parametrize("order", ["loader-first", "scipy-first"])
+def test_flapack_routines_are_scipys_own_in_either_import_order(order):
+    # a fresh interpreter, so that the order of the two loads is the test's
+    proc = subprocess.run([sys.executable, "-c", _SAME_ROUTINES, order],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, [True, True, True]]
+
+
+@pytest.mark.parametrize("lam, sigma2", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, None), (0.0, None),
+    (1.0, -1.0), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
+], ids=["lam-nan", "lam-inf", "lam-neg-inf", "lam-zero",
+        "sigma2-neg", "sigma2-zero", "sigma2-nan", "sigma2-inf"])
+def test_gibbs_lasso_and_em_refuse_bad_rates_before_any_draw(monkeypatch, lam, sigma2):
+    # a NaN or infinite lam ran a whole chain into "non-finite draw", and a
+    # given sigma2 of -1 or 0 failed inside math.sqrt or numpy's wald
+    def no_stream(*args):
+        raise AssertionError("a stream was drawn from")
+
+    data = _orthonormal_lasso_data()
+    monkeypatch.setattr(rngmod, "stream", no_stream)
+    cfg = GibbsConfig(iters=20, burnin=5, seed=0)
+    with pytest.raises(DomainError):
+        gibbs_lasso(data, lam, sigma2=sigma2, cfg=cfg)
+    with pytest.raises(DomainError):
+        lasso_mmle_em(data, init_lam=lam, gibbs_cfg=cfg, sigma2=sigma2)

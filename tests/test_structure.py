@@ -2,9 +2,10 @@
 
 Every ebib import sits at module level, so a module's header lists what it
 depends on, and those imports form a DAG (names needed only by annotations
-are imported under ``if TYPE_CHECKING:``).  A ``scipy`` import sits inside
-the function that calls it, which keeps ``import ebib.cli`` free of scipy, and
-only where ``SCIPY_IMPORTS`` names it with its reason.
+are imported under ``if TYPE_CHECKING:``).  A ``scipy`` import, or a
+``find_spec`` of a scipy module, sits inside the function that calls it, which
+keeps ``import ebib.cli`` free of scipy, and only where ``SCIPY_IMPORTS`` names
+it with its reason.
 
 The model families of ``models.py`` are read the same way: a capability is a
 method that answers or raises ``CapabilityError``, never a class-level flag.
@@ -76,10 +77,12 @@ def test_no_ebib_import_inside_a_function():
     assert deferred == []
 
 
-# the functions of src/ebib that import scipy on call, and why each still does
+# the functions of src/ebib that import or locate scipy on call, and why each
+# still does
 SCIPY_IMPORTS = {
-    "samplers.gibbs_lasso": "scipy.linalg.lapack: the Cholesky factor and the "
-                            "triangular solves of each coefficient draw",
+    "samplers._flapack_routines":
+        "scipy.linalg._flapack by file: the Cholesky factor and triangular solves "
+        "of each coefficient draw, without scipy.linalg's package import",
     "posteriors.NormalInverseGammaPosterior.beta_marginal":
         "scipy.stats: the Student-t coefficient marginal of the M3 posterior",
 }
@@ -87,17 +90,25 @@ SCIPY_IMPORTS = {
 
 def _scipy_imports(tree, module):
     """``module.function`` (with enclosing classes) for each import of scipy
-    or of one of its subpackages, one entry per import statement."""
+    or of one of its subpackages, and for each ``find_spec`` call whose first
+    argument is a string naming one: one entry per statement or call."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
+        names = []
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
                 [node.module or ""] * (node.level == 0)
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                found.append(where)
+        elif (isinstance(node, ast.Call) and node.args
+              and (node.func.attr if isinstance(node.func, ast.Attribute)
+                   else getattr(node.func, "id", None)) == "find_spec"
+              and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)):
+            names = [node.args[0].value]
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
